@@ -19,27 +19,23 @@ a mismatch there is the Rule 1 kind, not Rule 2.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .model import (
     Aggregate,
-    Binary,
     DimensionSet,
-    EMPTY_DIMS,
     Expr,
-    Literal,
     Model,
     Ref,
     SourceSpan,
-    Unary,
     ValueTable,
     Variable,
+    _from_pairs,
     difference,
     intersect,
     is_subset,
     iter_dependencies,
-    union,
 )
 
 
@@ -54,25 +50,15 @@ class CheckDiagnostic:
     dimension_sets: tuple[DimensionSet, ...] = ()
 
     def render(self) -> str:
-        where = (f"{self.span.file}:{self.span.start_line}:{self.span.start_col}: "
-                 if self.span else "")
+        where = f"{self.span}: " if self.span else ""
         return f"{where}{self.severity}[{self.code}]: {self.message}"
 
     def as_json(self) -> dict:
-        span = None
-        if self.span:
-            span = {
-                "file": self.span.file,
-                "start_line": self.span.start_line,
-                "start_col": self.span.start_col,
-                "end_line": self.span.end_line,
-                "end_col": self.span.end_col,
-            }
         return {
             "severity": self.severity,
             "code": self.code,
             "message": self.message,
-            "span": span,
+            "span": self.span.as_json() if self.span else None,
             "variables": list(self.variables),
             "dimension_sets": [list(d.names) for d in self.dimension_sets],
         }
@@ -92,44 +78,27 @@ class CheckedModel:
 
     `order` lists variable names so that every variable comes after all
     variables it references; ties are broken by declaration order.
-    `expr_dims` maps id(node) -> inferred DimensionSet for every formula
-    node (keyed by identity because equal SUM nodes under different
-    targets infer differently).
     """
 
     model: Model
     order: tuple[str, ...]
-    expr_dims: dict = field(repr=False)
     warnings: tuple[CheckDiagnostic, ...] = ()
 
-    def dims_of(self, node: Expr) -> DimensionSet:
-        return self.expr_dims[id(node)]
 
-
-def infer_dims(expr: Expr, target: Variable, model: Model,
-               out: dict | None = None) -> DimensionSet:
+def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:
     """Dimension set of a formula: the union of its operands' sets.
 
     Literals are dimensionless; a reference has its variable's declared
     set; SUM keeps only the source dimensions the target also has (the
-    rest are summed away). Pass `out` to collect per-node results.
+    rest are summed away).
     """
-    if isinstance(expr, Literal):
-        dims = EMPTY_DIMS
-    elif isinstance(expr, Ref):
-        dims = model.variable(expr.name).dims
-    elif isinstance(expr, Unary):
-        dims = infer_dims(expr.operand, target, model, out)
-    elif isinstance(expr, Binary):
-        dims = union(infer_dims(expr.left, target, model, out),
-                     infer_dims(expr.right, target, model, out))
-    elif isinstance(expr, Aggregate):
-        dims = intersect(model.variable(expr.source).dims, target.dims)
-    else:
-        raise TypeError(f"not an expression: {expr!r}")
-    if out is not None:
-        out[id(expr)] = dims
-    return dims
+    pairs = set()
+    for name, node in iter_dependencies(expr):
+        dims = model.variable(name).dims
+        if isinstance(node, Aggregate):
+            dims = intersect(dims, target.dims)
+        pairs.update(zip(dims.order, dims.names))
+    return _from_pairs(pairs)
 
 
 def _operand_nodes(expr: Expr) -> Iterator[Expr]:
@@ -139,19 +108,9 @@ def _operand_nodes(expr: Expr) -> Iterator[Expr]:
     applied, there is no operand to hold against Rule 2, and Rule 1 judges
     the whole formula instead.
     """
-    if isinstance(expr, Ref):
-        return
-    yield from _collect_operands(expr)
-
-
-def _collect_operands(expr: Expr) -> Iterator[Expr]:
-    if isinstance(expr, (Ref, Aggregate)):
-        yield expr
-    elif isinstance(expr, Unary):
-        yield from _collect_operands(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _collect_operands(expr.left)
-        yield from _collect_operands(expr.right)
+    if not isinstance(expr, Ref):
+        for _, node in iter_dependencies(expr):
+            yield node
 
 
 def _is_constant(expr: Expr) -> bool:
@@ -227,7 +186,6 @@ def check_model(model: Model) -> CheckedModel:
     """
     errors: list[CheckDiagnostic] = []
     warnings: list[CheckDiagnostic] = []
-    expr_dims: dict[int, DimensionSet] = {}
 
     for var in model.variables:
         kind_diag = _check_kind(var)
@@ -237,7 +195,7 @@ def check_model(model: Model) -> CheckedModel:
         if not var.kind.carries_formula:
             continue
         expr = var.payload
-        inferred = infer_dims(expr, var, model, expr_dims)
+        inferred = infer_dims(expr, var, model)
         failed = False
         for node in _operand_nodes(expr):
             error, warning = _check_operand(node, var, model)
@@ -274,25 +232,12 @@ def check_model(model: Model) -> CheckedModel:
             errors + warnings,
             key=lambda d: (d.span.start_line if d.span else 0,
                            d.span.start_col if d.span else 0, d.code)))
-    return CheckedModel(model, tuple(order), expr_dims, tuple(warnings))
-
-
-def _dependency_edges(model: Model) -> dict[str, tuple[str, ...]]:
-    """name -> distinct referenced names, in first-use order."""
-    edges = {}
-    for var in model.variables:
-        deps: list[str] = []
-        if isinstance(var.payload, Expr):
-            for name, _ in iter_dependencies(var.payload):
-                if name not in deps:
-                    deps.append(name)
-        edges[var.name] = tuple(deps)
-    return edges
+    return CheckedModel(model, tuple(order), tuple(warnings))
 
 
 def _topological_order(model: Model):
     """Kahn's algorithm; ready variables are taken in declaration order."""
-    deps = _dependency_edges(model)
+    deps = {v.name: v.dependencies for v in model.variables}
     decl_index = {v.name: i for i, v in enumerate(model.variables)}
     dependents: dict[str, list[str]] = {v.name: [] for v in model.variables}
     indegree = {}

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
 from .checker import CheckedModel, CheckFailure, check_model
 from .diagram import DiagramConfig, emit_dot
 from .evaluator import EvalError, InputOverride, evaluate, tensor_to_rows
-from .model import Expr, ModelError, ValueTable, VariableKind, iter_dependencies
+from .model import ModelError, ValueTable, VariableKind
 from .parser import ParseFailure, format_expr, format_number, parse_model
 
 _KIND_LABEL = {
@@ -114,6 +115,14 @@ def _cmd_eval(args) -> int:
     for name in selected:
         if not model.has_variable(name):
             raise _Usage(f"no variable named {name}")
+    exported = selected or [v.name for v in model.variables
+                            if v.kind is VariableKind.OUTPUT and v.dims.names]
+    for name in exported:
+        # each CSV file is named after its variable; keep it in --out-dir
+        if name in (".", "..") or any(
+                sep and sep in name for sep in (os.sep, os.altsep)):
+            raise _Usage(f"cannot export {name}: a variable exported to CSV "
+                         f"needs a name that is a plain file name")
     try:
         result = evaluate(checked, overrides)
     except (ValueError, ModelError) as e:
@@ -125,21 +134,14 @@ def _cmd_eval(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if selected:
-        for name in selected:
-            tensor = result[name]
-            _write_csv(out_dir, name, tensor, model)
-            if not tensor.dims.names:
-                print(f"{name} = {format_number(tensor.values[0])}")
-    else:
-        for var in model.variables:
-            if var.kind is not VariableKind.OUTPUT:
-                continue
-            tensor = result[var.name]
-            if tensor.dims.names:
-                _write_csv(out_dir, var.name, tensor, model)
-            else:
-                print(f"{var.name} = {format_number(tensor.values[0])}")
+    for name in exported:
+        _write_csv(out_dir, name, result[name], model)
+    shown = selected or [v.name for v in model.variables
+                         if v.kind is VariableKind.OUTPUT]
+    for name in shown:
+        tensor = result[name]
+        if not tensor.dims.names:
+            print(f"{name} = {format_number(tensor.values[0])}")
     return 0
 
 
@@ -174,23 +176,14 @@ def _cmd_explain(args) -> int:
     else:
         line += f" = {format_expr(var.payload)}"
 
-    uses = _direct_deps(var)
+    uses = var.dependencies
     if uses:
         line += f"; uses: {', '.join(uses)}"
-    used_by = [w.name for w in model.variables if var.name in _direct_deps(w)]
+    used_by = [w.name for w in model.variables if var.name in w.dependencies]
     if used_by:
         line += f"; used by: {', '.join(used_by)}"
     print(line)
     return 0
-
-
-def _direct_deps(var) -> list:
-    deps: list = []
-    if isinstance(var.payload, Expr):
-        for name, _ in iter_dependencies(var.payload):
-            if name not in deps:
-                deps.append(name)
-    return deps
 
 
 def _build_parser() -> _ArgumentParser:

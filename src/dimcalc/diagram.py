@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import EMPTY_DIMS, Expr, Model, Variable, VariableKind, \
-    ValueTable, iter_dependencies
+from .model import EMPTY_DIMS, Aggregate, Expr, Model, Variable, \
+    VariableKind, ValueTable, iter_dependencies
 from .parser import format_number
 
 _SHAPE = {
@@ -75,12 +75,12 @@ def emit_dot(model: Model, config: DiagramConfig = DiagramConfig()) -> str:
     seen = set()
     for var in model.variables:
         if isinstance(var.payload, Expr):
-            for name, via_sum in iter_dependencies(var.payload):
+            for name, node in iter_dependencies(var.payload):
                 key = (name, var.name)
                 if key not in seen:
                     seen.add(key)
                     edges.append(key)
-                if via_sum:
+                if isinstance(node, Aggregate):
                     sum_edges.add(key)
     for source, target in edges:
         label = ' [label="SUM"]' if (source, target) in sum_edges else ""

@@ -49,8 +49,6 @@ class InputOverride:
 class EvalError(Exception):
     """A numeric failure at one cell; evaluation stops here."""
 
-    KINDS = ("DIV-BY-ZERO", "DOMAIN", "NON-FINITE", "MISSING-INPUT")
-
     def __init__(self, kind: str, variable: str, labels: tuple[str, ...],
                  detail: str):
         self.kind = kind

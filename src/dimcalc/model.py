@@ -46,6 +46,15 @@ class SourceSpan:
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
+    def as_json(self) -> dict:
+        return {
+            "file": self.file,
+            "start_line": self.start_line,
+            "start_col": self.start_col,
+            "end_line": self.end_line,
+            "end_col": self.end_col,
+        }
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -194,22 +203,31 @@ class Aggregate(Expr):
 
 
 def iter_nodes(expr: Expr) -> Iterator[Expr]:
-    """Yield `expr` and every descendant, depth-first, left to right."""
-    yield expr
-    if isinstance(expr, Unary):
-        yield from iter_nodes(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from iter_nodes(expr.left)
-        yield from iter_nodes(expr.right)
+    """Yield `expr` and every descendant, depth-first, left to right.
+
+    The walk keeps its own stack, so formulas of any depth are safe.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Binary):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
 
 
-def iter_dependencies(expr: Expr) -> Iterator[tuple[str, bool]]:
-    """Yield (variable name, used via SUM) pairs, left to right, duplicates kept."""
+def iter_dependencies(expr: Expr) -> Iterator[tuple[str, Expr]]:
+    """Yield (variable name, node) for every Ref and Aggregate, left to right.
+
+    Duplicates are kept; an Aggregate node marks a use through SUM.
+    """
     for node in iter_nodes(expr):
         if isinstance(node, Ref):
-            yield node.name, False
+            yield node.name, node
         elif isinstance(node, Aggregate):
-            yield node.source, True
+            yield node.source, node
 
 
 @dataclass(frozen=True)
@@ -256,6 +274,14 @@ class Variable:
     payload: Payload
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def dependencies(self) -> tuple[str, ...]:
+        """Distinct names the formula references, in first-use order."""
+        if not isinstance(self.payload, Expr):
+            return ()
+        names = (name for name, _ in iter_dependencies(self.payload))
+        return tuple(dict.fromkeys(names))
+
 
 @dataclass(frozen=True)
 class Model:
@@ -273,10 +299,10 @@ class Model:
         dim_names = [d.name for d in self.dimensions]
         if len(set(dim_names)) != len(dim_names):
             raise ModelError("duplicate dimension name")
-        var_names = [v.name for v in self.variables]
-        if len(set(var_names)) != len(var_names):
+        var_names = {v.name for v in self.variables}
+        if len(var_names) != len(self.variables):
             raise ModelError("duplicate variable name")
-        overlap = set(dim_names) & set(var_names)
+        overlap = set(dim_names) & var_names
         if overlap:
             raise ModelError(
                 f"name used for both a dimension and a variable: {sorted(overlap)}")
@@ -291,7 +317,7 @@ class Model:
                 self._check_table(v)
             elif isinstance(v.payload, Expr):
                 for name, _ in iter_dependencies(v.payload):
-                    if name not in set(var_names):
+                    if name not in var_names:
                         raise ModelError(
                             f"variable {v.name} references undeclared name {name}")
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import (
     Aggregate,
@@ -32,14 +33,30 @@ from .model import (
     Variable,
     VariableKind,
     _from_pairs,
+    iter_dependencies,
+    iter_nodes,
 )
 
 KEYWORDS = frozenset({"dimension", "input", "data", "calc", "output", "over", "SUM"})
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(
-    r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_PUNCT = frozenset("=,:()[]{}+-*/^")
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# One alternative per token class. Every offset of any text starts a match
+# of exactly one alternative, so successive matches tile the text. Blanks
+# and comments have no group; each other alternative is one outer group,
+# which is what `lastgroup` names.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"[ \t\r]+|#[^\n]*",
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)",
+    # a number glued to '%' or to more word characters is one bad literal
+    rf"(?P<number>(?P<digits>{_NUMBER})(?:(?P<percent>%)|[\w.]+)?)",
+    r"(?P<punct>[=,:()\[\]{}+\-*/^])",
+    r'(?P<qname>"(?P<body>(?:[^"\\\n]|\\[^\n]?)*)(?P<closed>")?)',
+    # a run of characters that start no token; '.' starts one before a digit
+    r'(?P<bad>(?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
+]))
+_ESCAPE_RE = re.compile(r"\\(.?)")
 
 
 @dataclass(frozen=True)
@@ -50,21 +67,14 @@ class ParseDiagnostic:
     span: SourceSpan
 
     def render(self) -> str:
-        return (f"{self.span.file}:{self.span.start_line}:{self.span.start_col}: "
-                f"{self.severity}[{self.code}]: {self.message}")
+        return f"{self.span}: {self.severity}[{self.code}]: {self.message}"
 
     def as_json(self) -> dict:
         return {
             "severity": self.severity,
             "code": self.code,
             "message": self.message,
-            "span": {
-                "file": self.span.file,
-                "start_line": self.span.start_line,
-                "start_col": self.span.start_col,
-                "end_line": self.span.end_line,
-                "end_col": self.span.end_col,
-            },
+            "span": self.span.as_json(),
         }
 
 
@@ -76,8 +86,7 @@ class ParseFailure(Exception):
         super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # name, qname, number, punct, newline, eof
     text: str
     value: object
@@ -94,115 +103,64 @@ def _span(file: str, tok: _Token, end: _Token | None = None) -> SourceSpan:
 
 def _tokenize(text: str, file: str, diags: list[ParseDiagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
+    line, line_start = 1, 0  # line_start: offset where the current line begins
     depth = 0  # bracket depth; newlines inside groups are plain whitespace
 
-    def emit(kind, text_, value, l0, c0):
-        tokens.append(_Token(kind, text_, value, l0, c0, line, col))
-
-    def err(code, msg, l0, c0):
+    def err(code, msg, col, end_col):
         diags.append(ParseDiagnostic(
-            "error", code, msg, SourceSpan(file, l0, c0, line, col)))
+            "error", code, msg, SourceSpan(file, line, col, line, end_col)))
 
-    while i < n:
-        c = text[i]
-        l0, c0 = line, col
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        start, end = m.span()
+        col = start - line_start + 1
+        if kind == "newline":
             if depth == 0:
-                emit("newline", "\n", None, l0, c0)
+                tokens.append(_Token("newline", "\n", None, line, col, line + 1, 1))
+            line += 1
+            line_start = end
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if c == '"':
-            i += 1
-            col += 1
-            out = []
-            closed = False
-            while i < n and text[i] != "\n":
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if ch == "\\":
-                    if i + 1 < n and text[i + 1] in ('"', "\\"):
-                        out.append(text[i + 1])
-                        i += 2
-                        col += 2
-                        continue
-                    err("P-TOKEN", "unsupported escape in quoted identifier "
-                        "(only \\\" and \\\\ are recognized)", l0, c0)
-                    i += 1
-                    col += 1
-                    continue
-                out.append(ch)
-                i += 1
-                col += 1
-            name = "".join(out)
-            if not closed:
-                err("P-TOKEN", "unterminated quoted identifier", l0, c0)
-            elif not name:
-                err("P-TOKEN", "empty quoted identifier", l0, c0)
-            emit("qname", name, name, l0, c0)
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            i = m.end()
-            col += len(word)
-            emit("name", word, word, l0, c0)
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            word = m.group()
-            i = m.end()
-            col += len(word)
-            if i < n and text[i] == "%":
-                i += 1
-                col += 1
-                err("P-NUMBER", f"percent literals are not supported; write the "
-                    f"fraction instead ({word}% is {float(word) / 100})", l0, c0)
-                emit("number", word, float(word), l0, c0)
-                continue
-            if i < n and (text[i].isalnum() or text[i] in "._"):
-                bad = word
-                while i < n and (text[i].isalnum() or text[i] in "._"):
-                    bad += text[i]
-                    i += 1
-                    col += 1
-                err("P-NUMBER", f"malformed number {bad!r}", l0, c0)
-                continue
-            emit("number", word, float(word), l0, c0)
-            continue
-        if c in _PUNCT:
-            i += 1
-            col += 1
-            if c in "([{":
+        end_col = end - line_start + 1
+        word = m.group()
+        if kind == "name":
+            tokens.append(_Token("name", word, word, line, col, line, end_col))
+        elif kind == "punct":
+            if word in "([{":
                 depth += 1
-            elif c in ")]}":
-                depth = max(0, depth - 1)
-            emit("punct", c, c, l0, c0)
-            continue
-        bad = ""
-        while i < n and text[i] not in " \t\r\n#\"" and text[i] not in _PUNCT \
-                and not _IDENT_RE.match(text, i) and not _NUMBER_RE.match(text, i):
-            bad += text[i]
-            i += 1
-            col += 1
-        err("P-TOKEN", f"unexpected character{'s' if len(bad) > 1 else ''} {bad!r}",
-            l0, c0)
+            elif word in ")]}" and depth:
+                depth -= 1
+            tokens.append(_Token("punct", word, word, line, col, line, end_col))
+        elif kind == "number":
+            digits = m.group("digits")
+            value = float(digits)
+            if m.group("percent"):
+                err("P-NUMBER", f"percent literals are not supported; write the "
+                    f"fraction instead ({digits}% is {value / 100})", col, end_col)
+            elif len(digits) < len(word):
+                err("P-NUMBER", f"malformed number {word!r}", col, end_col)
+                continue
+            elif not math.isfinite(value):
+                err("P-NUMBER", f"number {digits} is out of range", col, end_col)
+            tokens.append(_Token("number", digits, value, line, col, line, end_col))
+        elif kind == "qname":
+            body = m.group("body")
+            for esc in _ESCAPE_RE.finditer(body):
+                if esc.group(1) not in ('"', "\\"):
+                    err("P-TOKEN", "unsupported escape in quoted identifier "
+                        "(only \\\" and \\\\ are recognized)",
+                        col, col + 1 + esc.start())
+            name = _ESCAPE_RE.sub(r"\1", body)
+            if not m.group("closed"):
+                err("P-TOKEN", "unterminated quoted identifier", col, end_col)
+            elif not name:
+                err("P-TOKEN", "empty quoted identifier", col, end_col)
+            tokens.append(_Token("qname", name, name, line, col, line, end_col))
+        else:
+            err("P-TOKEN", f"unexpected character{'s' if len(word) > 1 else ''} "
+                f"{word!r}", col, end_col)
+    col = len(text) - line_start + 1
     tokens.append(_Token("eof", "", None, line, col, line, col))
     return tokens
 
@@ -404,63 +362,75 @@ class _Parser:
         self._expect_punct("]")
         return values
 
-    # Expression grammar, loosest to tightest:
-    #   expr     := term (('+' | '-') term)*
-    #   term     := unary (('*' | '/') unary)*
-    #   unary    := '-' unary | power
-    #   power    := atom ('^' exponent)*          left-associative
-    #   exponent := '-' exponent | atom           a ^ -b means a^(-b)
-    #   atom     := NUMBER | NAME | 'SUM' '(' NAME ')' | '(' expr ')'
     def _parse_expr(self) -> Expr:
-        left = self._parse_term()
-        while self._at_punct("+", "-"):
-            op = self._next()
-            right = self._parse_term()
-            left = Binary(op.text, left, right, span=_merge(left.span, right.span))
-        return left
+        """One formula, by operator precedence over explicit stacks.
 
-    def _parse_term(self) -> Expr:
-        left = self._parse_unary()
-        while self._at_punct("*", "/"):
-            op = self._next()
-            right = self._parse_unary()
-            left = Binary(op.text, left, right, span=_merge(left.span, right.span))
-        return left
+        Loosest to tightest: `+ -`, `* /`, prefix `-`, `^` (left-associative),
+        and a `-` right after `^`, which negates the exponent's atom alone:
+        `-a ^ b` is -(a ^ b) and `a ^ -b ^ c` is (a ^ (-b)) ^ c. Operands are
+        numbers, names, `SUM(name)` and parenthesized formulas.
+        """
+        tokens = self.tokens
+        operands: list[Expr] = []
+        # (precedence, operator, token); "neg" is a prefix minus and "(" an
+        # open group, which no operator reduces past
+        ops: list[tuple[int, str, _Token]] = []
+        open_groups = 0
+        neg_prec = _NEG_PREC
+        while True:
+            # operand position: prefix minuses and open groups, then an atom
+            tok = tokens[self.pos]
+            while tok.kind == "punct" and tok.text in ("-", "("):
+                if tok.text == "-":
+                    ops.append((neg_prec, "neg", tok))
+                else:
+                    ops.append((0, "(", tok))
+                    open_groups += 1
+                    neg_prec = _NEG_PREC
+                self.pos += 1
+                tok = tokens[self.pos]
+            operands.append(self._parse_atom(tok))
+            # operator position: close groups, then a binary operator or the end
+            while True:
+                tok = tokens[self.pos]
+                if tok.kind == "punct" and tok.text in _BINARY_PREC:
+                    break
+                if not open_groups:
+                    self._reduce(operands, ops, 1)
+                    return operands[0]
+                close = self._expect_punct(")")
+                self._reduce(operands, ops, 1)
+                _, _, opening = ops.pop()
+                open_groups -= 1
+                operands[-1] = replace(operands[-1],
+                                       span=_span(self.file, opening, close))
+            prec = _BINARY_PREC[tok.text]
+            self._reduce(operands, ops, prec)
+            ops.append((prec, tok.text, tok))
+            neg_prec = _EXPONENT_NEG_PREC if tok.text == "^" else _NEG_PREC
+            self.pos += 1
 
-    def _parse_unary(self) -> Expr:
-        if self._at_punct("-"):
-            tok = self._next()
-            operand = self._parse_unary()
-            return _negate(operand, _merge(_span(self.file, tok), operand.span))
-        return self._parse_power()
+    def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
+        """Apply the stacked operators that bind at least as tightly as prec."""
+        while ops and ops[-1][0] >= prec:
+            _, op, tok = ops.pop()
+            right = operands.pop()
+            if op == "neg":
+                operands.append(_negate(right, SourceSpan(
+                    self.file, tok.line, tok.col,
+                    right.span.end_line, right.span.end_col)))
+            else:
+                left = operands.pop()
+                operands.append(Binary(op, left, right, span=SourceSpan(
+                    self.file, left.span.start_line, left.span.start_col,
+                    right.span.end_line, right.span.end_col)))
 
-    def _parse_power(self) -> Expr:
-        left = self._parse_atom()
-        while self._at_punct("^"):
-            self._next()
-            right = self._parse_exponent()
-            left = Binary("^", left, right, span=_merge(left.span, right.span))
-        return left
-
-    def _parse_exponent(self) -> Expr:
-        if self._at_punct("-"):
-            tok = self._next()
-            operand = self._parse_exponent()
-            return _negate(operand, _merge(_span(self.file, tok), operand.span))
-        return self._parse_atom()
-
-    def _parse_atom(self) -> Expr:
-        tok = self._peek()
+    def _parse_atom(self, tok: _Token) -> Expr:
         if tok.kind == "number":
-            self._next()
+            self.pos += 1
             return Literal(tok.value, span=_span(self.file, tok))
-        if tok.kind == "punct" and tok.text == "(":
-            self._next()
-            inner = self._parse_expr()
-            last = self._expect_punct(")")
-            return _respan(inner, _merge(_span(self.file, tok), _span(self.file, last)))
         if tok.kind == "name" and tok.text == "SUM":
-            self._next()
+            self.pos += 1
             self._expect_punct("(")
             arg = self._peek()
             if arg.kind == "name" and arg.text == "SUM":
@@ -471,13 +441,17 @@ class _Parser:
                 self._fail("P-SYNTAX", "SUM takes a single variable name",
                            self._peek())
             last = self._next()
-            return Aggregate("SUM", source.text,
-                             span=_merge(_span(self.file, tok), _span(self.file, last)))
+            return Aggregate("SUM", source.text, span=_span(self.file, tok, last))
         if tok.kind in ("name", "qname"):
             name = self._expect_name("a variable name")
             return Ref(name.text, span=_span(self.file, name))
         self._fail("P-SYNTAX",
                    f"expected a number, variable, or '(', got {_describe(tok)}", tok)
+
+
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PREC = 3  # prefix minus: tighter than * and /, looser than ^
+_EXPONENT_NEG_PREC = 5  # a minus right after ^ takes only the next atom
 
 
 def _describe(tok: _Token) -> str:
@@ -488,24 +462,11 @@ def _describe(tok: _Token) -> str:
     return repr(tok.text)
 
 
-def _merge(a: SourceSpan | None, b: SourceSpan | None) -> SourceSpan | None:
-    if a is None or b is None:
-        return a or b
-    return SourceSpan(a.file, a.start_line, a.start_col, b.end_line, b.end_col)
-
-
-def _negate(operand: Expr, span: SourceSpan | None) -> Expr:
+def _negate(operand: Expr, span: SourceSpan) -> Expr:
     # fold '-' on a literal so that -5 round-trips as the literal -5
     if isinstance(operand, Literal):
         return Literal(-operand.value, span=span)
     return Unary("-", operand, span=span)
-
-
-def _respan(expr: Expr, span: SourceSpan | None) -> Expr:
-    cls = type(expr)
-    fields = {f: getattr(expr, f) for f in expr.__dataclass_fields__}
-    fields["span"] = span
-    return cls(**fields)
 
 
 def parse_model(text: str, file: str = "<input>") -> Model:
@@ -616,15 +577,14 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
                     f"valid for a dimensionless variable", stmt.span))
                 return None
             return ValueTable((((), expr.value),))
-        for node_name, node_span in _expr_names(expr):
+        for node_name, node in iter_dependencies(expr):
             if node_name not in known_names:
                 dim_names = {d.name for d in dimensions}
                 extra = (" (it is a dimension, not a variable)"
                          if node_name in dim_names else "")
                 diags.append(ParseDiagnostic(
                     "error", "P-UNDECLARED",
-                    f"no variable named {node_name}{extra}",
-                    node_span or stmt.span))
+                    f"no variable named {node_name}{extra}", node.span))
         return expr
     by_name = {d.name: d for d in dimensions}
     axes = [by_name[n] for n in dims if n in by_name]
@@ -700,19 +660,6 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
     return ValueTable(tuple((k, table[k]) for k in want))
 
 
-def _expr_names(expr: Expr):
-    """Yield (referenced name, span) for every Ref and Aggregate in expr."""
-    if isinstance(expr, Ref):
-        yield expr.name, expr.span
-    elif isinstance(expr, Aggregate):
-        yield expr.source, expr.span
-    elif isinstance(expr, Unary):
-        yield from _expr_names(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _expr_names(expr.left)
-        yield from _expr_names(expr.right)
-
-
 def format_number(value: float) -> str:
     """Shortest lossless rendering; integral floats print without a point."""
     if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
@@ -727,55 +674,49 @@ def format_ident(name: str) -> str:
     return f'"{escaped}"'
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_UNARY_PREC = 3
 _ATOM_PREC = 5
-
-
-def _expr_prec(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        return _PREC[expr.op]
-    if isinstance(expr, Unary):
-        return _UNARY_PREC
-    if isinstance(expr, Literal) and expr.value < 0:
-        return _UNARY_PREC  # -5 reads like a negation
-    return _ATOM_PREC
 
 
 def format_expr(expr: Expr) -> str:
     """Render a formula with the fewest parentheses that re-parse identically."""
-    return _fmt(expr, 0)
-
-
-def _fmt(expr: Expr, min_prec: int) -> str:
-    if isinstance(expr, Literal):
-        text = format_number(expr.value)
-    elif isinstance(expr, Ref):
-        text = format_ident(expr.name)
-    elif isinstance(expr, Aggregate):
-        text = f"SUM({format_ident(expr.source)})"
-    elif isinstance(expr, Unary):
-        text = "-" + _fmt(expr.operand, _UNARY_PREC)
-    elif isinstance(expr, Binary):
-        prec = _PREC[expr.op]
-        if expr.op == "^":
-            text = f"{_fmt(expr.left, prec)} ^ {_fmt_exponent(expr.right)}"
+    # Reversed pre-order puts every node after all of its operands, whose
+    # renderings then wait on `done` as (text, precedence, exponent) with
+    # `exponent` the text to write after '^', None when that takes parentheses.
+    done: list[tuple[str, int, str | None]] = []
+    for node in reversed(list(iter_nodes(expr))):
+        if isinstance(node, Literal):
+            text = format_number(node.value)
+            # -5 reads like a negation, which an exponent may start with
+            done.append((text, _NEG_PREC if node.value < 0 else _ATOM_PREC, text))
+        elif isinstance(node, Ref):
+            text = format_ident(node.name)
+            done.append((text, _ATOM_PREC, text))
+        elif isinstance(node, Aggregate):
+            text = f"SUM({format_ident(node.source)})"
+            done.append((text, _ATOM_PREC, text))
+        elif isinstance(node, Unary):
+            operand = done.pop()
+            done.append(("-" + _wrap(operand, _NEG_PREC), _NEG_PREC,
+                         "-" + _as_exponent(operand)))
+        elif isinstance(node, Binary):
+            left, right = done.pop(), done.pop()
+            prec = _BINARY_PREC[node.op]
+            right_text = (_as_exponent(right) if node.op == "^"
+                          else _wrap(right, prec + 1))
+            done.append((f"{_wrap(left, prec)} {node.op} {right_text}", prec, None))
         else:
-            text = f"{_fmt(expr.left, prec)} {expr.op} {_fmt(expr.right, prec + 1)}"
-    else:
-        raise TypeError(f"not an expression: {expr!r}")
-    if _expr_prec(expr) < min_prec:
-        return f"({text})"
-    return text
+            raise TypeError(f"not an expression: {node!r}")
+    return done[0][0]
 
 
-def _fmt_exponent(expr: Expr) -> str:
-    # the grammar lets an exponent start with '-' without parentheses
-    if isinstance(expr, Unary):
-        return "-" + _fmt_exponent(expr.operand)
-    if isinstance(expr, Literal) and expr.value < 0:
-        return format_number(expr.value)
-    return _fmt(expr, _ATOM_PREC)
+def _wrap(rendered: tuple, min_prec: int) -> str:
+    text, prec, _ = rendered
+    return f"({text})" if prec < min_prec else text
+
+
+def _as_exponent(rendered: tuple) -> str:
+    text, _, exponent = rendered
+    return f"({text})" if exponent is None else exponent
 
 
 def format_payload(variable: Variable) -> str | None:

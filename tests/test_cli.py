@@ -61,6 +61,45 @@ class TestCheck:
         assert payload[0]["severity"] == "error"
         assert payload[0]["span"]["start_line"] == 18
 
+    @pytest.mark.parametrize("fixture,code_name,message,span,variables,sets", [
+        ("bad_cycle.dml", "C-CYCLE", "dependency cycle: A -> B -> A",
+         (4, 1, 4, 15), ["A", "B"], []),
+        ("bad_kind.dml", "K-KIND", "data Discounted carries a formula; only "
+         "calc and output variables are calculated",
+         (7, 1, 7, 43), ["Discounted"], []),
+        ("bad_rule1_overspan.dml", "R1-MISMATCH", "Capacity is declared over "
+         "(Month) but its formula spans (Month, Sector): the formula "
+         "over-spans the declaration (extra (Sector))",
+         (11, 1, 11, 42), ["Capacity"], [["Month"], ["Month", "Sector"]]),
+        ("bad_rule1_underspan.dml", "R1-MISMATCH", "Sector_Demand is declared "
+         "over (Month, Sector) but its formula spans (Month): the formula "
+         "under-spans the declaration (missing (Sector))",
+         (8, 1, 8, 61), ["Sector_Demand"], [["Month", "Sector"], ["Month"]]),
+        ("bad_rule2.dml", "R2-NOT-SUBSET", "operand Load spans (Month, "
+         "Region), which is not a subset of MSP_Unit_Sales's declared set "
+         "(Month, Sector, Product): (Region) is not available here",
+         (18, 64, 18, 68), ["MSP_Unit_Sales", "Load"],
+         [["Month", "Region"], ["Month", "Sector", "Product"]]),
+        ("bad_rule3.dml", "R3-NOT-SUPERSET", "SUM source Product_Sales spans "
+         "(Product), which is not a superset of Regional_Unit_Sales's "
+         "declared set (Region)",
+         (9, 42, 9, 60), ["Regional_Unit_Sales", "Product_Sales"],
+         [["Product"], ["Region"]]),
+    ])
+    def test_bad_fixture_json_is_exact(self, capsys, fixture, code_name,
+                                       message, span, variables, sets):
+        path = str(FIXTURES / fixture)
+        code, out, err = run(capsys, "check", path, "--json")
+        assert code == 1
+        assert out == ""
+        start_line, start_col, end_line, end_col = span
+        assert json.loads(err) == [{
+            "severity": "error", "code": code_name, "message": message,
+            "span": {"file": path, "start_line": start_line,
+                     "start_col": start_col, "end_line": end_line,
+                     "end_col": end_col},
+            "variables": variables, "dimension_sets": sets}]
+
     def test_missing_file_exits_3(self, capsys):
         code, out, err = run(capsys, "check", str(FIXTURES / "ghost.dml"))
         assert code == 3
@@ -182,6 +221,21 @@ class TestEval:
         assert code == 0
         lines = (tmp_path / "Y.csv").read_text().splitlines()
         assert lines == ["M,value", "Jan,10", "Feb,50"]
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..", "."])
+    @pytest.mark.parametrize("selected", [False, True])
+    def test_export_name_cannot_leave_out_dir(self, capsys, tmp_path, name,
+                                              selected):
+        model = tmp_path / "escape.dml"
+        model.write_text("dimension D = [p, q]\n"
+                         "input X over (D) = [1, 2]\n"
+                         f'output "{name}" over (D) = X * 2\n')
+        argv = ["eval", str(model), "--out-dir", str(tmp_path / "a" / "out")]
+        code, out, err = run(capsys, *argv, *(["--var", name] if selected else []))
+        assert code == 3
+        assert out == ""
+        assert f"cannot export {name}:" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["escape.dml"]
 
     def test_bad_cell_label_exits_3(self, capsys, tmp_path):
         model = tmp_path / "cells.dml"

@@ -1,8 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dimcalc.checker import CheckFailure, check_model
+from dimcalc.cli import main
 from dimcalc.model import (Aggregate, Binary, Literal, Ref, Unary, ValueTable,
                            VariableKind)
 from dimcalc.parser import (ParseFailure, format_expr, format_ident,
@@ -169,6 +171,103 @@ class TestDiagnostics:
         assert {"P-NUMBER", "P-UNDECLARED"} <= set(codes_of(err))
 
 
+def _error(code, message, start_line, start_col, end_line, end_col, **extra):
+    """One error's as_json() form, with the span in <input>."""
+    return {"severity": "error", "code": code, "message": message,
+            "span": {"file": "<input>", "start_line": start_line,
+                     "start_col": start_col, "end_line": end_line,
+                     "end_col": end_col},
+            **extra}
+
+
+_BAD_ESCAPE = ('unsupported escape in quoted identifier '
+               '(only \\" and \\\\ are recognized)')
+_NO_OPERAND_EOL = "expected a number, variable, or '(', got end of line"
+
+# Every diagnostic of each source, exactly as the parser and checker
+# report it: code, message and span down to the end column.
+DIAGNOSTIC_TABLE = [
+    ('input "a\\qb" = 1\n', [_error("P-TOKEN", _BAD_ESCAPE, 1, 7, 1, 9)]),
+    ('input "X = 1\n', [
+        _error("P-TOKEN", "unterminated quoted identifier", 1, 7, 1, 13)]),
+    ('input "" = 1\n', [
+        _error("P-TOKEN", "empty quoted identifier", 1, 7, 1, 9)]),
+    ('input "a\\\\b\\"c" = 1\ninput "d\\', [
+        _error("P-TOKEN", _BAD_ESCAPE, 2, 7, 2, 9),
+        _error("P-TOKEN", "unterminated quoted identifier", 2, 7, 2, 10)]),
+    ("input X = 40%\n", [
+        _error("P-NUMBER", "percent literals are not supported; write the "
+               "fraction instead (40% is 0.4)", 1, 11, 1, 14)]),
+    ("input X = 1.2.3x\n", [
+        _error("P-NUMBER", "malformed number '1.2.3x'", 1, 11, 1, 17),
+        _error("P-SYNTAX", _NO_OPERAND_EOL, 1, 17, 2, 1)]),
+    ("input X = 1é\n", [
+        _error("P-NUMBER", "malformed number '1é'", 1, 11, 1, 13),
+        _error("P-SYNTAX", _NO_OPERAND_EOL, 1, 13, 2, 1)]),
+    ("input X = 1 @$! 2\n", [
+        _error("P-TOKEN", "unexpected characters '@$!'", 1, 13, 1, 16),
+        _error("P-SYNTAX", "unexpected '2' after declaration", 1, 17, 1, 18)]),
+    ("input é = 1\ninput Y = a.b\n", [
+        _error("P-TOKEN", "unexpected character 'é'", 1, 7, 1, 8),
+        _error("P-SYNTAX", "expected a variable name, got '='", 1, 9, 1, 10),
+        _error("P-TOKEN", "unexpected character '.'", 2, 12, 2, 13),
+        _error("P-SYNTAX", "unexpected 'b' after declaration", 2, 13, 2, 14)]),
+    ("input\tX = 1\r\ninput Y = ?\n", [
+        _error("P-TOKEN", "unexpected character '?'", 2, 11, 2, 12),
+        _error("P-SYNTAX", _NO_OPERAND_EOL, 2, 12, 3, 1)]),
+    ("input a = 1\ncalc X = (a + 1\n", [
+        _error("P-SYNTAX", "expected ')', got end of file", 3, 1, 3, 1)]),
+    ("input a = 1\ncalc X = (a 1)\n", [
+        _error("P-SYNTAX", "expected ')', got '1'", 2, 13, 2, 14)]),
+    ("input a = 1\ncalc X = a * * 2\n", [
+        _error("P-SYNTAX", "expected a number, variable, or '(', got '*'",
+               2, 14, 2, 15)]),
+    ("input a = 1\ncalc X = a ^ \n", [
+        _error("P-SYNTAX", _NO_OPERAND_EOL, 2, 14, 3, 1)]),
+    ("input over = 1\n", [
+        _error("P-SYNTAX", "'over' is a reserved keyword and cannot be used "
+               "as a variable name", 1, 7, 1, 11)]),
+    ("input a = 1\ncalc X = a + over\n", [
+        _error("P-SYNTAX", "'over' is a reserved keyword and cannot be used "
+               "as a variable name", 2, 14, 2, 18)]),
+    ("input A = 1\ncalc X = SUM(SUM(A))\n", [
+        _error("P-SYNTAX", "SUM cannot be nested; aggregate the inner "
+               "variable in its own declaration", 2, 14, 2, 17)]),
+    ("input A = 1\ncalc X = SUM A\n", [
+        _error("P-SYNTAX", "expected '(', got 'A'", 2, 14, 2, 15)]),
+    ("input A = 1\ncalc X = SUM(A B)\n", [
+        _error("P-SYNTAX", "SUM takes a single variable name", 2, 16, 2, 17)]),
+    ("input a = 1\ncalc X = (a +\n   b) * 2\n", [
+        _error("P-UNDECLARED", "no variable named b", 3, 4, 3, 5)]),
+    ("dimension S = [A, B]\n"
+     "data X over (S) = {\n    A: 1,\n    C: 2,\n}\n"
+     "data Y over (S) = {\n  A: 1\n}\n", [
+         _error("P-TABLE", "C is not an instance of S (table keys follow the "
+                "dimension order (S))", 4, 5, 4, 6),
+         _error("P-TABLE", "value table for Y has 1 of 2 entries (first "
+                "missing: B)", 6, 1, 8, 2)]),
+    ("dimension M = [J, F]\ninput a over (M) = [1, 2]\n"
+     "calc X = (a\n  + 1) - -a\n", [
+         _error("R2-NOT-SUBSET", "operand a spans (M), which is not a subset "
+                "of X's declared set (): (M) is not available here",
+                3, 11, 3, 12, variables=["X", "a"],
+                dimension_sets=[["M"], []])]),
+    ("dimension M = [J, F]\ndimension N = [P]\ninput a over (M) = [1, 2]\n"
+     "calc X over (M, N) = (a\n  + 1) - -a\n", [
+         _error("R1-MISMATCH", "X is declared over (M, N) but its formula "
+                "spans (M): the formula under-spans the declaration "
+                "(missing (N))", 4, 1, 5, 12, variables=["X"],
+                dimension_sets=[["M", "N"], ["M"]])]),
+]
+
+
+@pytest.mark.parametrize("source,expected", DIAGNOSTIC_TABLE)
+def test_diagnostics_are_span_exact(source, expected):
+    with pytest.raises((ParseFailure, CheckFailure)) as info:
+        check_model(parse_model(source))
+    assert [d.as_json() for d in info.value.diagnostics] == expected
+
+
 class TestExpressions:
     def expr(self, text):
         model = parse_one(f"input a = 1\ninput b = 2\ninput c = 3\n"
@@ -278,7 +377,19 @@ def test_expr_print_parse_round_trip(expr):
     assert parsed == fold(expr)
 
 
-@given(st.text(max_size=80))
+@st.composite
+def deeply_nested(draw):
+    """A formula nested far deeper than the interpreter's recursion limit."""
+    opener, closer = draw(st.sampled_from([
+        ("(", ")"), ("-", ""), ("-(", ")"), ("a ^ -(", ")"), ("a * ", ""),
+        ("(a + ", ")"), ("SUM(", ")")]))
+    depth = draw(st.integers(1, 3000))
+    middle = draw(st.text(alphabet="a1+-*/^() \n", max_size=8))
+    closers = draw(st.integers(0, depth))
+    return "input a = 1\ncalc X = " + opener * depth + middle + closer * closers
+
+
+@given(st.one_of(st.text(max_size=80), deeply_nested()))
 @settings(max_examples=300)
 def test_parser_is_total(text):
     try:
@@ -290,8 +401,66 @@ def test_parser_is_total(text):
             assert diag.render()
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False,
-                 min_value=-1e15, max_value=1e15))
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(5e-324)
+@example(-1.7976931348623157e308)
+@example(2.0 ** 53)
 def test_format_number_total_round_trip(value):
     assert float(format_number(value)) == value
     assert math.isfinite(float(format_number(value)))
+    model = parse_model(f"data X = {format_number(value)}\n")
+    assert model.variable("X").payload.scalar == value
+
+
+class TestNumberRange:
+    @pytest.mark.parametrize("source,number,span", [
+        ("data X = 1e400\n", "1e400", (1, 10, 1, 15)),
+        ("input A = 1\ncalc X = A * -1e400\n", "1e400", (2, 15, 2, 20)),
+        ("dimension D = [p]\ndata X over (D) = [1e999]\n", "1e999",
+         (2, 20, 2, 25)),
+    ])
+    def test_non_finite_literal_is_rejected(self, source, number, span):
+        err = parse_fail(source)
+        assert [d.as_json() for d in err.diagnostics] == [
+            _error("P-NUMBER", f"number {number} is out of range", *span)]
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e308", 1e308), ("5e-324", 5e-324),
+        ("1.7976931348623157e308", 1.7976931348623157e308)])
+    def test_extreme_finite_literals_round_trip(self, text, value):
+        model = parse_model(f"data X = {text}\ninput A = 1\n"
+                            f"calc Y = A * -{text}\n")
+        assert model.variable("X").payload.scalar == value
+        assert model.variable("Y").payload.right == Literal(-value)
+        printed = pretty_print(model)
+        again = parse_model(printed)
+        assert again == model
+        assert pretty_print(again) == printed
+
+
+# (formula, its pretty-printed form); each is deeper than the interpreter's
+# recursion limit allows a recursive walker to go
+DEEP_FORMULAS = {
+    "parentheses": ("(" * 400 + "X + 1" + ")" * 400, "X + 1"),
+    "sum": (" + ".join(["X"] * 1200), " + ".join(["X"] * 1200)),
+    "negations": ("- " * 1200 + "X", "-" * 1200 + "X"),
+}
+
+
+@pytest.mark.parametrize("formula,printed", DEEP_FORMULAS.values(),
+                         ids=DEEP_FORMULAS.keys())
+def test_deep_formula_parses_checks_and_prints(formula, printed, tmp_path,
+                                               capsys):
+    # compare text, not Expr objects: dataclass __eq__ recurses
+    source = f"input X = 2\noutput Y = {formula}\n"
+    model = parse_model(source)
+    check_model(model)
+    text = pretty_print(model)
+    assert text == f"input X = 2\noutput Y = {printed}\n"
+    assert pretty_print(parse_model(text)) == text
+    path = tmp_path / "deep.dml"
+    path.write_text(source)
+    for argv in (["check", str(path)], ["diagram", str(path)],
+                 ["explain", str(path), "Y"]):
+        assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("; uses: X\n")
