@@ -103,8 +103,8 @@ def _write_csv(directory: Path, name: str, tensor, model) -> None:
     with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow([*tensor.dims.names, "value"])
-        for labels, value in tensor_to_rows(tensor, model):
-            writer.writerow([*labels, format_number(value)])
+        writer.writerows((*labels, format_number(value))
+                         for labels, value in tensor_to_rows(tensor, model))
 
 
 def _cmd_eval(args) -> int:
@@ -118,9 +118,10 @@ def _cmd_eval(args) -> int:
     exported = selected or [v.name for v in model.variables
                             if v.kind is VariableKind.OUTPUT and v.dims.names]
     for name in exported:
-        # each CSV file is named after its variable; keep it in --out-dir
+        # each CSV file is named after its variable; keep it in --out-dir,
+        # and out of open(), which refuses a NUL
         if name in (".", "..") or any(
-                sep and sep in name for sep in (os.sep, os.altsep)):
+                sep and sep in name for sep in (os.sep, os.altsep, "\0")):
             raise _Usage(f"cannot export {name}: a variable exported to CSV "
                          f"needs a name that is a plain file name")
     try:

@@ -1,11 +1,13 @@
 """Whole-model evaluation of a checked model.
 
 Variables are computed in the checker's topological order, one dense
-tensor per variable (row-major over the declared dimension set). A
-reference to a smaller-dimensioned operand broadcasts: the target cell's
-coordinates are projected onto the operand's dimensions. SUM adds the
-source cells over the eliminated dimensions in declaration order, which
-keeps results bit-identical across runs.
+tensor per variable (row-major over the declared dimension set), each as
+a Python list. A formula runs whole-tensor: every node, in post-order,
+is one list operation over all cells of the target. A reference to a
+smaller-dimensioned operand broadcasts: its values repeat along the
+target dimensions it lacks. SUM adds the source cells over the
+eliminated dimensions in declaration order, as a left fold from 0.0,
+which keeps results bit-identical across runs and Python versions.
 
 Numeric failures stop evaluation at the first bad cell and name it
 exactly: kind, variable, and instance tuple.
@@ -13,15 +15,16 @@ exactly: kind, variable, and instance tuple.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .checker import CheckedModel
 from .model import (
     Aggregate,
     Binary,
+    DimensionSet,
     Expr,
     Literal,
     Model,
@@ -30,6 +33,7 @@ from .model import (
     Unary,
     ValueTable,
     VariableKind,
+    difference,
 )
 
 
@@ -98,112 +102,238 @@ def broadcast_lookup(tensor: Tensor, target_dims, target_labels, model: Model):
     return tensor.values[model.tensor_index(tensor.dims, projected)]
 
 
-def _compile(expr: Expr, target_names: tuple[str, ...], model: Model,
-             values: dict[str, list]):
-    """Build fn(coords, flat) -> float for one formula node.
+class _Shapes:
+    """Index arithmetic over the tensors of one model, each result made once.
 
-    `coords` are instance positions over the target's dimensions and
-    `flat` is the matching row-major index; operand tensors are captured
-    from `values`, so dependencies must already be evaluated.
+    Results are keyed by dimension names and shared between callers, so
+    none may be changed.
     """
-    if isinstance(expr, Literal):
-        v = expr.value
-        return lambda coords, flat: v
-    if isinstance(expr, Ref):
-        vals = values[expr.name]
-        dims = model.variable(expr.name).dims
-        if not dims.names:
-            scalar = vals[0]
-            return lambda coords, flat: scalar
-        if dims.names == target_names:
-            return lambda coords, flat: vals[flat]
-        counts = model.instance_counts(dims)
-        pairs = tuple(zip((target_names.index(n) for n in dims.names),
-                          _strides(counts)))
-        return lambda coords, flat: vals[sum(coords[p] * s for p, s in pairs)]
-    if isinstance(expr, Unary):
-        inner = _compile(expr.operand, target_names, model, values)
-        return lambda coords, flat: -inner(coords, flat)
-    if isinstance(expr, Binary):
-        left = _compile(expr.left, target_names, model, values)
-        right = _compile(expr.right, target_names, model, values)
-        return _compile_op(expr.op, left, right)
-    if isinstance(expr, Aggregate):
-        return _compile_aggregate(expr, target_names, model, values)
-    raise TypeError(f"not an expression: {expr!r}")
+
+    def __init__(self, model: Model):
+        self._model = model
+        self._plans: dict[tuple, tuple] = {}
+        self._terms: dict[tuple, tuple] = {}
+
+    def _project(self, dims: DimensionSet, source: DimensionSet) -> list:
+        """Flat index into a `source` tensor for every cell of `dims`.
+
+        A cell maps to its coordinates on the dimensions both sets share
+        and to the first instance of every other source dimension.
+        """
+        counts = self._model.instance_counts
+        strides = dict(zip(source.names, _strides(counts(source))))
+        index = [0]
+        for name, count in zip(dims.names, counts(dims)):
+            steps = [k * strides.get(name, 0) for k in range(count)]
+            index = [i + step for i in index for step in steps]
+        return index
+
+    def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
+        """(bases, offsets): cell k of SUM(source) over `dims` adds
+        source[bases[k] + offset] for each offset, in declaration order."""
+        key = (dims.names, source.names)
+        if key not in self._terms:
+            gone = difference(source, dims)
+            self._terms[key] = (self._project(dims, source),
+                                self._project(gone, source))
+        return self._terms[key]
+
+    def broadcast(self, vals: list, source: DimensionSet,
+                  dims: DimensionSet) -> list:
+        """`vals` over `source`, repeated along the dimensions of `dims`
+        that `source` lacks, as one row-major list over `dims`.
+
+        The list is built out of blocks from the innermost dimension
+        outward: a dimension `source` lacks repeats every block, a shared
+        one joins runs of adjacent blocks. `source` must be a subset of
+        `dims`; `vals` itself is returned when the two are equal.
+        """
+        if source.names == dims.names:
+            return vals
+        key = (source.names, dims.names)
+        if key not in self._plans:
+            self._plans[key] = self._plan(source, dims)
+        size, steps = self._plans[key]
+        blocks = [vals[i:i + size] for i in range(0, len(vals), size)]
+        for join, count in steps:
+            if join:
+                blocks = [list(chain.from_iterable(blocks[i:i + count]))
+                          for i in range(0, len(blocks), count)]
+            else:
+                blocks = [block * count for block in blocks]
+        return blocks[0]
+
+    def _plan(self, source: DimensionSet, dims: DimensionSet) -> tuple:
+        """(block size, [(join, count), ...] from the inside out)."""
+        names = list(zip(dims.names, self._model.instance_counts(dims)))
+        # trailing dimensions that both sets share stay contiguous in `vals`
+        size = 1
+        while names and names[-1][0] in source.names:
+            size *= names.pop()[1]
+        return size, [(name in source.names, count)
+                      for name, count in reversed(names)]
 
 
-def _compile_op(op: str, left, right):
-    if op == "+":
-        def fn(coords, flat):
-            r = left(coords, flat) + right(coords, flat)
-            if not math.isfinite(r):
-                raise _CellError("NON-FINITE", "addition overflows")
-            return r
-    elif op == "-":
-        def fn(coords, flat):
-            r = left(coords, flat) - right(coords, flat)
-            if not math.isfinite(r):
-                raise _CellError("NON-FINITE", "subtraction overflows")
-            return r
-    elif op == "*":
-        def fn(coords, flat):
-            r = left(coords, flat) * right(coords, flat)
-            if not math.isfinite(r):
-                raise _CellError("NON-FINITE", "multiplication overflows")
-            return r
-    elif op == "/":
-        def fn(coords, flat):
-            a = left(coords, flat)
-            b = right(coords, flat)
+def _program(expr: Expr, dims: DimensionSet, size: int, model: Model,
+             values: dict[str, list], shapes: _Shapes) -> list:
+    """The formula as steps in post-order (left, right, node) over the
+    `size` cells of `dims`.
+
+    ("leaf", vals) holds a literal or an operand broadcast over `dims`;
+    ("sum", vals, bases, offsets, name) adds vals[bases[cell] + offset]
+    over the offsets in order; ("neg",) and the operator steps ("+",) ...
+    ("^",) take their operands from the stack. Repeated leaves share one
+    list.
+    """
+    refs: dict[str, list] = {}
+    literals: dict[str, list] = {}  # by float.hex, which tells -0.0 from 0.0
+    steps = []
+    stack = [expr]
+    # visiting node, right, left yields the post-order reversed
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary):
+            steps.append((node.op,))
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, Ref):
+            if node.name not in refs:
+                refs[node.name] = shapes.broadcast(
+                    values[node.name], model.variable(node.name).dims, dims)
+            steps.append(("leaf", refs[node.name]))
+        elif isinstance(node, Literal):
+            value = float(node.value)
+            key = value.hex()
+            if key not in literals:
+                literals[key] = [value] * size
+            steps.append(("leaf", literals[key]))
+        elif isinstance(node, Unary):
+            steps.append(("neg",))
+            stack.append(node.operand)
+        elif isinstance(node, Aggregate):
+            source = model.variable(node.source).dims
+            steps.append(("sum", values[node.source],
+                          *shapes.sum_terms(dims, source), node.source))
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    steps.reverse()
+    return steps
+
+
+def _sum(vals: list, bases: list, offsets: list) -> list:
+    """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right.
+
+    The loop over the longer of the two lists is the inner one; either
+    order adds the same terms in the same order for every base.
+    """
+    if len(offsets) >= len(bases):
+        count = len(offsets)
+        # offsets 0, 1, ... when the summed dimensions are the last ones
+        contiguous = offsets[-1] == count - 1
+        out = []
+        for base in bases:
+            terms = (vals[base:base + count] if contiguous
+                     else [vals[base + off] for off in offsets])
+            total = 0.0
+            for term in terms:
+                total += term
+            out.append(total)
+        return out
+    out = [0.0] * len(bases)
+    for off in offsets:
+        out = [total + vals[base + off] for total, base in zip(out, bases)]
+    return out
+
+
+def _finite(vals: list) -> bool:
+    # a float sum is finite only if every term is; when the sum itself
+    # overflows, test the terms one by one
+    return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
+
+
+_OVERFLOWS = {"+": "addition overflows", "-": "subtraction overflows",
+              "*": "multiplication overflows", "/": "division overflows"}
+
+
+def _run(steps: list, lo: int, hi: int) -> list:
+    """Each step once, as one list over the cells lo .. hi-1.
+
+    Raises _CellError at the first step that fails or yields a value that
+    is not finite, in any of the cells. Its detail names the operands of
+    the first cell, so it is exact when the run covers one cell.
+    """
+    stack = []
+    for step in steps:
+        kind = step[0]
+        if kind == "leaf":
+            vals = step[1]
+            stack.append(vals if hi - lo == len(vals) else vals[lo:hi])
+        elif kind == "sum":
+            result = _sum(step[1], step[2][lo:hi], step[3])
+            if not _finite(result):
+                raise _CellError("NON-FINITE", f"SUM({step[4]}) overflows")
+            stack.append(result)
+        elif kind == "neg":
+            stack.append([-a for a in stack.pop()])
+        else:
+            right = stack.pop()
+            left = stack.pop()
             try:
-                r = a / b
+                if kind == "+":
+                    result = [a + b for a, b in zip(left, right)]
+                elif kind == "-":
+                    result = [a - b for a, b in zip(left, right)]
+                elif kind == "*":
+                    result = [a * b for a, b in zip(left, right)]
+                elif kind == "/":
+                    result = [a / b for a, b in zip(left, right)]
+                else:
+                    result = list(map(math.pow, left, right))
             except ZeroDivisionError:
-                raise _CellError("DIV-BY-ZERO", f"{a} / 0") from None
-            if not math.isfinite(r):
-                raise _CellError("NON-FINITE", "division overflows")
-            return r
-    elif op == "^":
-        def fn(coords, flat):
-            a = left(coords, flat)
-            b = right(coords, flat)
-            try:
-                return math.pow(a, b)
+                raise _CellError("DIV-BY-ZERO", f"{left[0]} / 0") from None
             except ValueError:
                 raise _CellError(
-                    "DOMAIN", f"{a} ^ {b} is undefined") from None
+                    "DOMAIN", f"{left[0]} ^ {right[0]} is undefined") from None
             except OverflowError:
-                raise _CellError("NON-FINITE", f"{a} ^ {b} overflows") from None
-    else:
-        raise TypeError(f"unknown operator {op!r}")
-    return fn
+                raise _CellError(
+                    "NON-FINITE", f"{left[0]} ^ {right[0]} overflows") from None
+            # math.pow of finite operands is finite or raises
+            if kind != "^" and not _finite(result):
+                raise _CellError("NON-FINITE", _OVERFLOWS[kind])
+            stack.append(result)
+    return stack.pop()
 
 
-def _compile_aggregate(expr: Aggregate, target_names, model, values):
-    source = model.variable(expr.source)
-    vals = values[expr.source]
-    strides = _strides(model.instance_counts(source.dims))
-    kept = tuple((target_names.index(n), strides[i])
-                 for i, n in enumerate(source.dims.names) if n in target_names)
-    gone = [(i, n) for i, n in enumerate(source.dims.names)
-            if n not in target_names]
-    # one offset per combination of eliminated instances, in declaration
-    # order; the accumulation below follows this order exactly
-    offsets = [0]
-    for i, name in gone:
-        count = len(model.dimension(name).instances)
-        offsets = [base + k * strides[i] for base in offsets for k in range(count)]
-    offsets = tuple(offsets)
+def _evaluate_formula(var, model: Model, values: dict[str, list],
+                      shapes: _Shapes) -> list:
+    """One formula variable's tensor; EvalError names the first bad cell.
 
-    def fn(coords, flat):
-        base = sum(coords[p] * s for p, s in kept)
-        total = 0.0
-        for off in offsets:
-            total += vals[base + off]
-        if not math.isfinite(total):
-            raise _CellError("NON-FINITE", f"SUM({expr.source}) overflows")
-        return total
-    return fn
+    Each step runs once over the whole tensor. If one fails, the steps run
+    again over ever smaller ranges of cells down to the first bad cell in
+    canonical order, and the error is the first failing step at that cell.
+    """
+    lo, hi = 0, model.tensor_size(var.dims)
+    steps = _program(var.payload, var.dims, hi, model, values, shapes)
+    try:
+        return _run(steps, lo, hi)
+    except _CellError:
+        pass
+    # cells are computed independently, so a range fails exactly when one
+    # of its cells does; halve the range that holds the first bad cell
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _run(steps, lo, mid)
+        except _CellError:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        _run(steps, lo, hi)
+    except _CellError as e:
+        raise EvalError(e.kind, var.name, model.tensor_coords(var.dims, lo),
+                        e.detail) from None
+    raise AssertionError(f"{var.name} failed as a whole but in no one cell")
 
 
 def _value_tensor(var, model: Model, patch: dict) -> list:
@@ -252,23 +382,14 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
             key = tuple(ov.labels)
         patches.setdefault(ov.name, {})[key] = float(ov.value)
 
+    shapes = _Shapes(model)
     values: dict[str, list] = {}
     for name in checked.order:
         var = model.variable(name)
-        if not var.kind.carries_formula:
+        if var.kind.carries_formula:
+            values[name] = _evaluate_formula(var, model, values, shapes)
+        else:
             values[name] = _value_tensor(var, model, patches.get(name, {}))
-            continue
-        target_names = var.dims.names
-        fn = _compile(var.payload, target_names, model, values)
-        counts = model.instance_counts(var.dims)
-        out = []
-        for flat, coords in enumerate(itertools.product(*map(range, counts))):
-            try:
-                out.append(fn(coords, flat))
-            except _CellError as e:
-                raise EvalError(e.kind, name, model.tensor_coords(var.dims, flat),
-                                e.detail) from None
-        values[name] = out
 
     tensors = {v.name: Tensor(v.dims, tuple(values[v.name]))
                for v in model.variables}

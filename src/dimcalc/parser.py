@@ -662,7 +662,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
 
 def format_number(value: float) -> str:
     """Shortest lossless rendering; integral floats print without a point."""
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
+    if value.is_integer() and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 

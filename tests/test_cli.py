@@ -222,7 +222,8 @@ class TestEval:
         lines = (tmp_path / "Y.csv").read_text().splitlines()
         assert lines == ["M,value", "Jan,10", "Feb,50"]
 
-    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..", "."])
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..", ".",
+                                      "a\0b"])
     @pytest.mark.parametrize("selected", [False, True])
     def test_export_name_cannot_leave_out_dir(self, capsys, tmp_path, name,
                                               selected):
@@ -236,6 +237,20 @@ class TestEval:
         assert out == ""
         assert f"cannot export {name}:" in err
         assert [p.name for p in tmp_path.rglob("*")] == ["escape.dml"]
+
+    # the sum and the negations nest deeper than the interpreter's
+    # recursion limit lets a recursive evaluator go
+    @pytest.mark.parametrize("formula,value", [
+        (" + ".join(["X"] * 1200), "2400"),
+        ("(1 + " * 400 + "X" + ")" * 400, "402"),
+        ("- " * 1200 + "X", "2"),
+    ], ids=["sum", "parentheses", "negations"])
+    def test_deep_formula_evaluates(self, capsys, tmp_path, formula, value):
+        model = tmp_path / "deep.dml"
+        model.write_text(f"input X = 2\noutput Y = {formula}\n")
+        code, out, err = run(capsys, "eval", str(model),
+                             "--out-dir", str(tmp_path))
+        assert (code, out, err) == (0, f"Y = {value}\n", "")
 
     def test_bad_cell_label_exits_3(self, capsys, tmp_path):
         model = tmp_path / "cells.dml"

@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import load_checked
 from dimcalc.checker import check_model
 from dimcalc.evaluator import (EvalError, InputOverride, broadcast_lookup,
                                evaluate, tensor_to_rows)
+from dimcalc.model import Aggregate, Literal, Ref, Unary
 from dimcalc.parser import parse_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "golden_values.csv"
@@ -126,6 +128,50 @@ class TestErrors:
         with pytest.raises(EvalError) as info:
             evaluate(check_model(model))
         assert info.value.labels == ("Feb",)
+
+
+class TestErrorOrder:
+    """Which cell and which node an EvalError names, and SUM's exact fold."""
+
+    TABLES = ("dimension M = [a, b, c]\n"
+              "data D over (M) = {a: 1, b: 0, c: 1}\n"
+              "data E over (M) = {a: -1, b: 1, c: 1}\n"
+              "data X over (M) = {a: 1, b: 1e10, c: 1}\n")
+
+    def error_text(self, formula):
+        model = parse_model(self.TABLES + f"calc Y over (M) = {formula}\n")
+        with pytest.raises(EvalError) as info:
+            evaluate(check_model(model))
+        return str(info.value)
+
+    def test_first_cell_wins_over_node_order(self):
+        # the division fails at b, the later power already at a
+        assert (self.error_text("1 / D + E ^ 0.5")
+                == "error[DOMAIN]: Y[a]: -1.0 ^ 0.5 is undefined")
+
+    def test_left_node_wins_at_the_same_cell(self):
+        assert (self.error_text("1 / D + (D - 1) ^ 0.5")
+                == "error[DIV-BY-ZERO]: Y[b]: 1.0 / 0")
+
+    def test_hidden_intermediate_overflow_fails(self):
+        # 1 / inf would be a finite 0.0; the product must fail first
+        assert (self.error_text("1 / (X * 1e300)")
+                == "error[NON-FINITE]: Y[b]: multiplication overflows")
+
+    def test_sum_overflow_names_the_source(self):
+        model = parse_model("dimension M = [a, b]\n"
+                            "data X over (M) = {a: 1e308, b: 1e308}\n"
+                            "output Y = SUM(X) * 0\n")
+        with pytest.raises(EvalError) as info:
+            evaluate(check_model(model))
+        assert str(info.value) == "error[NON-FINITE]: Y: SUM(X) overflows"
+
+    def test_sum_is_a_sequential_left_fold(self):
+        # compensated summation, as in sum() from Python 3.12, gives 1.0
+        model = parse_model("dimension M = [a, b, c]\n"
+                            "data X over (M) = {a: 1e16, b: 1, c: -1e16}\n"
+                            "output Y = SUM(X) * 1\n")
+        assert evaluate(check_model(model))["Y"].values == (0.0,)
 
 
 class TestOverrides:
@@ -254,3 +300,136 @@ def test_scalar_expressions_match_direct_arithmetic(case):
         f"input a = 2.5\ninput b = -1.25\ninput c = 4\ncalc X = {expr}\n")
     result = evaluate(check_model(model))
     assert result["X"].values[0] == expected
+
+
+# A per-cell reference evaluator: every cell walks the formula on its own,
+# left operand first, and stops at the first failing node. It defines the
+# values and the EvalError (kind, cell, detail) that `evaluate` must give.
+class CellFailure(Exception):
+    """args: (kind, detail)"""
+
+
+def reference_value(node, model, values, cell):
+    """`cell` maps dimension name -> label; returns a float or raises."""
+    if isinstance(node, Literal):
+        return node.value
+    if isinstance(node, Ref):
+        var = model.variable(node.name)
+        labels = tuple(cell[d] for d in var.dims)
+        return values[node.name][model.tensor_index(var.dims, labels)]
+    if isinstance(node, Unary):
+        return -reference_value(node.operand, model, values, cell)
+    if isinstance(node, Aggregate):
+        var = model.variable(node.source)
+        total = 0.0
+        for labels in model.instance_tuples(var.dims):
+            if all(cell.get(d, l) == l for d, l in zip(var.dims, labels)):
+                total += values[node.source][model.tensor_index(var.dims,
+                                                                labels)]
+        if not math.isfinite(total):
+            raise CellFailure("NON-FINITE", f"SUM({node.source}) overflows")
+        return total
+    a = reference_value(node.left, model, values, cell)
+    b = reference_value(node.right, model, values, cell)
+    if node.op == "^":
+        try:
+            return math.pow(a, b)
+        except ValueError:
+            raise CellFailure("DOMAIN", f"{a} ^ {b} is undefined") from None
+        except OverflowError:
+            raise CellFailure("NON-FINITE", f"{a} ^ {b} overflows") from None
+    if node.op == "+":
+        r, name = a + b, "addition"
+    elif node.op == "-":
+        r, name = a - b, "subtraction"
+    elif node.op == "*":
+        r, name = a * b, "multiplication"
+    elif b == 0:
+        raise CellFailure("DIV-BY-ZERO", f"{a} / 0")
+    else:
+        r, name = a / b, "division"
+    if not math.isfinite(r):
+        raise CellFailure("NON-FINITE", f"{name} overflows")
+    return r
+
+
+def reference_evaluate(checked):
+    """{name: values}, or (kind, name, labels, detail) of the first error."""
+    model = checked.model
+    values = {}
+    for name in checked.order:
+        var = model.variable(name)
+        if not var.kind.carries_formula:
+            values[name] = [v for _, v in sorted(
+                var.payload.entries,
+                key=lambda e: model.tensor_index(var.dims, e[0]))]
+            continue
+        out = []
+        for labels in model.instance_tuples(var.dims):
+            try:
+                out.append(reference_value(var.payload, model, values,
+                                           dict(zip(var.dims, labels))))
+            except CellFailure as e:
+                return (e.args[0], name, labels, e.args[1])
+        values[name] = out
+    return values
+
+
+RISKY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300,
+                         1e300, -1e300, 1e16, 7.25])
+# the operands a formula over each target may use (Rule 2), and one that
+# spans the target (Rule 1)
+OPERANDS = {
+    (): (["Z", "SUM(X)", "SUM(W)", "SUM(Y)"], "SUM(Y)"),
+    ("A",): (["Z", "X", "SUM(Y)"], "X"),
+    ("B",): (["Z", "W", "SUM(Y)"], "W"),
+    ("A", "B"): (["Z", "X", "W", "Y"], "Y"),
+}
+
+
+@st.composite
+def risky_models(draw):
+    def table(dims):
+        cells = [()]
+        for d in dims:
+            cells = [c + (l,) for c in cells
+                     for l in {"A": ("a0", "a1", "a2"), "B": ("b0", "b1")}[d]]
+        return "{" + ", ".join(f"{','.join(c)}: {draw(RISKY)!r}"
+                               for c in cells) + "}"
+
+    target = draw(st.sampled_from(sorted(OPERANDS)))
+    leaves, anchor = OPERANDS[target]
+    leaf = st.one_of(st.sampled_from(leaves),
+                     RISKY.map(lambda v: f"({v!r})"))
+    expr = st.recursive(
+        leaf, lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            inner.map(lambda e: f"-{e}")),
+        max_leaves=6)
+    formula = draw(st.tuples(expr, st.sampled_from("+-*/^"), st.booleans()))
+    body, op, anchor_first = formula
+    text = f"{anchor} {op} {body}" if anchor_first else f"{body} {op} {anchor}"
+    over = f" over ({', '.join(target)})" if target else ""
+    return ("dimension A = [a0, a1, a2]\ndimension B = [b0, b1]\n"
+            f"data Z = {draw(RISKY)!r}\n"
+            f"data X over (A) = {table(('A',))}\n"
+            f"data W over (B) = {table(('B',))}\n"
+            f"data Y over (A, B) = {table(('A', 'B'))}\n"
+            f"calc V{over} = {text}\n")
+
+
+@given(risky_models())
+@settings(max_examples=300, deadline=None)
+def test_matches_per_cell_reference(source):
+    checked = check_model(parse_model(source))
+    want = reference_evaluate(checked)
+    try:
+        result = evaluate(checked)
+    except EvalError as e:
+        assert (e.kind, e.variable, e.labels, e.detail) == want
+        return
+    assert isinstance(want, dict), want
+    for name, vals in want.items():
+        assert [v.hex() for v in result[name].values] == [
+            float(v).hex() for v in vals]

@@ -412,6 +412,16 @@ def test_format_number_total_round_trip(value):
     assert model.variable("X").payload.scalar == value
 
 
+@given(st.floats())
+@example(-0.0)
+@example(1e16)
+@example(9999999999999998.0)
+def test_format_number_integral_test_matches_isfinite_form(value):
+    old = math.isfinite(value) and value == int(value) and abs(value) < 1e16
+    new = value.is_integer() and abs(value) < 1e16
+    assert new == old
+
+
 class TestNumberRange:
     @pytest.mark.parametrize("source,number,span", [
         ("data X = 1e400\n", "1e400", (1, 10, 1, 15)),
