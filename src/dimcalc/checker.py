@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
 
 from .model import (
     Aggregate,
@@ -92,8 +91,13 @@ def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:
     set; SUM keeps only the source dimensions the target also has (the
     rest are summed away).
     """
+    return _union_dims(iter_dependencies(expr), target, model)
+
+
+def _union_dims(uses, target: Variable, model: Model) -> DimensionSet:
+    """infer_dims over the formula's (name, node) dependency pairs."""
     pairs = set()
-    for name, node in iter_dependencies(expr):
+    for name, node in uses:
         dims = model.variable(name).dims
         if isinstance(node, Aggregate):
             dims = intersect(dims, target.dims)
@@ -101,23 +105,7 @@ def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:
     return _from_pairs(pairs)
 
 
-def _operand_nodes(expr: Expr) -> Iterator[Expr]:
-    """Ref and Aggregate nodes in reading order.
-
-    A formula that is one bare reference yields nothing: with no operator
-    applied, there is no operand to hold against Rule 2, and Rule 1 judges
-    the whole formula instead.
-    """
-    if not isinstance(expr, Ref):
-        for _, node in iter_dependencies(expr):
-            yield node
-
-
-def _is_constant(expr: Expr) -> bool:
-    return next(iter_dependencies(expr), None) is None
-
-
-def _check_kind(var: Variable) -> CheckDiagnostic | None:
+def _check_kind(var: Variable, uses: list) -> CheckDiagnostic | None:
     kind = var.kind
     if kind.carries_formula:
         if isinstance(var.payload, ValueTable):
@@ -129,7 +117,7 @@ def _check_kind(var: Variable) -> CheckDiagnostic | None:
             return CheckDiagnostic(
                 "error", "K-KIND",
                 f"{kind.value} {var.name} has no formula", var.span, (var.name,))
-        if _is_constant(var.payload):
+        if not uses:
             return CheckDiagnostic(
                 "error", "K-KIND",
                 f"{kind.value} {var.name} is a constant expression; declare "
@@ -186,45 +174,48 @@ def check_model(model: Model) -> CheckedModel:
     """
     errors: list[CheckDiagnostic] = []
     warnings: list[CheckDiagnostic] = []
+    deps: dict[str, tuple[str, ...]] = {}
 
     for var in model.variables:
-        kind_diag = _check_kind(var)
+        expr = var.payload
+        # the formula's one walk: (name, node) for each Ref and Aggregate
+        uses = list(iter_dependencies(expr)) if isinstance(expr, Expr) else []
+        deps[var.name] = tuple(dict.fromkeys(name for name, _ in uses))
+        kind_diag = _check_kind(var, uses)
         if kind_diag:
             errors.append(kind_diag)
             continue
         if not var.kind.carries_formula:
             continue
-        expr = var.payload
-        inferred = infer_dims(expr, var, model)
-        failed = False
-        for node in _operand_nodes(expr):
+        # a bare reference applies no operator, so it has no operand to
+        # hold against Rule 2; Rule 1 judges the whole formula instead
+        for _, node in () if isinstance(expr, Ref) else uses:
             error, warning = _check_operand(node, var, model)
             if warning:
                 warnings.append(warning)
             if error:
                 errors.append(error)
-                failed = True
                 break
-        if failed:
-            continue
-        if inferred != var.dims:
-            missing = difference(var.dims, inferred)
-            extra = difference(inferred, var.dims)
-            if extra and not missing:
-                detail = (f"the formula over-spans the declaration "
-                          f"(extra {extra})")
-            elif missing and not extra:
-                detail = (f"the formula under-spans the declaration "
-                          f"(missing {missing})")
-            else:
-                detail = f"missing {missing}, extra {extra}"
-            errors.append(CheckDiagnostic(
-                "error", "R1-MISMATCH",
-                f"{var.name} is declared over {var.dims} but its formula "
-                f"spans {inferred}: {detail}", var.span, (var.name,),
-                (var.dims, inferred)))
+        else:
+            inferred = _union_dims(uses, var, model)
+            if inferred != var.dims:
+                missing = difference(var.dims, inferred)
+                extra = difference(inferred, var.dims)
+                if extra and not missing:
+                    detail = (f"the formula over-spans the declaration "
+                              f"(extra {extra})")
+                elif missing and not extra:
+                    detail = (f"the formula under-spans the declaration "
+                              f"(missing {missing})")
+                else:
+                    detail = f"missing {missing}, extra {extra}"
+                errors.append(CheckDiagnostic(
+                    "error", "R1-MISMATCH",
+                    f"{var.name} is declared over {var.dims} but its formula "
+                    f"spans {inferred}: {detail}", var.span, (var.name,),
+                    (var.dims, inferred)))
 
-    order, cycle_diags = _topological_order(model)
+    order, cycle_diags = _topological_order(model, deps)
     errors.extend(cycle_diags)
 
     if errors:
@@ -235,9 +226,11 @@ def check_model(model: Model) -> CheckedModel:
     return CheckedModel(model, tuple(order), tuple(warnings))
 
 
-def _topological_order(model: Model):
-    """Kahn's algorithm; ready variables are taken in declaration order."""
-    deps = {v.name: v.dependencies for v in model.variables}
+def _topological_order(model: Model, deps: dict[str, tuple[str, ...]]):
+    """Kahn's algorithm; ready variables are taken in declaration order.
+
+    `deps` holds each variable's distinct references in first-use order.
+    """
     decl_index = {v.name: i for i, v in enumerate(model.variables)}
     dependents: dict[str, list[str]] = {v.name: [] for v in model.variables}
     indegree = {}

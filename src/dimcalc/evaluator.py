@@ -16,6 +16,7 @@ exactly: kind, variable, and instance tuple.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -34,6 +35,7 @@ from .model import (
     ValueTable,
     VariableKind,
     difference,
+    iter_nodes,
 )
 
 
@@ -188,14 +190,9 @@ def _program(expr: Expr, dims: DimensionSet, size: int, model: Model,
     refs: dict[str, list] = {}
     literals: dict[str, list] = {}  # by float.hex, which tells -0.0 from 0.0
     steps = []
-    stack = [expr]
-    # visiting node, right, left yields the post-order reversed
-    while stack:
-        node = stack.pop()
+    for node in iter_nodes(expr):
         if isinstance(node, Binary):
             steps.append((node.op,))
-            stack.append(node.left)
-            stack.append(node.right)
         elif isinstance(node, Ref):
             if node.name not in refs:
                 refs[node.name] = shapes.broadcast(
@@ -209,14 +206,12 @@ def _program(expr: Expr, dims: DimensionSet, size: int, model: Model,
             steps.append(("leaf", literals[key]))
         elif isinstance(node, Unary):
             steps.append(("neg",))
-            stack.append(node.operand)
         elif isinstance(node, Aggregate):
             source = model.variable(node.source).dims
             steps.append(("sum", values[node.source],
                           *shapes.sum_terms(dims, source), node.source))
         else:
             raise TypeError(f"not an expression: {node!r}")
-    steps.reverse()
     return steps
 
 
@@ -251,6 +246,8 @@ def _finite(vals: list) -> bool:
     return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": math.pow}
 _OVERFLOWS = {"+": "addition overflows", "-": "subtraction overflows",
               "*": "multiplication overflows", "/": "division overflows"}
 
@@ -279,16 +276,7 @@ def _run(steps: list, lo: int, hi: int) -> list:
             right = stack.pop()
             left = stack.pop()
             try:
-                if kind == "+":
-                    result = [a + b for a, b in zip(left, right)]
-                elif kind == "-":
-                    result = [a - b for a, b in zip(left, right)]
-                elif kind == "*":
-                    result = [a * b for a, b in zip(left, right)]
-                elif kind == "/":
-                    result = [a / b for a, b in zip(left, right)]
-                else:
-                    result = list(map(math.pow, left, right))
+                result = list(map(_OPS[kind], left, right))
             except ZeroDivisionError:
                 raise _CellError("DIV-BY-ZERO", f"{left[0]} / 0") from None
             except ValueError:

@@ -66,7 +66,6 @@ class Dimension:
 
     name: str
     instances: tuple[str, ...]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.instances:
@@ -161,7 +160,6 @@ class Expr:
 @dataclass(frozen=True)
 class Literal(Expr):
     value: float
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,6 @@ class Unary(Expr):
 
     op: str
     operand: Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,6 @@ class Binary(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -202,20 +198,25 @@ class Aggregate(Expr):
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-def iter_nodes(expr: Expr) -> Iterator[Expr]:
-    """Yield `expr` and every descendant, depth-first, left to right.
+def iter_nodes(expr: Expr) -> list[Expr]:
+    """`expr` and every descendant in post-order: the operands of a node
+    come before it, left before right.
 
     The walk keeps its own stack, so formulas of any depth are safe.
     """
+    nodes = []
     stack = [expr]
+    # visiting node, right, left yields the post-order reversed
     while stack:
         node = stack.pop()
-        yield node
+        nodes.append(node)
         if isinstance(node, Binary):
-            stack.append(node.right)
             stack.append(node.left)
+            stack.append(node.right)
         elif isinstance(node, Unary):
             stack.append(node.operand)
+    nodes.reverse()
+    return nodes
 
 
 def iter_dependencies(expr: Expr) -> Iterator[tuple[str, Expr]]:

@@ -174,7 +174,6 @@ class _StatementError(Exception):
 class _DimStmt:
     name: _Token
     labels: list[_Token]
-    span: SourceSpan
 
 
 @dataclass
@@ -266,7 +265,7 @@ class _Parser:
                    f"output), got {_describe(tok)}", tok)
 
     def _parse_dimension(self) -> _DimStmt:
-        first = self._next()
+        self._next()
         name = self._expect_name("a dimension name")
         self._expect_punct("=")
         self._expect_punct("[")
@@ -276,9 +275,9 @@ class _Parser:
             if self._at_punct("]"):
                 break
             labels.append(self._expect_name("an instance label"))
-        last = self._expect_punct("]")
+        self._expect_punct("]")
         self._end_statement()
-        return _DimStmt(name, labels, _span(self.file, first, last))
+        return _DimStmt(name, labels)
 
     def _parse_variable(self, kind: VariableKind) -> _VarStmt:
         first = self._next()
@@ -317,8 +316,7 @@ class _Parser:
             self.failed_names.add(name.text)
             raise
 
-    def _parse_signed_number(self) -> tuple[float, SourceSpan]:
-        first = self._peek()
+    def _parse_signed_number(self) -> float:
         negate = False
         while self._at_punct("-"):
             self._next()
@@ -327,8 +325,7 @@ class _Parser:
         if tok.kind != "number":
             self._fail("P-SYNTAX", f"expected a number, got {_describe(tok)}", tok)
         self._next()
-        value = -tok.value if negate else tok.value
-        return value, _span(self.file, first, tok)
+        return -tok.value if negate else tok.value
 
     def _parse_keyed_table(self):
         self._expect_punct("{")
@@ -342,8 +339,7 @@ class _Parser:
                 self._next()
                 key.append(self._expect_name("an instance label"))
             self._expect_punct(":")
-            value, _ = self._parse_signed_number()
-            entries.append((key, value))
+            entries.append((key, self._parse_signed_number()))
             if self._at_punct(","):
                 self._next()
                 if not self._at_punct("}"):
@@ -402,8 +398,10 @@ class _Parser:
                 self._reduce(operands, ops, 1)
                 _, _, opening = ops.pop()
                 open_groups -= 1
-                operands[-1] = replace(operands[-1],
-                                       span=_span(self.file, opening, close))
+                # a diagnostic on a grouped reference covers the parentheses
+                if isinstance(operands[-1], (Ref, Aggregate)):
+                    operands[-1] = replace(
+                        operands[-1], span=_span(self.file, opening, close))
             prec = _BINARY_PREC[tok.text]
             self._reduce(operands, ops, prec)
             ops.append((prec, tok.text, tok))
@@ -413,22 +411,18 @@ class _Parser:
     def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
         """Apply the stacked operators that bind at least as tightly as prec."""
         while ops and ops[-1][0] >= prec:
-            _, op, tok = ops.pop()
+            op = ops.pop()[1]
             right = operands.pop()
             if op == "neg":
-                operands.append(_negate(right, SourceSpan(
-                    self.file, tok.line, tok.col,
-                    right.span.end_line, right.span.end_col)))
+                operands.append(_negate(right))
             else:
                 left = operands.pop()
-                operands.append(Binary(op, left, right, span=SourceSpan(
-                    self.file, left.span.start_line, left.span.start_col,
-                    right.span.end_line, right.span.end_col)))
+                operands.append(Binary(op, left, right))
 
     def _parse_atom(self, tok: _Token) -> Expr:
         if tok.kind == "number":
             self.pos += 1
-            return Literal(tok.value, span=_span(self.file, tok))
+            return Literal(tok.value)
         if tok.kind == "name" and tok.text == "SUM":
             self.pos += 1
             self._expect_punct("(")
@@ -462,11 +456,11 @@ def _describe(tok: _Token) -> str:
     return repr(tok.text)
 
 
-def _negate(operand: Expr, span: SourceSpan) -> Expr:
+def _negate(operand: Expr) -> Expr:
     # fold '-' on a literal so that -5 round-trips as the literal -5
     if isinstance(operand, Literal):
-        return Literal(-operand.value, span=span)
-    return Unary("-", operand, span=span)
+        return Literal(-operand.value)
+    return Unary("-", operand)
 
 
 def parse_model(text: str, file: str = "<input>") -> Model:
@@ -504,7 +498,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
             seen.add(tok.text)
             labels.append(tok.text)
         dim_index[name] = len(dimensions)
-        dimensions.append(Dimension(name, tuple(labels), span=stmt.span))
+        dimensions.append(Dimension(name, tuple(labels)))
 
     var_stmts: list[_VarStmt] = []
     var_names: set[str] = set()
@@ -605,7 +599,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
             return None
         return ValueTable(tuple(
             ((label,), value)
-            for label, (value, _) in zip(axis.instances, values)))
+            for label, value in zip(axis.instances, values)))
     # keyed table
     if len(axes) != len(dims):
         return None  # over clause already failed; skip follow-on noise
@@ -663,7 +657,8 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
 def format_number(value: float) -> str:
     """Shortest lossless rendering; integral floats print without a point."""
     if value.is_integer() and abs(value) < 1e16:
-        return str(int(value))
+        # int() drops the sign of -0.0, and repr keeps it
+        return str(int(value)) if value else repr(value)[:-2]
     return repr(value)
 
 
@@ -679,15 +674,16 @@ _ATOM_PREC = 5
 
 def format_expr(expr: Expr) -> str:
     """Render a formula with the fewest parentheses that re-parse identically."""
-    # Reversed pre-order puts every node after all of its operands, whose
-    # renderings then wait on `done` as (text, precedence, exponent) with
-    # `exponent` the text to write after '^', None when that takes parentheses.
+    # In post-order the renderings of a node's operands wait on `done` as
+    # (text, precedence, exponent) with `exponent` the text to write after
+    # '^', None when that takes parentheses.
     done: list[tuple[str, int, str | None]] = []
-    for node in reversed(list(iter_nodes(expr))):
+    for node in iter_nodes(expr):
         if isinstance(node, Literal):
             text = format_number(node.value)
-            # -5 reads like a negation, which an exponent may start with
-            done.append((text, _NEG_PREC if node.value < 0 else _ATOM_PREC, text))
+            # -5 and -0 read like a negation, which an exponent may start with
+            negative = math.copysign(1.0, node.value) < 0
+            done.append((text, _NEG_PREC if negative else _ATOM_PREC, text))
         elif isinstance(node, Ref):
             text = format_ident(node.name)
             done.append((text, _ATOM_PREC, text))
@@ -699,7 +695,7 @@ def format_expr(expr: Expr) -> str:
             done.append(("-" + _wrap(operand, _NEG_PREC), _NEG_PREC,
                          "-" + _as_exponent(operand)))
         elif isinstance(node, Binary):
-            left, right = done.pop(), done.pop()
+            right, left = done.pop(), done.pop()
             prec = _BINARY_PREC[node.op]
             right_text = (_as_exponent(right) if node.op == "^"
                           else _wrap(right, prec + 1))

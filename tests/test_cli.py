@@ -222,6 +222,16 @@ class TestEval:
         lines = (tmp_path / "Y.csv").read_text().splitlines()
         assert lines == ["M,value", "Jan,10", "Feb,50"]
 
+    def test_negative_zero_keeps_its_sign(self, capsys, tmp_path):
+        model = tmp_path / "zero.dml"
+        model.write_text("dimension D = [p, q]\n"
+                         "data X over (D) = [0, 1]\n"
+                         "output Y over (D) = X * -1\n")
+        code, _, _ = run(capsys, "eval", str(model), "--out-dir", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "Y.csv").read_text().splitlines()
+        assert lines == ["D,value", "p,-0", "q,-1"]
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..", ".",
                                       "a\0b"])
     @pytest.mark.parametrize("selected", [False, True])

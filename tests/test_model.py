@@ -3,11 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from dimcalc.model import (Dimension, DimensionSet, EMPTY_DIMS, Literal,
-                           Model, ModelError, Ref, Tensor, ValueTable,
-                           Variable, VariableKind, difference,
-                           enumerate_dimension_sets, intersect, is_subset,
+from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
+                           EMPTY_DIMS, Literal, Model, ModelError, Ref,
+                           SourceSpan, Tensor, Unary, ValueTable, Variable,
+                           VariableKind, difference, enumerate_dimension_sets,
+                           intersect, is_subset, iter_dependencies, iter_nodes,
                            union)
+from dimcalc.parser import parse_model
 
 ACME_DIM_NAMES = ("Month", "Sector", "Product", "Region")
 
@@ -150,8 +152,25 @@ def test_tensor_holds_scalar():
     assert t.values == (42.0,)
 
 
-def test_literal_equality_ignores_span():
-    from dimcalc.model import SourceSpan
-    a = Literal(1.0, span=SourceSpan("f", 1, 1, 1, 2))
-    b = Literal(1.0)
-    assert a == b
+def test_node_equality_ignores_span():
+    span = SourceSpan("f", 1, 1, 1, 2)
+    assert Ref("a", span=span) == Ref("a")
+    assert Aggregate("SUM", "a", span=span) == Aggregate("SUM", "a")
+
+
+def test_walk_orders():
+    """iter_nodes is post-order, left before right; iter_dependencies
+    yields the references in reading order, repeats included."""
+    a, two, a_again = Ref("a"), Literal(2.0), Ref("a")
+    sum_b = Aggregate("SUM", "b")
+    power = Binary("^", a, two)
+    negation = Unary("-", power)
+    product = Binary("*", sum_b, a_again)
+    expr = Binary("+", negation, product)
+    model = parse_model("input a = 1\ninput b = 2\n"
+                        "calc X = -a ^ 2 + SUM(b) * a\n")
+    assert model.variable("X").payload == expr
+    post_order = [a, two, power, negation, sum_b, a_again, product, expr]
+    assert list(map(id, iter_nodes(expr))) == list(map(id, post_order))
+    assert [(name, id(node)) for name, node in iter_dependencies(expr)] == [
+        ("a", id(a)), ("b", id(sum_b)), ("a", id(a_again))]

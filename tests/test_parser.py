@@ -258,6 +258,24 @@ DIAGNOSTIC_TABLE = [
                 "spans (M): the formula under-spans the declaration "
                 "(missing (N))", 4, 1, 5, 12, variables=["X"],
                 dimension_sets=[["M", "N"], ["M"]])]),
+    # a diagnostic on a parenthesized reference covers the parentheses
+    ("dimension M = [J, F]\ndimension N = [P]\ninput a over (M) = [1, 2]\n"
+     "input b over (N) = [3]\ncalc Y over (N) = ((a)) + b\n", [
+         _error("R2-NOT-SUBSET", "operand a spans (M), which is not a subset "
+                "of Y's declared set (N): (M) is not available here",
+                5, 19, 5, 24, variables=["Y", "a"],
+                dimension_sets=[["M"], ["N"]])]),
+    ("dimension M = [J, F]\ndimension N = [P]\ninput x over (M) = [1, 2]\n"
+     "input c over (N) = [3]\ncalc Y over (M) = (SUM(x)) * c\n", [
+         _error("R3-DEGENERATE", "SUM(x) eliminates nothing: source and "
+                "target are both over (M)", 5, 19, 5, 27, severity="warning",
+                variables=["Y", "x"], dimension_sets=[["M"], ["M"]]),
+         _error("R2-NOT-SUBSET", "operand c spans (N), which is not a subset "
+                "of Y's declared set (M): (N) is not available here",
+                5, 30, 5, 31, variables=["Y", "c"],
+                dimension_sets=[["N"], ["M"]])]),
+    ("input a = 1\ncalc X = (nope) + 1\n", [
+        _error("P-UNDECLARED", "no variable named nope", 2, 10, 2, 16)]),
 ]
 
 
@@ -296,6 +314,12 @@ class TestExpressions:
         assert self.expr("-2") == Literal(-2.0)
         assert format_expr(self.expr("-2 + a")) == "-2 + a"
 
+    def test_negative_zero_literal_is_a_negation(self):
+        # without the parentheses, -0 ^ 2 would parse as -(0 ^ 2)
+        expr = self.expr("(-0) ^ 2 + a")
+        assert format_expr(expr) == "(-0) ^ 2 + a"
+        assert self.expr(format_expr(expr)) == expr
+
     def test_sum_call(self):
         assert self.expr("SUM(a) / 2") == Binary(
             "/", Aggregate("SUM", "a"), Literal(2.0))
@@ -312,6 +336,8 @@ class TestPrinting:
         assert format_number(1.45) == "1.45"
         assert format_number(-0.30000000000000004) == "-0.30000000000000004"
         assert format_number(22858963442.0) == "22858963442"
+        assert format_number(0.0) == "0"
+        assert format_number(-0.0) == "-0"
 
     def test_format_number_round_trips(self):
         for value in (0.1, 1 / 3, 1e-7, 123456.789, 2e15):
@@ -405,11 +431,15 @@ def test_parser_is_total(text):
 @example(5e-324)
 @example(-1.7976931348623157e308)
 @example(2.0 ** 53)
+@example(-0.0)
 def test_format_number_total_round_trip(value):
     assert float(format_number(value)) == value
     assert math.isfinite(float(format_number(value)))
     model = parse_model(f"data X = {format_number(value)}\n")
     assert model.variable("X").payload.scalar == value
+    sign = math.copysign(1.0, value)
+    assert math.copysign(1.0, float(format_number(value))) == sign
+    assert math.copysign(1.0, model.variable("X").payload.scalar) == sign
 
 
 @given(st.floats())
