@@ -56,8 +56,9 @@ def _print_diagnostics(diagnostics, as_json: bool):
 def _load_checked(path: str, as_json: bool) -> CheckedModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _Usage(f"cannot read {path}: {e.strerror or e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Usage(f"cannot read {path}: "
+                     f"{getattr(e, 'strerror', None) or e}") from None
     try:
         model = parse_model(text, path)
         checked = check_model(model)
@@ -99,6 +100,10 @@ def _parse_set(text: str) -> InputOverride:
     return InputOverride(head, labels, value)
 
 
+def _cannot_write(e: OSError) -> _Usage:
+    return _Usage(f"cannot write {e.filename}: {e.strerror or e}")
+
+
 def _write_csv(directory: Path, name: str, tensor, model) -> None:
     with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -111,7 +116,7 @@ def _cmd_eval(args) -> int:
     checked = _load_checked(args.model, args.json)
     model = checked.model
     overrides = [_parse_set(s) for s in args.set or []]
-    selected = args.var or []
+    selected = list(dict.fromkeys(args.var or []))
     for name in selected:
         if not model.has_variable(name):
             raise _Usage(f"no variable named {name}")
@@ -134,9 +139,12 @@ def _cmd_eval(args) -> int:
         return 2
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in exported:
-        _write_csv(out_dir, name, result[name], model)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in exported:
+            _write_csv(out_dir, name, result[name], model)
+    except OSError as e:
+        raise _cannot_write(e) from None
     shown = selected or [v.name for v in model.variables
                          if v.kind is VariableKind.OUTPUT]
     for name in shown:
@@ -154,7 +162,10 @@ def _cmd_diagram(args) -> int:
     if args.out == "-":
         print(dot, end="")
     else:
-        Path(args.out).write_text(dot, encoding="utf-8")
+        try:
+            Path(args.out).write_text(dot, encoding="utf-8")
+        except OSError as e:
+            raise _cannot_write(e) from None
     return 0
 
 
@@ -171,7 +182,7 @@ def _cmd_explain(args) -> int:
         line += ", no default value"
     elif isinstance(var.payload, ValueTable):
         if var.dims.names:
-            line += f", {len(var.payload.entries)} values"
+            line += f", {len(var.payload.values)} values"
         else:
             line += f", value {format_number(var.payload.scalar)}"
     else:

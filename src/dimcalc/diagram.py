@@ -41,7 +41,7 @@ def _node_line(var: Variable, config: DiagramConfig) -> str:
     attrs = [f"shape={_SHAPE[var.kind]}"]
     if (config.include_data_values and var.kind is VariableKind.DATA
             and isinstance(var.payload, ValueTable)):
-        values = ", ".join(format_number(v) for _, v in var.payload.entries)
+        values = ", ".join(format_number(v) for v in var.payload.values)
         name = var.name.replace("\\", "\\\\").replace('"', '\\"')
         attrs.append(f'label="{name}\\n{values}"')
     return f"{_quote(var.name)} [{', '.join(attrs)}];"

@@ -32,7 +32,6 @@ from .model import (
     Ref,
     Tensor,
     Unary,
-    ValueTable,
     VariableKind,
     difference,
     iter_nodes,
@@ -324,21 +323,24 @@ def _evaluate_formula(var, model: Model, values: dict[str, list],
     raise AssertionError(f"{var.name} failed as a whole but in no one cell")
 
 
-def _value_tensor(var, model: Model, patch: dict) -> list:
-    """Dense values for an input or data variable, applying overrides."""
-    table = var.payload.as_dict() if isinstance(var.payload, ValueTable) else {}
-    table.update(patch)
-    out = []
-    for labels in model.instance_tuples(var.dims):
-        if labels not in table:
+def _value_tensor(var, model: Model, patch: dict[int, float]) -> list:
+    """Dense values for an input or data variable, with the overrides in
+    `patch` (by flat index) written over them."""
+    if var.payload is None:
+        out = [None] * model.tensor_size(var.dims)
+    else:
+        out = list(var.payload.values)
+    for index, value in patch.items():
+        out[index] = value
+    for index, value in enumerate(out):
+        if value is None:
             raise EvalError(
-                "MISSING-INPUT", var.name, labels,
+                "MISSING-INPUT", var.name, model.tensor_coords(var.dims, index),
                 "no declared value and no override for this cell")
-        value = table[labels]
         if not math.isfinite(value):
-            raise EvalError("NON-FINITE", var.name, labels,
-                            f"value {value!r} is not finite")
-        out.append(float(value))
+            raise EvalError(
+                "NON-FINITE", var.name, model.tensor_coords(var.dims, index),
+                f"value {value!r} is not finite")
     return out
 
 
@@ -350,7 +352,7 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
     """
     start = time.perf_counter()
     model = checked.model
-    patches: dict[str, dict] = {}
+    patches: dict[str, dict[int, float]] = {}
     for ov in overrides:
         var = (model.variable(ov.name) if model.has_variable(ov.name) else None)
         if var is None:
@@ -359,16 +361,12 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
             raise ValueError(
                 f"{ov.name} is {var.kind.value}, not input; only inputs can "
                 f"be set")
-        if ov.labels is None:
-            if len(var.dims) != 0:
-                raise ValueError(
-                    f"{ov.name} is over {var.dims}; an override must name one "
-                    f"cell, like {ov.name}[{','.join(n for n in var.dims)}]")
-            key = ()
-        else:
-            model.tensor_index(var.dims, tuple(ov.labels))  # validates
-            key = tuple(ov.labels)
-        patches.setdefault(ov.name, {})[key] = float(ov.value)
+        if ov.labels is None and len(var.dims) != 0:
+            raise ValueError(
+                f"{ov.name} is over {var.dims}; an override must name one "
+                f"cell, like {ov.name}[{','.join(n for n in var.dims)}]")
+        index = model.tensor_index(var.dims, tuple(ov.labels or ()))
+        patches.setdefault(ov.name, {})[index] = float(ov.value)
 
     shapes = _Shapes(model)
     values: dict[str, list] = {}

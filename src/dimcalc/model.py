@@ -235,25 +235,20 @@ def iter_dependencies(expr: Expr) -> Iterator[tuple[str, Expr]]:
 class ValueTable:
     """Literal values of a data or input variable, one per instance tuple.
 
-    Entries are stored row-major in the variable's canonical dimension
-    order; a dimensionless table has the single key ().
+    Values are floats, row-major over the variable's dimension set exactly
+    like `Tensor.values`; a dimensionless table holds one value.
     """
 
-    entries: tuple[tuple[tuple[str, ...], float], ...]
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        keys = [k for k, _ in self.entries]
-        if len(set(keys)) != len(keys):
-            raise ModelError("value table repeats an instance tuple")
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @property
     def scalar(self) -> float:
-        if len(self.entries) != 1 or self.entries[0][0] != ():
+        if len(self.values) != 1:
             raise ModelError("value table is not a scalar")
-        return self.entries[0][1]
-
-    def as_dict(self) -> dict[tuple[str, ...], float]:
-        return dict(self.entries)
+        return self.values[0]
 
 
 Payload = Union[ValueTable, Expr, None]
@@ -290,7 +285,7 @@ class Model:
 
     Construction validates the cross-cutting invariants: unique names,
     disjoint dimension/variable namespaces, declared dimension references,
-    complete value tables, and reference closure of every formula.
+    one table value per cell, and reference closure of every formula.
     """
 
     dimensions: tuple[Dimension, ...]
@@ -315,26 +310,16 @@ class Model:
                     f"variable {v.name}: dimension set {v.dims} does not match "
                     f"the declared dimensions")
             if isinstance(v.payload, ValueTable):
-                self._check_table(v)
+                size = self.tensor_size(v.dims)
+                if len(v.payload.values) != size:
+                    raise ModelError(
+                        f"variable {v.name}: value table holds "
+                        f"{len(v.payload.values)} values for {size} cells")
             elif isinstance(v.payload, Expr):
                 for name, _ in iter_dependencies(v.payload):
                     if name not in var_names:
                         raise ModelError(
                             f"variable {v.name} references undeclared name {name}")
-
-    def _check_table(self, v: Variable) -> None:
-        want = set(self.instance_tuples(v.dims))
-        got = set(v.payload.as_dict())
-        if got != want:
-            missing = sorted(want - got)
-            extra = sorted(got - want)
-            parts = []
-            if missing:
-                parts.append(f"missing {len(missing)} entries, first {missing[0]}")
-            if extra:
-                parts.append(f"unexpected entry {extra[0]}")
-            raise ModelError(f"variable {v.name}: incomplete value table "
-                             f"({'; '.join(parts)})")
 
     @cached_property
     def _dim_by_name(self) -> dict[str, Dimension]:

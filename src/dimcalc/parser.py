@@ -570,7 +570,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
                     f"{stmt.name.text} is over {dims}; a single number is only "
                     f"valid for a dimensionless variable", stmt.span))
                 return None
-            return ValueTable((((), expr.value),))
+            return ValueTable((expr.value,))
         for node_name, node in iter_dependencies(expr):
             if node_name not in known_names:
                 dim_names = {d.name for d in dimensions}
@@ -597,9 +597,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
                 f"{stmt.name.text} needs {len(axis.instances)} values for "
                 f"{axis.name}, got {len(values)}", stmt.span))
             return None
-        return ValueTable(tuple(
-            ((label,), value)
-            for label, value in zip(axis.instances, values)))
+        return ValueTable(tuple(values))
     # keyed table
     if len(axes) != len(dims):
         return None  # over clause already failed; skip follow-on noise
@@ -651,7 +649,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
             f"{len(want)} entries (first missing: {','.join(missing[0])})",
             stmt.span))
         return None
-    return ValueTable(tuple((k, table[k]) for k in want))
+    return ValueTable(tuple(table[k] for k in want))
 
 
 def format_number(value: float) -> str:
@@ -715,7 +713,7 @@ def _as_exponent(rendered: tuple) -> str:
     return f"({text})" if exponent is None else exponent
 
 
-def format_payload(variable: Variable) -> str | None:
+def format_payload(model: Model, variable: Variable) -> str | None:
     """The text after '=' in a declaration, or None for a defaultless input."""
     payload = variable.payload
     if payload is None:
@@ -725,7 +723,8 @@ def format_payload(variable: Variable) -> str | None:
             return format_number(payload.scalar)
         entries = ", ".join(
             f"{','.join(format_ident(l) for l in key)}: {format_number(v)}"
-            for key, v in payload.entries)
+            for key, v in zip(model.instance_tuples(variable.dims),
+                              payload.values))
         return "{" + entries + "}"
     return format_expr(payload)
 
@@ -739,7 +738,7 @@ def pretty_print(model: Model) -> str:
     for v in model.variables:
         head = f"{v.kind.value} {format_ident(v.name)}"
         if len(v.dims) > 0:
-            head += f" over {v.dims}"
-        payload = format_payload(v)
+            head += f" over ({', '.join(format_ident(n) for n in v.dims)})"
+        payload = format_payload(model, v)
         lines.append(head if payload is None else f"{head} = {payload}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -105,6 +105,13 @@ class TestCheck:
         assert code == 3
         assert err.startswith("error: cannot read")
 
+    def test_non_utf8_file_exits_3(self, capsys, tmp_path):
+        source = tmp_path / "latin1.dml"
+        source.write_bytes("input Pr\xe9is = 1\n".encode("latin-1"))
+        code, out, err = run(capsys, "check", str(source))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {source}: ")
+
     def test_syntax_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.dml"
         bad.write_text("input X = 40%\n")
@@ -186,6 +193,30 @@ class TestEval:
         lines = (tmp_path / "Total_Demand.csv").read_text().splitlines()
         assert lines == ["value", "62654.83599939163"]
 
+    def test_repeated_var_is_shown_once(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "eval", PRICING, "--set", "Price=200",
+                           "--var", "Total_Profit", "--var", "Profit",
+                           "--var", "Total_Profit", "--out-dir", str(tmp_path))
+        assert (code, out) == (0, "Total_Profit = -1234372.3128122892\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "Profit.csv", "Total_Profit.csv"]
+
+    def test_out_dir_that_is_a_file_exits_3(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run(capsys, "eval", PRICING, "--set", "Price=200",
+                             "--out-dir", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_csv_that_cannot_be_opened_exits_3(self, capsys, tmp_path):
+        target = tmp_path / "Profit.csv"
+        target.mkdir()
+        code, out, err = run(capsys, "eval", PRICING, "--set", "Price=200",
+                             "--out-dir", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+
     def test_unknown_var_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", ACME, "--var", "Nope",
                            "--out-dir", str(tmp_path))
@@ -221,6 +252,33 @@ class TestEval:
         assert code == 0
         lines = (tmp_path / "Y.csv").read_text().splitlines()
         assert lines == ["M,value", "Jan,10", "Feb,50"]
+
+    # input cells are checked in row-major order, whatever supplies
+    # their values: the declaration, --set, or neither
+    @pytest.mark.parametrize("cell,err", [
+        ("Jan", "error[NON-FINITE]: X[Jan]: value inf is not finite\n"),
+        ("Feb", "error[MISSING-INPUT]: X[Jan]: no declared value and no "
+                "override for this cell\n"),
+    ])
+    def test_first_bad_input_cell_wins(self, capsys, tmp_path, cell, err):
+        model = tmp_path / "inputs.dml"
+        model.write_text("dimension M = [Jan, Feb]\n"
+                         "input X over (M)\n"
+                         "output Y over (M) = X * 10\n")
+        assert run(capsys, "eval", str(model), "--set", f"X[{cell}]=inf",
+                   "--out-dir", str(tmp_path)) == (2, "", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["inputs.dml"]
+
+    def test_set_fills_input_without_default(self, capsys, tmp_path):
+        model = tmp_path / "inputs.dml"
+        model.write_text("dimension M = [Jan, Feb]\n"
+                         "input X over (M)\n"
+                         "output Y over (M) = X * 10\n")
+        code, _, err = run(capsys, "eval", str(model), "--set", "X[Feb]=2",
+                           "--set", "X[Jan]=1", "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        lines = (tmp_path / "Y.csv").read_text().splitlines()
+        assert lines == ["M,value", "Jan,10", "Feb,20"]
 
     def test_negative_zero_keeps_its_sign(self, capsys, tmp_path):
         model = tmp_path / "zero.dml"
@@ -286,6 +344,12 @@ class TestDiagram:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("digraph model {")
+
+    def test_write_to_missing_directory_exits_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "diagram", PRICING, "-o", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_no_group(self, capsys):
         code, out, _ = run(capsys, "diagram", ACME, "--no-group")

@@ -360,9 +360,7 @@ def reference_evaluate(checked):
     for name in checked.order:
         var = model.variable(name)
         if not var.kind.carries_formula:
-            values[name] = [v for _, v in sorted(
-                var.payload.entries,
-                key=lambda e: model.tensor_index(var.dims, e[0]))]
+            values[name] = var.payload.values
             continue
         out = []
         for labels in model.instance_tuples(var.dims):

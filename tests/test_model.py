@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,11 +25,7 @@ def make_model():
     variables = (
         Variable("X", VariableKind.DATA,
                  DimensionSet(("Month", "Region"), (0, 1)),
-                 ValueTable(tuple(
-                     ((m, r), float(i))
-                     for i, (m, r) in enumerate(
-                         itertools.product(("Jan", "Feb", "Mar"),
-                                           ("N", "S"))))),
+                 ValueTable(tuple(float(i) for i in range(6))),
                  None),
     )
     return Model(dims, variables)
@@ -101,22 +95,24 @@ class TestModel:
     def test_rejects_duplicate_variable_names(self):
         dims = (Dimension("Month", ("Jan",)),)
         v = Variable("X", VariableKind.DATA, EMPTY_DIMS,
-                     ValueTable((((), 1.0),)), None)
+                     ValueTable((1.0,)), None)
         with pytest.raises(ModelError):
             Model(dims, (v, v))
 
     def test_rejects_name_clash_with_dimension(self):
         dims = (Dimension("Month", ("Jan",)),)
         v = Variable("Month", VariableKind.DATA, EMPTY_DIMS,
-                     ValueTable((((), 1.0),)), None)
+                     ValueTable((1.0,)), None)
         with pytest.raises(ModelError):
             Model(dims, (v,))
 
     def test_rejects_incomplete_table(self):
         dims = (Dimension("Month", ("Jan", "Feb")),)
         v = Variable("X", VariableKind.DATA, DimensionSet(("Month",), (0,)),
-                     ValueTable(((("Jan",), 1.0),)), None)
-        with pytest.raises(ModelError):
+                     ValueTable((1.0,)), None)
+        with pytest.raises(ModelError,
+                           match="variable X: value table holds 1 values "
+                                 "for 2 cells"):
             Model(dims, (v,))
 
     def test_rejects_unknown_reference(self):

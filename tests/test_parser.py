@@ -5,7 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
-from dimcalc.model import (Aggregate, Binary, Literal, Ref, Unary, ValueTable,
+from dimcalc.diagram import DiagramConfig, emit_dot
+from dimcalc.evaluator import evaluate
+from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet, Literal,
+                           Model, Ref, Unary, ValueTable, Variable,
                            VariableKind)
 from dimcalc.parser import (ParseFailure, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
@@ -50,22 +53,20 @@ class TestStatements:
             "dimension Sector = [Government, Military, Private, Education]\n"
             "data Rebate over (Sector) = {Government: 0.40, Military: 0.20,"
             " Private: 0.10, Education: 0.70}\n")
-        table = model.variable("Rebate").payload
-        assert table.as_dict()[("Education",)] == 0.70
-        assert [k for k, _ in table.entries] == [
-            ("Government",), ("Military",), ("Private",), ("Education",)]
+        assert model.variable("Rebate").payload.values == (
+            0.40, 0.20, 0.10, 0.70)
 
     def test_keyed_table_any_entry_order(self):
         model = parse_one(
             "dimension S = [A, B]\n"
             "data X over (S) = {B: 2, A: 1}\n")
-        assert [v for _, v in model.variable("X").payload.entries] == [1.0, 2.0]
+        assert model.variable("X").payload.values == (1.0, 2.0)
 
     def test_positional_list_one_dim_only(self):
         model = parse_one(
             "dimension Product = [Standard, Deluxe]\n"
             "data M over (Product) = [1, 1.45]\n")
-        assert model.variable("M").payload.as_dict()[("Deluxe",)] == 1.45
+        assert model.variable("M").payload.values == (1.0, 1.45)
         err = parse_fail(
             "dimension A = [X]\ndimension B = [Y]\n"
             "data M over (A, B) = [1]\n")
@@ -78,7 +79,7 @@ class TestStatements:
             "    A: 1,\n"
             "    B: 2,\n"
             "}\n")
-        assert model.variable("X").payload.as_dict()[("B",)] == 2.0
+        assert model.variable("X").payload.values == (1.0, 2.0)
 
     def test_over_clause_canonicalized(self):
         model = parse_one(
@@ -450,6 +451,46 @@ def test_format_number_integral_test_matches_isfinite_form(value):
     old = math.isfinite(value) and value == int(value) and abs(value) < 1e16
     new = value.is_integer() and abs(value) < 1e16
     assert new == old
+
+
+# names and labels that need quoting and escapes in the printed source
+idents = st.text(alphabet='ab1_ "\\', min_size=1, max_size=4)
+
+
+@st.composite
+def library_models(draw):
+    """A Model built without the parser: data tables of ints and floats
+    over random dimensions."""
+    names = draw(st.lists(idents, min_size=1, max_size=7, unique=True))
+    ndims = draw(st.integers(0, min(3, len(names) - 1)))
+    dims = tuple(Dimension(name, tuple(draw(st.lists(
+        idents, min_size=1, max_size=3, unique=True))))
+        for name in names[:ndims])
+    number = st.one_of(st.integers(-10 ** 18, 10 ** 18),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    variables = []
+    for name in names[ndims:]:
+        picked = draw(st.lists(st.booleans(), min_size=ndims, max_size=ndims))
+        order = tuple(i for i, keep in enumerate(picked) if keep)
+        size = math.prod(len(dims[i].instances) for i in order)
+        values = draw(st.lists(number, min_size=size, max_size=size))
+        variables.append(Variable(
+            name, VariableKind.DATA,
+            DimensionSet(tuple(dims[i].name for i in order), order),
+            ValueTable(tuple(values))))
+    return Model(dims, tuple(variables))
+
+
+@given(library_models())
+@example(Model((Dimension("D", ("q", "p")),), (
+    Variable("X", VariableKind.DATA, DimensionSet(("D",), (0,)),
+             ValueTable((2, -0.5))),
+    Variable("Y", VariableKind.DATA, DimensionSet((), ()),
+             ValueTable((7,))))))
+def test_library_model_prints_diagrams_and_evaluates(model):
+    assert parse_model(pretty_print(model)) == model
+    emit_dot(model, DiagramConfig(include_data_values=True))
+    evaluate(check_model(model))
 
 
 class TestNumberRange:
