@@ -24,10 +24,8 @@ from .model import (
     Variable,
     VariableKind,
     difference,
-    enumerate_dimension_sets,
     intersect,
     is_subset,
-    union,
 )
 from .parser import (
     ParseDiagnostic,
@@ -48,7 +46,6 @@ from .evaluator import (
     EvalError,
     EvaluationResult,
     InputOverride,
-    broadcast_lookup,
     evaluate,
     tensor_to_rows,
 )
@@ -58,12 +55,12 @@ __all__ = [
     "Aggregate", "Binary", "Dimension", "DimensionSet", "EMPTY_DIMS", "Expr",
     "Literal", "Model", "ModelError", "Ref", "SourceSpan", "Tensor", "Unary",
     "UnknownInstanceError", "ValueTable", "Variable", "VariableKind",
-    "difference", "enumerate_dimension_sets", "intersect", "is_subset", "union",
+    "difference", "intersect", "is_subset",
     "ParseDiagnostic", "ParseFailure", "format_expr", "format_number",
     "parse_model", "pretty_print",
     "CheckDiagnostic", "CheckFailure", "CheckedModel", "check_model",
     "infer_dims",
-    "EvalError", "EvaluationResult", "InputOverride", "broadcast_lookup",
-    "evaluate", "tensor_to_rows",
+    "EvalError", "EvaluationResult", "InputOverride", "evaluate",
+    "tensor_to_rows",
     "DiagramConfig", "emit_dot",
 ]

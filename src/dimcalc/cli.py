@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .checker import CheckedModel, CheckFailure, check_model
 from .diagram import DiagramConfig, emit_dot
-from .evaluator import EvalError, InputOverride, evaluate, tensor_to_rows
+from .evaluator import EvalError, InputOverride, evaluate
 from .model import ModelError, ValueTable, VariableKind
-from .parser import ParseFailure, format_expr, format_number, parse_model
+from .parser import (ParseFailure, _tokenize, format_expr, format_number,
+                     parse_model)
 
 _KIND_LABEL = {
     VariableKind.INPUT: "Input",
@@ -81,7 +84,8 @@ def _cmd_check(args) -> int:
 
 
 def _parse_set(text: str) -> InputOverride:
-    head, eq, raw_value = text.partition("=")
+    # the value is a number, so the last '=' ends a label that holds one
+    head, eq, raw_value = text.rpartition("=")
     if not eq:
         raise _Usage(f"--set takes NAME=value or NAME[labels]=value, "
                      f"got {text!r}")
@@ -91,7 +95,7 @@ def _parse_set(text: str) -> InputOverride:
         name, bracket, rest = head.partition("[")
         if not bracket:
             raise _Usage(f"--set: malformed cell address {head!r}")
-        labels = tuple(part.strip() for part in rest[:-1].split(","))
+        labels = _parse_labels(rest[:-1], head)
         head = name.strip()
     try:
         value = float(raw_value)
@@ -100,16 +104,42 @@ def _parse_set(text: str) -> InputOverride:
     return InputOverride(head, labels, value)
 
 
+def _parse_labels(text: str, address: str) -> tuple[str, ...]:
+    """Instance labels separated by commas, each written as in the model
+    source: a name, a number, or a quoted label."""
+    diags = []
+    tokens = _tokenize(text, "--set", diags)[:-1]  # drop the eof token
+    labels, commas = tokens[::2], tokens[1::2]
+    if (diags or len(tokens) % 2 == 0
+            or any(t.kind not in ("name", "number", "qname") for t in labels)
+            or any((t.kind, t.text) != ("punct", ",") for t in commas)):
+        raise _Usage(f"--set: malformed cell address {address!r}; quote a "
+                     f"label that is not a plain name, as in the model")
+    return tuple(t.text for t in labels)
+
+
 def _cannot_write(e: OSError) -> _Usage:
     return _Usage(f"cannot write {e.filename}: {e.strerror or e}")
 
 
 def _write_csv(directory: Path, name: str, tensor, model) -> None:
+    # csv.writer quotes each instance label once, as the first of two fields
+    # in the file's own dialect (its line terminator decides whether an LF
+    # needs quotes); a row is then its labels' quoted text plus its value,
+    # the bytes writerow gives for the whole row
+    axes = []
+    for dim in tensor.dims:
+        quoted = []
+        writer = csv.writer(SimpleNamespace(write=quoted.append),
+                            lineterminator="\n")
+        writer.writerows([label, ""]
+                         for label in model.dimension(dim).instances)
+        axes.append([text[:-1] for text in quoted])
+    prefixes = map("".join, itertools.product(*axes))
     with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([*tensor.dims.names, "value"])
-        writer.writerows((*labels, format_number(value))
-                         for labels, value in tensor_to_rows(tensor, model))
+        csv.writer(f, lineterminator="\n").writerow([*tensor.dims.names, "value"])
+        f.write("".join([prefix + format_number(value) + "\n"
+                         for prefix, value in zip(prefixes, tensor.values)]))
 
 
 def _cmd_eval(args) -> int:

@@ -91,18 +91,6 @@ def _strides(counts) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def broadcast_lookup(tensor: Tensor, target_dims, target_labels, model: Model):
-    """Value of `tensor` at the projection of a target instance tuple.
-
-    The tensor's dimensions must be a subset of `target_dims` (Rule 2
-    guarantees this for checked models); a dimensionless tensor yields its
-    single value for every tuple.
-    """
-    projected = tuple(
-        target_labels[target_dims.names.index(name)] for name in tensor.dims)
-    return tensor.values[model.tensor_index(tensor.dims, projected)]
-
-
 class _Shapes:
     """Index arithmetic over the tensors of one model, each result made once.
 

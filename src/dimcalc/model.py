@@ -121,11 +121,6 @@ def _from_pairs(pairs) -> DimensionSet:
     return DimensionSet(tuple(n for _, n in ordered), tuple(i for i, _ in ordered))
 
 
-def union(a: DimensionSet, b: DimensionSet) -> DimensionSet:
-    """All names in `a` or `b`, canonically ordered."""
-    return _from_pairs(set(zip(a.order, a.names)) | set(zip(b.order, b.names)))
-
-
 def intersect(a: DimensionSet, b: DimensionSet) -> DimensionSet:
     return _from_pairs(set(zip(a.order, a.names)) & set(zip(b.order, b.names)))
 
@@ -160,6 +155,9 @@ class Expr:
 @dataclass(frozen=True)
 class Literal(Expr):
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -359,10 +357,6 @@ class Model:
             raise ModelError("dimension set repeats a name")
         return _from_pairs(set(pairs))
 
-    @property
-    def full_set(self) -> DimensionSet:
-        return self.dim_set(d.name for d in self.dimensions)
-
     def instance_counts(self, dims: DimensionSet) -> tuple[int, ...]:
         return tuple(len(self.dimension(n).instances) for n in dims)
 
@@ -399,16 +393,6 @@ class Model:
             index, pos = divmod(index, len(instances))
             labels.append(instances[pos])
         return tuple(reversed(labels))
-
-
-def enumerate_dimension_sets(model: Model) -> list[DimensionSet]:
-    """All 2^n dimension sets of a model, by cardinality then canonical order."""
-    names = [d.name for d in model.dimensions]
-    out = []
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(range(len(names)), k):
-            out.append(DimensionSet(tuple(names[i] for i in combo), combo))
-    return out
 
 
 @dataclass(frozen=True)

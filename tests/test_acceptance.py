@@ -13,9 +13,10 @@ from conftest import FIXTURES, load_checked, load_model
 from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
 from dimcalc.diagram import emit_dot
-from dimcalc.evaluator import InputOverride, broadcast_lookup, evaluate
+from dimcalc.evaluator import InputOverride, evaluate
 from dimcalc.parser import parse_model, pretty_print
 from dot_grammar import parse_dot
+from helpers import broadcast_lookup
 from oracles import oracle_acme, oracle_pricing
 
 

@@ -1,11 +1,18 @@
+import csv
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import FIXTURES
-from dimcalc.cli import main
+from dimcalc.cli import _write_csv, main
+from dimcalc.model import Dimension, Model, Tensor
+from dimcalc.parser import format_number
 
 ACME = str(FIXTURES / "acme.dml")
 PRICING = str(FIXTURES / "pricing.dml")
@@ -241,6 +248,34 @@ class TestEval:
                                "--out-dir", str(tmp_path))
             assert code == 3
 
+    @pytest.mark.parametrize("address", ["X[a b]", 'X["a]', "X[a,]", "X[]",
+                                         "X[a;b]", "X[1%]"])
+    def test_malformed_cell_address_exits_3(self, capsys, tmp_path, address):
+        code, _, err = run(capsys, "eval", ACME, "--set", f"{address}=1",
+                           "--out-dir", str(tmp_path))
+        assert code == 3
+        assert f"malformed cell address {address!r}" in err
+
+    # a cell address writes its labels as the model source does, so a
+    # label holding ',', '=' or ']' is quoted, and a plain one need not be
+    @pytest.mark.parametrize("label,cell", [("a,b", '"a,b"'), ("a=b", "a=b"),
+                                            ("a]b", "a]b"), (" c ", " c ")])
+    def test_set_quoted_labels(self, capsys, tmp_path, label, cell):
+        model = tmp_path / "labels.dml"
+        model.write_text(f'dimension D = ["{label}", d]\n'
+                         "dimension R = [North, South]\n"
+                         "input X over (D, R)\n"
+                         "output Y over (D, R) = X * 10\n")
+        sets = [f'X["{label}", North]=1', f'X["{label}",South]=2',
+                "X[d, North]=3", 'X["d", "South"]=4']
+        code, _, err = run(capsys, "eval", str(model),
+                           *(a for s in sets for a in ("--set", s)),
+                           "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "Y.csv").read_text(encoding="utf-8") == (
+            f"D,R,value\n{cell},North,10\n{cell},South,20\n"
+            f"d,North,30\nd,South,40\n")
+
     def test_per_cell_set(self, capsys, tmp_path):
         model = tmp_path / "cells.dml"
         model.write_text(
@@ -329,6 +364,52 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(model), "--set", "X[Nope]=5",
                            "--out-dir", str(tmp_path))
         assert code == 3
+
+
+def _reference_csv(path: Path, tensor, model) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([*tensor.dims.names, "value"])
+        for labels, value in zip(model.instance_tuples(tensor.dims),
+                                 tensor.values):
+            writer.writerow([*labels, format_number(value)])
+
+
+# pieces of labels and dimension names that csv.writer quotes, or that
+# look as if it might; the empty list gives the empty label
+_awkward = st.lists(st.sampled_from(
+    [",", '"', "\r", "\n", "\r\n", " ", "a", "b", "\u00e9", "\u65e5"]),
+    max_size=4).map("".join)
+
+
+def _case(dims, values):
+    model = Model(dims, ())
+    return Tensor(model.dim_set(d.name for d in dims),
+                  tuple(map(float, values))), model
+
+
+@st.composite
+def _tensors(draw):
+    names = draw(st.lists(_awkward, max_size=3, unique=True))
+    dims = tuple(Dimension(name, tuple(draw(st.lists(
+        _awkward, min_size=1, max_size=3, unique=True)))) for name in names)
+    size = math.prod(len(d.instances) for d in dims)
+    return _case(dims, draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=size, max_size=size)))
+
+
+@given(_tensors())
+@example(_case((), [-0.0]))
+@example(_case((Dimension("a,b", (",", '"', "", " x ")),
+                Dimension('"q"', ("\r", "\n", "\r\n\u00e9"))), range(12)))
+def test_csv_matches_csv_writer(case):
+    tensor, model = case
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_csv(Path(tmp), "T", tensor, model)
+        _reference_csv(Path(tmp) / "ref.csv", tensor, model)
+        assert ((Path(tmp) / "T.csv").read_bytes()
+                == (Path(tmp) / "ref.csv").read_bytes())
 
 
 class TestDiagram:

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load_checked
 from dimcalc.checker import check_model
-from dimcalc.evaluator import (EvalError, InputOverride, broadcast_lookup,
-                               evaluate, tensor_to_rows)
+from dimcalc.evaluator import (EvalError, InputOverride, evaluate,
+                               tensor_to_rows)
 from dimcalc.model import Aggregate, Literal, Ref, Unary
 from dimcalc.parser import parse_model
+from helpers import broadcast_lookup, full_set
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "golden_values.csv"
 
@@ -61,7 +62,7 @@ class TestBroadcastLookup:
         result = evaluate(acme_checked)
         model = acme_checked.model
         base = result["Base_Price"]
-        target = model.full_set
+        target = full_set(model)
         for labels in list(model.instance_tuples(target))[:8]:
             assert broadcast_lookup(base, target, labels, model) == 100.0
 

@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
                            EMPTY_DIMS, Literal, Model, ModelError, Ref,
                            SourceSpan, Tensor, Unary, ValueTable, Variable,
-                           VariableKind, difference, enumerate_dimension_sets,
-                           intersect, is_subset, iter_dependencies, iter_nodes,
-                           union)
+                           VariableKind, difference, intersect, is_subset,
+                           iter_dependencies, iter_nodes)
 from dimcalc.parser import parse_model
+from helpers import enumerate_dimension_sets, full_set, union
 
 ACME_DIM_NAMES = ("Month", "Sector", "Product", "Region")
 
@@ -88,7 +88,7 @@ class TestModel:
 
     def test_index_roundtrip_full(self):
         model = make_model()
-        dims = model.full_set
+        dims = full_set(model)
         for i in range(model.tensor_size(dims)):
             assert model.tensor_index(dims, model.tensor_coords(dims, i)) == i
 
@@ -136,11 +136,11 @@ def test_enumerate_dimension_sets(acme_model):
 
 def test_acme_shapes(acme_model):
     model = acme_model
-    assert model.tensor_size(model.full_set) == 12 * 4 * 2 * 5
+    assert model.tensor_size(full_set(model)) == 12 * 4 * 2 * 5
     dims = model.dim_set(("Month", "Region"))
     assert model.tensor_index(dims, ("Feb", "N")) == 5
     assert model.variable("Total_Profit").dims == EMPTY_DIMS
-    assert model.variable("MSPR_Unit_Sales").dims == model.full_set
+    assert model.variable("MSPR_Unit_Sales").dims == full_set(model)
 
 
 def test_tensor_holds_scalar():

@@ -460,7 +460,8 @@ idents = st.text(alphabet='ab1_ "\\', min_size=1, max_size=4)
 @st.composite
 def library_models(draw):
     """A Model built without the parser: data tables of ints and floats
-    over random dimensions."""
+    over random dimensions, and a formula adding an int literal to the
+    first table."""
     names = draw(st.lists(idents, min_size=1, max_size=7, unique=True))
     ndims = draw(st.integers(0, min(3, len(names) - 1)))
     dims = tuple(Dimension(name, tuple(draw(st.lists(
@@ -478,6 +479,11 @@ def library_models(draw):
             name, VariableKind.DATA,
             DimensionSet(tuple(dims[i].name for i in order), order),
             ValueTable(tuple(values))))
+    if len(variables) > 1:
+        first = variables[0]
+        term = Literal(draw(st.integers(-10 ** 18, 10 ** 18)))
+        variables[-1] = Variable(variables[-1].name, VariableKind.CALCULATED,
+                                 first.dims, Binary("+", Ref(first.name), term))
     return Model(dims, tuple(variables))
 
 
@@ -486,7 +492,9 @@ def library_models(draw):
     Variable("X", VariableKind.DATA, DimensionSet(("D",), (0,)),
              ValueTable((2, -0.5))),
     Variable("Y", VariableKind.DATA, DimensionSet((), ()),
-             ValueTable((7,))))))
+             ValueTable((7,))),
+    Variable("Z", VariableKind.CALCULATED, DimensionSet(("D",), (0,)),
+             Binary("*", Ref("X"), Literal(2))))))
 def test_library_model_prints_diagrams_and_evaluates(model):
     assert parse_model(pretty_print(model)) == model
     emit_dot(model, DiagramConfig(include_data_values=True))
