@@ -19,7 +19,6 @@ from .model import (
     SourceSpan,
     Tensor,
     Unary,
-    UnknownInstanceError,
     ValueTable,
     Variable,
     VariableKind,
@@ -54,7 +53,7 @@ from .diagram import DiagramConfig, emit_dot
 __all__ = [
     "Aggregate", "Binary", "Dimension", "DimensionSet", "EMPTY_DIMS", "Expr",
     "Literal", "Model", "ModelError", "Ref", "SourceSpan", "Tensor", "Unary",
-    "UnknownInstanceError", "ValueTable", "Variable", "VariableKind",
+    "ValueTable", "Variable", "VariableKind",
     "difference", "intersect", "is_subset",
     "ParseDiagnostic", "ParseFailure", "format_expr", "format_number",
     "parse_model", "pretty_print",

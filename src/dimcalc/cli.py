@@ -22,8 +22,8 @@ from .checker import CheckedModel, CheckFailure, check_model
 from .diagram import DiagramConfig, emit_dot
 from .evaluator import EvalError, InputOverride, evaluate
 from .model import ModelError, ValueTable, VariableKind
-from .parser import (ParseFailure, _tokenize, format_expr, format_number,
-                     parse_model)
+from .parser import (ParseFailure, _spans_of, _tokenize, format_expr,
+                     format_number, parse_model)
 
 _KIND_LABEL = {
     VariableKind.INPUT: "Input",
@@ -84,38 +84,35 @@ def _cmd_check(args) -> int:
 
 
 def _parse_set(text: str) -> InputOverride:
-    # the value is a number, so the last '=' ends a label that holds one
+    # the value is a number, so the last '=' ends a name or label holding one
     head, eq, raw_value = text.rpartition("=")
     if not eq:
         raise _Usage(f"--set takes NAME=value or NAME[labels]=value, "
                      f"got {text!r}")
-    head = head.strip()
-    labels = None
-    if head.endswith("]"):
-        name, bracket, rest = head.partition("[")
-        if not bracket:
-            raise _Usage(f"--set: malformed cell address {head!r}")
-        labels = _parse_labels(rest[:-1], head)
-        head = name.strip()
+    name, labels = _parse_cell(head)
     try:
         value = float(raw_value)
     except ValueError:
-        raise _Usage(f"--set {head}: {raw_value!r} is not a number") from None
-    return InputOverride(head, labels, value)
+        raise _Usage(f"--set {name}: {raw_value!r} is not a number") from None
+    return InputOverride(name, labels, value)
 
 
-def _parse_labels(text: str, address: str) -> tuple[str, ...]:
-    """Instance labels separated by commas, each written as in the model
-    source: a name, a number, or a quoted label."""
+def _parse_cell(head: str) -> tuple[str, tuple[str, ...] | None]:
+    """A variable name, then optionally its instance labels in brackets,
+    separated by commas. Each is written as in the model source: a name,
+    a quoted name, or (for a label) a number."""
     diags = []
-    tokens = _tokenize(text, "--set", diags)[:-1]  # drop the eof token
-    labels, commas = tokens[::2], tokens[1::2]
-    if (diags or len(tokens) % 2 == 0
-            or any(t.kind not in ("name", "number", "qname") for t in labels)
-            or any((t.kind, t.text) != ("punct", ",") for t in commas)):
-        raise _Usage(f"--set: malformed cell address {address!r}; quote a "
-                     f"label that is not a plain name, as in the model")
-    return tuple(t.text for t in labels)
+    tokens = _tokenize(head, _spans_of(head, "--set"), diags)
+    name, address = tokens[0], tokens[1:-1]  # the last token is eof
+    inner = address[1:-1]
+    labels, commas = inner[::2], inner[1::2]
+    if (diags or name[0] not in ("name", "qname") or address and (
+            (address[0][0], address[-1][0]) != ("[", "]") or len(inner) % 2 == 0
+            or any(t[0] not in ("name", "number", "qname") for t in labels)
+            or any(t[0] != "," for t in commas))):
+        raise _Usage(f"--set: malformed cell address {head.strip()!r}; quote a "
+                     f"name or label that is not a plain name, as in the model")
+    return name[1], tuple(t[1] for t in labels) if address else None
 
 
 def _cannot_write(e: OSError) -> _Usage:

@@ -20,15 +20,6 @@ class ModelError(ValueError):
     """An invariant of the domain types was violated at construction."""
 
 
-class UnknownInstanceError(ModelError):
-    """An instance label does not belong to the dimension it was used with."""
-
-    def __init__(self, dimension: str, label: str):
-        super().__init__(f"dimension {dimension} has no instance {label!r}")
-        self.dimension = dimension
-        self.label = label
-
-
 @dataclass(frozen=True)
 class SourceSpan:
     """Half-open region of DSL text, 1-based lines and columns."""
@@ -77,7 +68,8 @@ class Dimension:
         try:
             return self.instances.index(label)
         except ValueError:
-            raise UnknownInstanceError(self.name, label) from None
+            raise ModelError(
+                f"dimension {self.name} has no instance {label!r}") from None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ that runs to end of line. Newlines inside (), [], {} groups do not end the
 statement, so large value tables can be written one entry per line. The
 full grammar is documented in README.md.
 
+A token is a plain tuple `(kind, text, value, start, end)`. The kind is
+name, qname, number, newline or eof, or for punctuation the mark itself
+("(" or "+"); `value` is a number's float, and `start` and `end` are
+character offsets into the text. Lines and columns are worked out only
+for the spans a parse keeps: a Ref, an Aggregate, a statement, or a
+diagnostic.
+
 Parsing is total: any input text yields either a Model or a list of
 ParseDiagnostic values carried by ParseFailure, never an exception from
 the guts of the parser.
@@ -15,8 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .model import (
     Aggregate,
@@ -33,7 +40,6 @@ from .model import (
     Variable,
     VariableKind,
     _from_pairs,
-    iter_dependencies,
     iter_nodes,
 )
 
@@ -57,6 +63,7 @@ _TOKEN_RE = re.compile("|".join([
     r'(?P<bad>(?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
 ]))
 _ESCAPE_RE = re.compile(r"\\(.?)")
+_NEWLINE_RE = re.compile(r"\n")
 
 
 @dataclass(frozen=True)
@@ -86,82 +93,73 @@ class ParseFailure(Exception):
         super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
-class _Token(NamedTuple):
-    kind: str  # name, qname, number, punct, newline, eof
-    text: str
-    value: object
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+def _spans_of(text: str, file: str):
+    """The function from a [start, end) range of offsets into `text` to
+    its SourceSpan, found by bisecting the offsets where lines start."""
+    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+
+    def span(start: int, end: int) -> SourceSpan:
+        line = bisect_right(line_starts, start)
+        end_line = bisect_right(line_starts, end, line - 1)
+        return SourceSpan(file, line, start - line_starts[line - 1] + 1,
+                          end_line, end - line_starts[end_line - 1] + 1)
+    return span
 
 
-def _span(file: str, tok: _Token, end: _Token | None = None) -> SourceSpan:
-    last = end or tok
-    return SourceSpan(file, tok.line, tok.col, last.end_line, last.end_col)
-
-
-def _tokenize(text: str, file: str, diags: list[ParseDiagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0  # line_start: offset where the current line begins
+def _tokenize(text: str, span, diags: list[ParseDiagnostic]) -> list[tuple]:
+    tokens: list[tuple] = []
+    append = tokens.append
     depth = 0  # bracket depth; newlines inside groups are plain whitespace
 
-    def err(code, msg, col, end_col):
-        diags.append(ParseDiagnostic(
-            "error", code, msg, SourceSpan(file, line, col, line, end_col)))
+    def err(code, msg, start, end):
+        diags.append(ParseDiagnostic("error", code, msg, span(start, end)))
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
         start, end = m.span()
-        col = start - line_start + 1
-        if kind == "newline":
-            if depth == 0:
-                tokens.append(_Token("newline", "\n", None, line, col, line + 1, 1))
-            line += 1
-            line_start = end
-            continue
-        end_col = end - line_start + 1
         word = m.group()
         if kind == "name":
-            tokens.append(_Token("name", word, word, line, col, line, end_col))
+            append(("name", word, None, start, end))
         elif kind == "punct":
             if word in "([{":
                 depth += 1
             elif word in ")]}" and depth:
                 depth -= 1
-            tokens.append(_Token("punct", word, word, line, col, line, end_col))
+            append((word, word, None, start, end))
+        elif kind == "newline":
+            if depth == 0:
+                append(("newline", word, None, start, end))
         elif kind == "number":
             digits = m.group("digits")
             value = float(digits)
             if m.group("percent"):
                 err("P-NUMBER", f"percent literals are not supported; write the "
-                    f"fraction instead ({digits}% is {value / 100})", col, end_col)
+                    f"fraction instead ({digits}% is {value / 100})", start, end)
             elif len(digits) < len(word):
-                err("P-NUMBER", f"malformed number {word!r}", col, end_col)
+                err("P-NUMBER", f"malformed number {word!r}", start, end)
                 continue
             elif not math.isfinite(value):
-                err("P-NUMBER", f"number {digits} is out of range", col, end_col)
-            tokens.append(_Token("number", digits, value, line, col, line, end_col))
+                err("P-NUMBER", f"number {digits} is out of range", start, end)
+            append(("number", digits, value, start, end))
         elif kind == "qname":
             body = m.group("body")
             for esc in _ESCAPE_RE.finditer(body):
                 if esc.group(1) not in ('"', "\\"):
                     err("P-TOKEN", "unsupported escape in quoted identifier "
                         "(only \\\" and \\\\ are recognized)",
-                        col, col + 1 + esc.start())
+                        start, start + 1 + esc.start())
             name = _ESCAPE_RE.sub(r"\1", body)
             if not m.group("closed"):
-                err("P-TOKEN", "unterminated quoted identifier", col, end_col)
+                err("P-TOKEN", "unterminated quoted identifier", start, end)
             elif not name:
-                err("P-TOKEN", "empty quoted identifier", col, end_col)
-            tokens.append(_Token("qname", name, name, line, col, line, end_col))
+                err("P-TOKEN", "empty quoted identifier", start, end)
+            append(("qname", name, None, start, end))
         else:
             err("P-TOKEN", f"unexpected character{'s' if len(word) > 1 else ''} "
-                f"{word!r}", col, end_col)
-    col = len(text) - line_start + 1
-    tokens.append(_Token("eof", "", None, line, col, line, col))
+                f"{word!r}", start, end)
+    append(("eof", "", None, len(text), len(text)))
     return tokens
 
 
@@ -172,212 +170,198 @@ class _StatementError(Exception):
 
 @dataclass
 class _DimStmt:
-    name: _Token
-    labels: list[_Token]
+    name: tuple  # a token
+    labels: list[tuple]
 
 
 @dataclass
 class _VarStmt:
     kind: VariableKind
-    name: _Token
-    over: list[_Token] | None
+    name: tuple  # a token
+    over: list[tuple] | None
     rhs_kind: str  # "expr", "table", "list", "none"
+    # (formula, its references) for "expr", table entries, list values, None
     rhs: object
     span: SourceSpan
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file: str, diags: list[ParseDiagnostic]):
+    def __init__(self, tokens: list[tuple], span, diags: list[ParseDiagnostic]):
         self.tokens = tokens
-        self.file = file
+        self.span = span
         self.diags = diags
         self.pos = 0
         # names of variables whose declarations failed after the name was
         # read; kept so references to them do not cascade into P-UNDECLARED
         self.failed_names: set[str] = set()
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def _accept(self, mark: str) -> bool:
+        """Step over the next token if its kind is `mark`."""
+        if self.tokens[self.pos][0] == mark:
             self.pos += 1
+            return True
+        return False
+
+    def _fail(self, code: str, message: str, tok: tuple):
+        raise _StatementError(ParseDiagnostic(
+            "error", code, message, self.span(tok[3], tok[4])))
+
+    def _expect(self, mark: str) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] == mark:
+            self.pos += 1
+            return tok
+        self._fail("P-SYNTAX", f"expected {mark!r}, got {_describe(tok)}", tok)
+
+    def _expect_name(self, what: str) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] == "name" and tok[1] in KEYWORDS:
+            self._fail("P-SYNTAX", f"{tok[1]!r} is a reserved keyword and "
+                       f"cannot be used as {what}", tok)
+        if tok[0] != "name" and tok[0] != "qname":
+            self._fail("P-SYNTAX", f"expected {what}, got {_describe(tok)}", tok)
+        self.pos += 1
         return tok
 
-    def _at_punct(self, *chars: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "punct" and tok.text in chars
-
-    def _fail(self, code: str, message: str, tok: _Token):
-        raise _StatementError(ParseDiagnostic(
-            "error", code, message, _span(self.file, tok)))
-
-    def _expect_punct(self, char: str) -> _Token:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == char:
-            return self._next()
-        self._fail("P-SYNTAX", f"expected {char!r}, got {_describe(tok)}", tok)
-
-    def _expect_name(self, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind == "qname":
-            return self._next()
-        if tok.kind == "name":
-            if tok.text in KEYWORDS:
-                self._fail("P-SYNTAX",
-                           f"{tok.text!r} is a reserved keyword and cannot be "
-                           f"used as {what}", tok)
-            return self._next()
-        self._fail("P-SYNTAX", f"expected {what}, got {_describe(tok)}", tok)
-
-    def _skip_line(self):
-        while self._peek().kind not in ("newline", "eof"):
-            self._next()
-
     def _end_statement(self):
-        tok = self._peek()
-        if tok.kind in ("newline", "eof"):
-            return
-        self._fail("P-SYNTAX", f"unexpected {_describe(tok)} after declaration", tok)
+        tok = self.tokens[self.pos]
+        if tok[0] not in ("newline", "eof"):
+            self._fail("P-SYNTAX",
+                       f"unexpected {_describe(tok)} after declaration", tok)
 
     def parse_statements(self) -> list:
+        tokens = self.tokens
         stmts = []
         while True:
-            while self._peek().kind == "newline":
-                self._next()
-            if self._peek().kind == "eof":
+            while tokens[self.pos][0] == "newline":
+                self.pos += 1
+            if tokens[self.pos][0] == "eof":
                 return stmts
             try:
                 stmts.append(self._parse_statement())
             except _StatementError as e:
                 self.diags.append(e.diag)
-                self._skip_line()
+                while tokens[self.pos][0] not in ("newline", "eof"):
+                    self.pos += 1
 
     def _parse_statement(self):
-        tok = self._peek()
-        if tok.kind == "name" and tok.text == "dimension":
+        tok = self.tokens[self.pos]
+        if tok[0] == "name" and tok[1] == "dimension":
             return self._parse_dimension()
-        if tok.kind == "name" and tok.text in ("input", "data", "calc", "output"):
-            return self._parse_variable(VariableKind(tok.text))
+        if tok[0] == "name" and tok[1] in ("input", "data", "calc", "output"):
+            return self._parse_variable(tok)
         self._fail("P-SYNTAX",
                    "expected a declaration (dimension, input, data, calc, "
                    f"output), got {_describe(tok)}", tok)
 
     def _parse_dimension(self) -> _DimStmt:
-        self._next()
+        self.pos += 1
         name = self._expect_name("a dimension name")
-        self._expect_punct("=")
-        self._expect_punct("[")
+        self._expect("=")
+        self._expect("[")
         labels = [self._expect_name("an instance label")]
-        while self._at_punct(","):
-            self._next()
-            if self._at_punct("]"):
-                break
+        while self._accept(",") and self.tokens[self.pos][0] != "]":
             labels.append(self._expect_name("an instance label"))
-        self._expect_punct("]")
+        self._expect("]")
         self._end_statement()
         return _DimStmt(name, labels)
 
-    def _parse_variable(self, kind: VariableKind) -> _VarStmt:
-        first = self._next()
+    def _parse_variable(self, first: tuple) -> _VarStmt:
+        kind = VariableKind(first[1])
+        self.pos += 1
         name = self._expect_name("a variable name")
         try:
             over = None
-            if self._peek().kind == "name" and self._peek().text == "over":
-                self._next()
-                self._expect_punct("(")
+            tok = self.tokens[self.pos]
+            if tok[0] == "name" and tok[1] == "over":
+                self.pos += 1
+                self._expect("(")
                 over = [self._expect_name("a dimension name")]
-                while self._at_punct(","):
-                    self._next()
+                while self._accept(","):
                     over.append(self._expect_name("a dimension name"))
-                self._expect_punct(")")
-            if not self._at_punct("="):
+                self._expect(")")
+            if not self._accept("="):
                 if kind is VariableKind.INPUT:
                     self._end_statement()
                     return _VarStmt(kind, name, over, "none", None,
-                                    _span(self.file, first, name))
+                                    self.span(first[3], name[4]))
                 self._fail("P-SYNTAX",
-                           f"{kind.value} {name.text} needs '=' and a "
+                           f"{kind.value} {name[1]} needs '=' and a "
                            f"{'formula' if kind.carries_formula else 'value'}",
-                           self._peek())
-            self._next()  # consume '='
-            if self._at_punct("{"):
+                           self.tokens[self.pos])
+            mark = self.tokens[self.pos][0]
+            if mark == "{":
                 rhs_kind, rhs = "table", self._parse_keyed_table()
-            elif self._at_punct("["):
+            elif mark == "[":
                 rhs_kind, rhs = "list", self._parse_positional_list()
             else:
                 rhs_kind, rhs = "expr", self._parse_expr()
             last = self.tokens[self.pos - 1]
             self._end_statement()
             return _VarStmt(kind, name, over, rhs_kind, rhs,
-                            _span(self.file, first, last))
+                            self.span(first[3], last[4]))
         except _StatementError:
-            self.failed_names.add(name.text)
+            self.failed_names.add(name[1])
             raise
 
     def _parse_signed_number(self) -> float:
         negate = False
-        while self._at_punct("-"):
-            self._next()
+        while self._accept("-"):
             negate = not negate
-        tok = self._peek()
-        if tok.kind != "number":
+        tok = self.tokens[self.pos]
+        if tok[0] != "number":
             self._fail("P-SYNTAX", f"expected a number, got {_describe(tok)}", tok)
-        self._next()
-        return -tok.value if negate else tok.value
+        self.pos += 1
+        return -tok[2] if negate else tok[2]
 
     def _parse_keyed_table(self):
-        self._expect_punct("{")
-        if self._at_punct("}"):
-            tok = self._next()
+        self._expect("{")
+        tok = self.tokens[self.pos]
+        if tok[0] == "}":
             self._fail("P-TABLE", "value table has no entries", tok)
         entries = []
         while True:
             key = [self._expect_name("an instance label")]
-            while self._at_punct(","):
-                self._next()
+            while self._accept(","):
                 key.append(self._expect_name("an instance label"))
-            self._expect_punct(":")
+            self._expect(":")
             entries.append((key, self._parse_signed_number()))
-            if self._at_punct(","):
-                self._next()
-                if not self._at_punct("}"):
-                    continue
-            self._expect_punct("}")
-            return entries
+            if not self._accept(",") or self.tokens[self.pos][0] == "}":
+                self._expect("}")
+                return entries
 
     def _parse_positional_list(self):
-        self._expect_punct("[")
+        self._expect("[")
         values = [self._parse_signed_number()]
-        while self._at_punct(","):
-            self._next()
-            if self._at_punct("]"):
-                break
+        while self._accept(",") and self.tokens[self.pos][0] != "]":
             values.append(self._parse_signed_number())
-        self._expect_punct("]")
+        self._expect("]")
         return values
 
-    def _parse_expr(self) -> Expr:
-        """One formula, by operator precedence over explicit stacks.
+    def _parse_expr(self) -> tuple[Expr, list[tuple[str, Expr]]]:
+        """One formula and its references, by operator precedence over
+        explicit stacks.
 
         Loosest to tightest: `+ -`, `* /`, prefix `-`, `^` (left-associative),
         and a `-` right after `^`, which negates the exponent's atom alone:
         `-a ^ b` is -(a ^ b) and `a ^ -b ^ c` is (a ^ (-b)) ^ c. Operands are
-        numbers, names, `SUM(name)` and parenthesized formulas.
+        numbers, names, `SUM(name)` and parenthesized formulas. The
+        references are (name, Ref or Aggregate) in source order, the order
+        in which `iter_dependencies` yields them.
         """
         tokens = self.tokens
         operands: list[Expr] = []
+        refs: list[tuple[str, Expr]] = []
         # (precedence, operator, token); "neg" is a prefix minus and "(" an
         # open group, which no operator reduces past
-        ops: list[tuple[int, str, _Token]] = []
+        ops: list[tuple[int, str, tuple]] = []
         open_groups = 0
         neg_prec = _NEG_PREC
         while True:
             # operand position: prefix minuses and open groups, then an atom
             tok = tokens[self.pos]
-            while tok.kind == "punct" and tok.text in ("-", "("):
-                if tok.text == "-":
+            while tok[0] == "-" or tok[0] == "(":
+                if tok[0] == "-":
                     ops.append((neg_prec, "neg", tok))
                 else:
                     ops.append((0, "(", tok))
@@ -385,27 +369,29 @@ class _Parser:
                     neg_prec = _NEG_PREC
                 self.pos += 1
                 tok = tokens[self.pos]
-            operands.append(self._parse_atom(tok))
+            operands.append(self._parse_atom(tok, refs))
             # operator position: close groups, then a binary operator or the end
             while True:
                 tok = tokens[self.pos]
-                if tok.kind == "punct" and tok.text in _BINARY_PREC:
+                if tok[0] in _BINARY_PREC:
                     break
                 if not open_groups:
                     self._reduce(operands, ops, 1)
-                    return operands[0]
-                close = self._expect_punct(")")
+                    return operands[0], refs
+                close = self._expect(")")
                 self._reduce(operands, ops, 1)
-                _, _, opening = ops.pop()
+                opening = ops.pop()[2]
                 open_groups -= 1
-                # a diagnostic on a grouped reference covers the parentheses
+                # a diagnostic on a grouped reference covers the parentheses;
+                # the group holds only that reference, the last one read
                 if isinstance(operands[-1], (Ref, Aggregate)):
-                    operands[-1] = replace(
-                        operands[-1], span=_span(self.file, opening, close))
-            prec = _BINARY_PREC[tok.text]
+                    node = replace(operands[-1], span=self.span(opening[3], close[4]))
+                    operands[-1] = node
+                    refs[-1] = (refs[-1][0], node)
+            prec = _BINARY_PREC[tok[0]]
             self._reduce(operands, ops, prec)
-            ops.append((prec, tok.text, tok))
-            neg_prec = _EXPONENT_NEG_PREC if tok.text == "^" else _NEG_PREC
+            ops.append((prec, tok[0], tok))
+            neg_prec = _EXPONENT_NEG_PREC if tok[0] == "^" else _NEG_PREC
             self.pos += 1
 
     def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
@@ -419,28 +405,32 @@ class _Parser:
                 left = operands.pop()
                 operands.append(Binary(op, left, right))
 
-    def _parse_atom(self, tok: _Token) -> Expr:
-        if tok.kind == "number":
+    def _parse_atom(self, tok: tuple, refs: list) -> Expr:
+        if tok[0] == "number":
             self.pos += 1
-            return Literal(tok.value)
-        if tok.kind == "name" and tok.text == "SUM":
+            return Literal(tok[2])
+        if tok[0] == "name" and tok[1] == "SUM":
             self.pos += 1
-            self._expect_punct("(")
-            arg = self._peek()
-            if arg.kind == "name" and arg.text == "SUM":
+            self._expect("(")
+            arg = self.tokens[self.pos]
+            if arg[0] == "name" and arg[1] == "SUM":
                 self._fail("P-SYNTAX", "SUM cannot be nested; aggregate the "
                            "inner variable in its own declaration", arg)
             source = self._expect_name("a variable name inside SUM(...)")
-            if not self._at_punct(")"):
-                self._fail("P-SYNTAX", "SUM takes a single variable name",
-                           self._peek())
-            last = self._next()
-            return Aggregate("SUM", source.text, span=_span(self.file, tok, last))
-        if tok.kind in ("name", "qname"):
+            last = self.tokens[self.pos]
+            if last[0] != ")":
+                self._fail("P-SYNTAX", "SUM takes a single variable name", last)
+            self.pos += 1
+            ref = source[1], Aggregate("SUM", source[1],
+                                       span=self.span(tok[3], last[4]))
+        elif tok[0] in ("name", "qname"):
             name = self._expect_name("a variable name")
-            return Ref(name.text, span=_span(self.file, name))
-        self._fail("P-SYNTAX",
-                   f"expected a number, variable, or '(', got {_describe(tok)}", tok)
+            ref = name[1], Ref(name[1], span=self.span(name[3], name[4]))
+        else:
+            self._fail("P-SYNTAX", "expected a number, variable, or '(', "
+                       f"got {_describe(tok)}", tok)
+        refs.append(ref)
+        return ref[1]
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -448,12 +438,12 @@ _NEG_PREC = 3  # prefix minus: tighter than * and /, looser than ^
 _EXPONENT_NEG_PREC = 5  # a minus right after ^ takes only the next atom
 
 
-def _describe(tok: _Token) -> str:
-    if tok.kind == "eof":
+def _describe(tok: tuple) -> str:
+    if tok[0] == "eof":
         return "end of file"
-    if tok.kind == "newline":
+    if tok[0] == "newline":
         return "end of line"
-    return repr(tok.text)
+    return repr(tok[1])
 
 
 def _negate(operand: Expr) -> Expr:
@@ -471,8 +461,8 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     in the rest of the file.
     """
     diags: list[ParseDiagnostic] = []
-    tokens = _tokenize(text, file, diags)
-    parser = _Parser(tokens, file, diags)
+    span = _spans_of(text, file)
+    parser = _Parser(_tokenize(text, span, diags), span, diags)
     stmts = parser.parse_statements()
 
     dimensions: list[Dimension] = []
@@ -480,23 +470,23 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     for stmt in stmts:
         if not isinstance(stmt, _DimStmt):
             continue
-        name = stmt.name.text
+        _, name, _, start, end = stmt.name
         if name in dim_index:
             diags.append(ParseDiagnostic(
                 "error", "P-DUPLICATE", f"dimension {name} is already declared",
-                _span(file, stmt.name)))
+                span(start, end)))
             continue
         labels = []
         seen = set()
-        for tok in stmt.labels:
-            if tok.text in seen:
+        for _, label, _, start, end in stmt.labels:
+            if label in seen:
                 diags.append(ParseDiagnostic(
                     "error", "P-DUPLICATE",
-                    f"dimension {name} repeats instance label {tok.text}",
-                    _span(file, tok)))
+                    f"dimension {name} repeats instance label {label}",
+                    span(start, end)))
                 continue
-            seen.add(tok.text)
-            labels.append(tok.text)
+            seen.add(label)
+            labels.append(label)
         dim_index[name] = len(dimensions)
         dimensions.append(Dimension(name, tuple(labels)))
 
@@ -505,16 +495,16 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     for stmt in stmts:
         if not isinstance(stmt, _VarStmt):
             continue
-        name = stmt.name.text
+        _, name, _, start, end = stmt.name
         if name in var_names:
             diags.append(ParseDiagnostic(
                 "error", "P-DUPLICATE", f"variable {name} is already declared",
-                _span(file, stmt.name)))
+                span(start, end)))
             continue
         if name in dim_index:
             diags.append(ParseDiagnostic(
                 "error", "P-DUPLICATE",
-                f"{name} is already declared as a dimension", _span(file, stmt.name)))
+                f"{name} is already declared as a dimension", span(start, end)))
             continue
         var_names.add(name)
         var_stmts.append(stmt)
@@ -522,9 +512,9 @@ def parse_model(text: str, file: str = "<input>") -> Model:
 
     variables = []
     for stmt in var_stmts:
-        dims = _resolve_dims(stmt, dimensions, dim_index, file, diags)
-        payload = _resolve_payload(stmt, dims, dimensions, known_names, file, diags)
-        variables.append(Variable(stmt.name.text, stmt.kind, dims, payload,
+        dims = _resolve_dims(stmt, dimensions, dim_index, span, diags)
+        payload = _resolve_payload(stmt, dims, dimensions, known_names, span, diags)
+        variables.append(Variable(stmt.name[1], stmt.kind, dims, payload,
                                   span=stmt.span))
 
     errors = [d for d in diags if d.severity == "error"]
@@ -534,44 +524,45 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     return Model(tuple(dimensions), tuple(variables))
 
 
-def _resolve_dims(stmt: _VarStmt, dimensions, dim_index, file, diags) -> DimensionSet:
+def _resolve_dims(stmt: _VarStmt, dimensions, dim_index, span, diags) -> DimensionSet:
     if stmt.over is None:
         return DimensionSet((), ())
     pairs = set()
     names_seen = set()
-    for tok in stmt.over:
-        if tok.text not in dim_index:
+    for _, name, _, start, end in stmt.over:
+        if name not in dim_index:
             diags.append(ParseDiagnostic(
-                "error", "P-UNDECLARED", f"no dimension named {tok.text}",
-                _span(file, tok)))
+                "error", "P-UNDECLARED", f"no dimension named {name}",
+                span(start, end)))
             continue
-        if tok.text in names_seen:
+        if name in names_seen:
             diags.append(ParseDiagnostic(
                 "error", "P-DUPLICATE",
-                f"dimension {tok.text} appears twice in the over clause",
-                _span(file, tok)))
+                f"dimension {name} appears twice in the over clause",
+                span(start, end)))
             continue
-        names_seen.add(tok.text)
-        pairs.add((dim_index[tok.text], tok.text))
+        names_seen.add(name)
+        pairs.add((dim_index[name], name))
     return _from_pairs(pairs)
 
 
 def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names,
-                     file, diags):
+                     span, diags):
     if stmt.rhs_kind == "none":
         return None
+    name = stmt.name[1]
     if stmt.rhs_kind == "expr":
-        expr = stmt.rhs
+        expr, refs = stmt.rhs
         # a bare number is a scalar value, not a formula
         if isinstance(expr, Literal) and not stmt.kind.carries_formula:
             if len(dims) > 0:
                 diags.append(ParseDiagnostic(
                     "error", "P-TABLE",
-                    f"{stmt.name.text} is over {dims}; a single number is only "
+                    f"{name} is over {dims}; a single number is only "
                     f"valid for a dimensionless variable", stmt.span))
                 return None
             return ValueTable((expr.value,))
-        for node_name, node in iter_dependencies(expr):
+        for node_name, node in refs:
             if node_name not in known_names:
                 dim_names = {d.name for d in dimensions}
                 extra = (" (it is a dimension, not a variable)"
@@ -588,13 +579,13 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
             diags.append(ParseDiagnostic(
                 "error", "P-TABLE",
                 f"a positional list needs exactly one dimension; "
-                f"{stmt.name.text} is over {dims}", stmt.span))
+                f"{name} is over {dims}", stmt.span))
             return None
         axis = axes[0]
         if len(values) != len(axis.instances):
             diags.append(ParseDiagnostic(
                 "error", "P-TABLE",
-                f"{stmt.name.text} needs {len(axis.instances)} values for "
+                f"{name} needs {len(axis.instances)} values for "
                 f"{axis.name}, got {len(values)}", stmt.span))
             return None
         return ValueTable(tuple(values))
@@ -604,7 +595,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
     if not axes:
         diags.append(ParseDiagnostic(
             "error", "P-TABLE",
-            f"{stmt.name.text} is dimensionless; write a single number, "
+            f"{name} is dimensionless; write a single number, "
             f"not a table", stmt.span))
         return None
     table: dict[tuple[str, ...], float] = {}
@@ -613,28 +604,28 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
         if len(key_toks) != len(axes):
             diags.append(ParseDiagnostic(
                 "error", "P-TABLE",
-                f"table key {','.join(t.text for t in key_toks)} has "
-                f"{len(key_toks)} labels; {stmt.name.text} is over {dims}",
-                _span(file, key_toks[0], key_toks[-1])))
+                f"table key {','.join(t[1] for t in key_toks)} has "
+                f"{len(key_toks)} labels; {name} is over {dims}",
+                span(key_toks[0][3], key_toks[-1][4])))
             ok = False
             continue
         key = []
-        for tok, axis in zip(key_toks, axes):
-            if tok.text not in axis.instances:
+        for (_, label, _, start, end), axis in zip(key_toks, axes):
+            if label not in axis.instances:
                 diags.append(ParseDiagnostic(
                     "error", "P-TABLE",
-                    f"{tok.text} is not an instance of {axis.name} (table keys "
-                    f"follow the dimension order {dims})", _span(file, tok)))
+                    f"{label} is not an instance of {axis.name} (table keys "
+                    f"follow the dimension order {dims})", span(start, end)))
                 ok = False
                 break
-            key.append(tok.text)
+            key.append(label)
         else:
             key = tuple(key)
             if key in table:
                 diags.append(ParseDiagnostic(
                     "error", "P-DUPLICATE",
                     f"table entry {','.join(key)} is already defined",
-                    _span(file, key_toks[0], key_toks[-1])))
+                    span(key_toks[0][3], key_toks[-1][4])))
                 ok = False
             else:
                 table[key] = value
@@ -645,7 +636,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
     if missing:
         diags.append(ParseDiagnostic(
             "error", "P-TABLE",
-            f"value table for {stmt.name.text} has {len(table)} of "
+            f"value table for {name} has {len(table)} of "
             f"{len(want)} entries (first missing: {','.join(missing[0])})",
             stmt.span))
         return None

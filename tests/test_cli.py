@@ -276,6 +276,37 @@ class TestEval:
             f"D,R,value\n{cell},North,10\n{cell},South,20\n"
             f"d,North,30\nd,South,40\n")
 
+    # the variable name is written as in the model source too, so a name
+    # that is not a plain name (one holding a blank, '[' or ']') is quoted
+    @pytest.mark.parametrize("name", ["a b", "x[1]", "c]", 'q"t'])
+    def test_set_quoted_name(self, capsys, tmp_path, name):
+        quoted = '"' + name.replace('"', '\\"') + '"'
+        model = tmp_path / "names.dml"
+        model.write_text(f"input {quoted} = 1\noutput Y = {quoted} * 2\n",
+                         encoding="utf-8")
+        assert run(capsys, "eval", str(model), "--set", f"{quoted}=5",
+                   "--out-dir", str(tmp_path)) == (0, "Y = 10\n", "")
+
+    @pytest.mark.parametrize("name", ["a b", "x[1]"])
+    def test_set_quoted_name_with_cell_address(self, capsys, tmp_path, name):
+        model = tmp_path / "names.dml"
+        model.write_text("dimension D = [p, \"q r\"]\n"
+                         f'input "{name}" over (D) = [1, 2]\n'
+                         f'output Y over (D) = "{name}" * 10\n')
+        code, _, err = run(capsys, "eval", str(model),
+                           "--set", f'"{name}"[p]=3', "--set", f'"{name}"["q r"]=4',
+                           "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "Y.csv").read_text(encoding="utf-8") == (
+            "D,value\np,30\nq r,40\n")
+
+    @pytest.mark.parametrize("head", ['"a b', "a b", "X[a]]", "[a]", "X[a]b"])
+    def test_malformed_set_target_exits_3(self, capsys, tmp_path, head):
+        code, _, err = run(capsys, "eval", ACME, "--set", f"{head}=1",
+                           "--out-dir", str(tmp_path))
+        assert code == 3
+        assert f"malformed cell address {head!r}" in err
+
     def test_per_cell_set(self, capsys, tmp_path):
         model = tmp_path / "cells.dml"
         model.write_text(

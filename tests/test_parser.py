@@ -9,8 +9,9 @@ from dimcalc.diagram import DiagramConfig, emit_dot
 from dimcalc.evaluator import evaluate
 from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet, Literal,
                            Model, Ref, Unary, ValueTable, Variable,
-                           VariableKind)
-from dimcalc.parser import (ParseFailure, format_expr, format_ident,
+                           VariableKind, iter_dependencies)
+from dimcalc.parser import (ParseFailure, _Parser, _spans_of, _tokenize,
+                            _VarStmt, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
 
 
@@ -285,6 +286,147 @@ def test_diagnostics_are_span_exact(source, expected):
     with pytest.raises((ParseFailure, CheckFailure)) as info:
         check_model(parse_model(source))
     assert [d.as_json() for d in info.value.diagnostics] == expected
+
+
+def _text_at(text, span):
+    """The text a span covers, found by splitting the source on LF and
+    counting 1-based columns, apart from the parser's own offsets."""
+    lines = text.split("\n")
+    first, last = span.start_line - 1, span.end_line - 1
+    if first == last:
+        return lines[first][span.start_col - 1:span.end_col - 1]
+    return "\n".join([lines[first][span.start_col - 1:], *lines[first + 1:last],
+                      lines[last][:span.end_col - 1]])
+
+
+# each declared name as written in the source, and the name it denotes
+_DECLARED = {"a": "a", "Total_1": "Total_1", '"é x"': "é x",
+             '"données"': "données", '"q\\"t"': 'q"t', '"Σ[1]"': "Σ[1]"}
+_WRITTEN = {**_DECLARED, '"a"': "a"}
+_UNDECLARED = {"nope": "nope", '"ñ o"': "ñ o"}
+_BLANK = st.sampled_from(["", " ", "\t", " \r", "\t "])
+# inside a group a newline is a blank, so a comment may end there
+_GAP = st.sampled_from(["", " ", "\t", "\n", "\r\n", " # note é\n  ", "\n\t"])
+_COMMENT = st.sampled_from(["", " # ü", "\t#", " \r"])
+
+
+@st.composite
+def _formulas(draw, atoms, depth=3):
+    """Formula text, and (text its span covers, name or None) for every
+    reference and bad literal in it, in source order. A grouped reference's
+    span covers its parentheses."""
+    kind = draw(st.integers(0, 4 if depth else 1))
+    if kind == 0:
+        number = draw(st.sampled_from(["2", "0.5", "1e3", "40%"]
+                                      if "40%" in atoms else ["2", "0.5", "1e3"]))
+        return number, [(number, None)] if number == "40%" else []
+    if kind == 1:
+        written = draw(st.sampled_from(sorted(set(atoms) - {"40%"})))
+        text = draw(st.sampled_from(
+            [written, f"SUM({written})", f"SUM(\t{written}\n )"]))
+        return text, [(text, atoms[written])]
+    inner, marks = draw(_formulas(atoms, depth - 1))
+    if kind == 2:
+        text = f"({draw(_GAP)}{inner}{draw(_GAP)})"
+        if len(marks) == 1 and marks[0][0] == inner and marks[0][1]:
+            return text, [(text, marks[0][1])]  # a group of one reference
+        return text, marks
+    if kind == 3:
+        return f"-{draw(_BLANK)}{inner}", marks
+    right, right_marks = draw(_formulas(atoms, depth - 1))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
+    return f"{inner}{draw(_BLANK)} {op} {draw(_BLANK)}{right}", marks + right_marks
+
+
+@st.composite
+def _sources(draw, failing=False):
+    """Model source mixing tabs, CR, comments, non-ASCII quoted names, a
+    table and groups split across lines; and for each formula variable,
+    the text its statement's span covers and its formula's marks."""
+    atoms = {**_WRITTEN, **(_UNDECLARED if failing else {}),
+             **({"40%": None} if failing else {})}
+    chunks = [f"{draw(_BLANK)}input {written} = 1{draw(_COMMENT)}"
+              for written in _DECLARED]
+    if draw(st.booleans()):
+        chunks.append('dimension "Région" = [n, "s t"]\n'
+                      'data T over ("Région") = {\n\tn: 1, # first\r\n'
+                      '  "s t": -2\n}')
+    statements = {}
+    for i, (formula, marks) in enumerate(draw(
+            st.lists(_formulas(atoms), min_size=1, max_size=3))):
+        statements[f"X{i}"] = f"calc X{i} = {formula}", marks
+        chunks.append(f"{draw(_BLANK)}calc X{i} = {formula}{draw(_COMMENT)}")
+    chunks += draw(st.lists(st.sampled_from(["", "# só", "\t"]), max_size=2))
+    text = ""
+    for chunk in draw(st.permutations(chunks)):
+        text += chunk + draw(st.sampled_from(["\n", "\r\n", "\n\n"]))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # the last line ends without a newline
+    return text, statements
+
+
+@given(_sources())
+@settings(max_examples=150)
+def test_reference_and_statement_spans_cover_their_source(source):
+    text, statements = source
+    model = parse_model(text)
+    for name, (statement, marks) in statements.items():
+        variable = model.variable(name)
+        assert _text_at(text, variable.span) == statement
+        assert [(_text_at(text, node.span), ref)
+                for ref, node in iter_dependencies(variable.payload)] == marks
+
+
+@given(_sources(failing=True))
+@settings(max_examples=150)
+def test_diagnostic_spans_cover_their_source(source):
+    text, statements = source
+    expected = sorted(("P-NUMBER", mark) if name is None else
+                      ("P-UNDECLARED", mark)
+                      for _, marks in statements.values()
+                      for mark, name in marks if name not in _WRITTEN.values())
+    try:
+        parse_model(text)
+    except ParseFailure as err:
+        found = sorted((d.code, _text_at(text, d.span)) for d in err.diagnostics)
+    else:
+        found = []
+    assert found == expected
+
+
+def _collected_references(text):
+    """(formula, the references its parser collected) of each formula."""
+    diags = []
+    span = _spans_of(text, "<input>")
+    statements = _Parser(_tokenize(text, span, diags), span,
+                         diags).parse_statements()
+    assert not diags
+    return [s.rhs for s in statements
+            if isinstance(s, _VarStmt) and s.rhs_kind == "expr"]
+
+
+def _assert_references_match(text):
+    collected = _collected_references(text)
+    assert collected
+    for formula, refs in collected:
+        walked = list(iter_dependencies(formula))
+        assert [(name, id(node), node.span) for name, node in refs] == [
+            (name, id(node), node.span) for name, node in walked]
+
+
+@pytest.mark.parametrize("formula", [
+    "(A)", "-(SUM(X))", "((A)) * B ^ -(C)", "(nope) + 1", "2 * -(\n(nope)\n)",
+    "SUM(X) - (SUM(X)) / A ^ A", "((((B))))", "3", "-(2)"])
+def test_collected_references_are_iter_dependencies(formula):
+    _assert_references_match(f"input A = 1\ncalc Y = {formula}\n")
+
+
+@given(_sources(failing=True))
+@settings(max_examples=100)
+def test_collected_references_are_iter_dependencies_generated(source):
+    text, statements = source
+    if "40%" not in text:  # a P-NUMBER, which _collected_references refuses
+        _assert_references_match(text)
 
 
 class TestExpressions:
