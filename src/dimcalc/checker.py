@@ -30,7 +30,6 @@ from .model import (
     SourceSpan,
     ValueTable,
     Variable,
-    _from_pairs,
     difference,
     intersect,
     is_subset,
@@ -96,13 +95,13 @@ def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:
 
 def _union_dims(uses, target: Variable, model: Model) -> DimensionSet:
     """infer_dims over the formula's (name, node) dependency pairs."""
-    pairs = set()
+    names = set()
     for name, node in uses:
         dims = model.variable(name).dims
         if isinstance(node, Aggregate):
             dims = intersect(dims, target.dims)
-        pairs.update(zip(dims.order, dims.names))
-    return _from_pairs(pairs)
+        names.update(dims.names)
+    return model.dim_set(names)
 
 
 def _check_kind(var: Variable, uses: list) -> CheckDiagnostic | None:

@@ -58,7 +58,8 @@ def _print_diagnostics(diagnostics, as_json: bool):
 
 def _load_checked(path: str, as_json: bool) -> CheckedModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # not read_text, whose universal newlines end a line at a quoted CR
+        text = Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise _Usage(f"cannot read {path}: "
                      f"{getattr(e, 'strerror', None) or e}") from None

@@ -54,9 +54,10 @@ def emit_dot(model: Model, config: DiagramConfig = DiagramConfig()) -> str:
         groups: dict = {}
         for var in model.variables:
             groups.setdefault(var.dims, []).append(var)
+        index = {d.name: i for i, d in enumerate(model.dimensions)}
         clustered = sorted(
             (dims for dims in groups if len(dims) > 0),
-            key=lambda d: (len(d.order), d.order))
+            key=lambda d: (len(d), [index[n] for n in d]))
         for number, dims in enumerate(clustered):
             lines.append(f"  subgraph cluster_{number} {{")
             lines.append(f"    label = {_quote(str(dims))};")

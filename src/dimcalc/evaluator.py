@@ -186,10 +186,9 @@ def _program(expr: Expr, dims: DimensionSet, size: int, model: Model,
                     values[node.name], model.variable(node.name).dims, dims)
             steps.append(("leaf", refs[node.name]))
         elif isinstance(node, Literal):
-            value = float(node.value)
-            key = value.hex()
+            key = node.value.hex()
             if key not in literals:
-                literals[key] = [value] * size
+                literals[key] = [node.value] * size
             steps.append(("leaf", literals[key]))
         elif isinstance(node, Unary):
             steps.append(("neg",))

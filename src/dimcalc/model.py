@@ -74,21 +74,17 @@ class Dimension:
 
 @dataclass(frozen=True)
 class DimensionSet:
-    """A set of dimension names in canonical (model declaration) order.
+    """A set of dimension names, listed in the owning model's declaration
+    order.
 
-    `order` holds each name's declaration index in the owning model; it is
-    what lets two sets be merged without consulting the model again. The
-    empty set is valid and marks a dimensionless (scalar) variable.
+    `Model` refuses a set whose names are undeclared or out of that order;
+    `Model.dim_set` builds one from names in any order. The empty set is
+    valid and marks a dimensionless (scalar) variable.
     """
 
     names: tuple[str, ...]
-    order: tuple[int, ...] = field(repr=False)
 
     def __post_init__(self):
-        if len(self.names) != len(self.order):
-            raise ModelError("dimension set names and order differ in length")
-        if any(b <= a for a, b in zip(self.order, self.order[1:])):
-            raise ModelError("dimension set is not in canonical order")
         if len(set(self.names)) != len(self.names):
             raise ModelError("dimension set repeats a name")
 
@@ -105,21 +101,17 @@ class DimensionSet:
         return "(" + ", ".join(self.names) + ")"
 
 
-EMPTY_DIMS = DimensionSet((), ())
-
-
-def _from_pairs(pairs) -> DimensionSet:
-    ordered = sorted(pairs)
-    return DimensionSet(tuple(n for _, n in ordered), tuple(i for i, _ in ordered))
+EMPTY_DIMS = DimensionSet(())
 
 
 def intersect(a: DimensionSet, b: DimensionSet) -> DimensionSet:
-    return _from_pairs(set(zip(a.order, a.names)) & set(zip(b.order, b.names)))
+    """Names of `a` that are in `b`, in `a`'s order."""
+    return DimensionSet(tuple(n for n in a.names if n in b.names))
 
 
 def difference(a: DimensionSet, b: DimensionSet) -> DimensionSet:
-    """Names of `a` that are not in `b`."""
-    return _from_pairs(set(zip(a.order, a.names)) - set(zip(b.order, b.names)))
+    """Names of `a` that are not in `b`, in `a`'s order."""
+    return DimensionSet(tuple(n for n in a.names if n not in b.names))
 
 
 def is_subset(a: DimensionSet, b: DimensionSet) -> bool:
@@ -162,17 +154,20 @@ class Ref(Expr):
 
 @dataclass(frozen=True)
 class Unary(Expr):
-    """Prefix negation; `op` is always '-'."""
+    """Prefix negation."""
 
-    op: str
     operand: Expr
 
 
 @dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # one of + - * / ^
+    op: str
     left: Expr
     right: Expr
+
+    def __post_init__(self):
+        if self.op not in ("+", "-", "*", "/", "^"):
+            raise ModelError(f"unknown binary operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -183,9 +178,9 @@ class Aggregate(Expr):
     source variable's dimensions that the defined variable does not have.
     """
 
-    func: str  # only "SUM"
     source: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: SourceSpan | None = field(default=None, compare=False, repr=False,
+                                    kw_only=True)
 
 
 def iter_nodes(expr: Expr) -> list[Expr]:
@@ -292,13 +287,17 @@ class Model:
         if overlap:
             raise ModelError(
                 f"name used for both a dimension and a variable: {sorted(overlap)}")
-        index = {n: i for i, n in enumerate(dim_names)}
+        index = self._dim_index
         for v in self.variables:
-            expected = tuple(index[n] for n in v.dims.names if n in index)
-            if len(expected) != len(v.dims.names) or expected != v.dims.order:
-                raise ModelError(
-                    f"variable {v.name}: dimension set {v.dims} does not match "
-                    f"the declared dimensions")
+            last = -1
+            for n in v.dims.names:
+                # undeclared (-1) or out of declaration order
+                position = index.get(n, -1)
+                if position <= last:
+                    raise ModelError(
+                        f"variable {v.name}: dimension set {v.dims} does not "
+                        f"match the declared dimensions")
+                last = position
             if isinstance(v.payload, ValueTable):
                 size = self.tensor_size(v.dims)
                 if len(v.payload.values) != size:
@@ -339,15 +338,13 @@ class Model:
         return name in self._var_by_name
 
     def dim_set(self, names) -> DimensionSet:
-        """Canonical DimensionSet for any iterable of declared names."""
-        pairs = []
-        for n in names:
-            if n not in self._dim_index:
-                raise ModelError(f"no dimension named {n}")
-            pairs.append((self._dim_index[n], n))
-        if len(set(pairs)) != len(pairs):
-            raise ModelError("dimension set repeats a name")
-        return _from_pairs(set(pairs))
+        """The DimensionSet of any iterable of declared names, sorted into
+        declaration order."""
+        try:
+            ordered = sorted(names, key=self._dim_index.__getitem__)
+        except KeyError as e:
+            raise ModelError(f"no dimension named {e.args[0]}") from None
+        return DimensionSet(tuple(ordered))
 
     def instance_counts(self, dims: DimensionSet) -> tuple[int, ...]:
         return tuple(len(self.dimension(n).instances) for n in dims)

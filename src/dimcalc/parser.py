@@ -26,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .model import (
+    EMPTY_DIMS,
     Aggregate,
     Binary,
     Dimension,
@@ -39,7 +40,6 @@ from .model import (
     ValueTable,
     Variable,
     VariableKind,
-    _from_pairs,
     iter_nodes,
 )
 
@@ -421,7 +421,7 @@ class _Parser:
             if last[0] != ")":
                 self._fail("P-SYNTAX", "SUM takes a single variable name", last)
             self.pos += 1
-            ref = source[1], Aggregate("SUM", source[1],
+            ref = source[1], Aggregate(source[1],
                                        span=self.span(tok[3], last[4]))
         elif tok[0] in ("name", "qname"):
             name = self._expect_name("a variable name")
@@ -450,7 +450,7 @@ def _negate(operand: Expr) -> Expr:
     # fold '-' on a literal so that -5 round-trips as the literal -5
     if isinstance(operand, Literal):
         return Literal(-operand.value)
-    return Unary("-", operand)
+    return Unary(operand)
 
 
 def parse_model(text: str, file: str = "<input>") -> Model:
@@ -512,7 +512,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
 
     variables = []
     for stmt in var_stmts:
-        dims = _resolve_dims(stmt, dimensions, dim_index, span, diags)
+        dims = _resolve_dims(stmt, dim_index, span, diags)
         payload = _resolve_payload(stmt, dims, dimensions, known_names, span, diags)
         variables.append(Variable(stmt.name[1], stmt.kind, dims, payload,
                                   span=stmt.span))
@@ -524,26 +524,24 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     return Model(tuple(dimensions), tuple(variables))
 
 
-def _resolve_dims(stmt: _VarStmt, dimensions, dim_index, span, diags) -> DimensionSet:
+def _resolve_dims(stmt: _VarStmt, dim_index, span, diags) -> DimensionSet:
     if stmt.over is None:
-        return DimensionSet((), ())
-    pairs = set()
-    names_seen = set()
+        return EMPTY_DIMS
+    names = []
     for _, name, _, start, end in stmt.over:
         if name not in dim_index:
             diags.append(ParseDiagnostic(
                 "error", "P-UNDECLARED", f"no dimension named {name}",
                 span(start, end)))
             continue
-        if name in names_seen:
+        if name in names:
             diags.append(ParseDiagnostic(
                 "error", "P-DUPLICATE",
                 f"dimension {name} appears twice in the over clause",
                 span(start, end)))
             continue
-        names_seen.add(name)
-        pairs.add((dim_index[name], name))
-    return _from_pairs(pairs)
+        names.append(name)
+    return DimensionSet(tuple(sorted(names, key=dim_index.__getitem__)))
 
 
 def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names,

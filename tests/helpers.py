@@ -6,12 +6,13 @@ one cell or one set at a time.
 
 import itertools
 
-from dimcalc.model import DimensionSet, Model, Tensor, _from_pairs
+from dimcalc.model import DimensionSet, Model, Tensor
 
 
-def union(a: DimensionSet, b: DimensionSet) -> DimensionSet:
-    """All names in `a` or `b`, canonically ordered."""
-    return _from_pairs(set(zip(a.order, a.names)) | set(zip(b.order, b.names)))
+def union(order, a: DimensionSet, b: DimensionSet) -> DimensionSet:
+    """All names in `a` or `b`, listed as in `order` (the model's dimension
+    names in declaration order)."""
+    return DimensionSet(tuple(n for n in order if n in a or n in b))
 
 
 def full_set(model: Model) -> DimensionSet:
@@ -24,8 +25,8 @@ def enumerate_dimension_sets(model: Model) -> list[DimensionSet]:
     names = [d.name for d in model.dimensions]
     out = []
     for k in range(len(names) + 1):
-        for combo in itertools.combinations(range(len(names)), k):
-            out.append(DimensionSet(tuple(names[i] for i in combo), combo))
+        for combo in itertools.combinations(names, k):
+            out.append(DimensionSet(combo))
     return out
 
 

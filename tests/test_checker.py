@@ -113,12 +113,12 @@ class TestInferDims:
 
     def test_sum_intersects_with_target(self, acme_model):
         target = acme_model.variable("Monthly_Unit_Sales")
-        expr = Aggregate("SUM", "MSPR_Unit_Sales")
+        expr = Aggregate("MSPR_Unit_Sales")
         assert infer_dims(expr, target, acme_model).names == ("Month",)
 
     def test_sum_then_divide(self, acme_model):
         target = acme_model.variable("Monthly_Unit_Sales")
-        expr = Binary("/", Aggregate("SUM", "MSPR_Unit_Sales"), Literal(2.0))
+        expr = Binary("/", Aggregate("MSPR_Unit_Sales"), Literal(2.0))
         assert infer_dims(expr, target, acme_model).names == ("Month",)
 
 

@@ -397,6 +397,43 @@ class TestEval:
         assert code == 3
 
 
+class TestLineEnds:
+    """Only LF ends a line; a CR is a blank outside quotes, as parse_model
+    reads it."""
+
+    def test_cr_inside_quoted_label(self, capsys, tmp_path):
+        model = tmp_path / "cr.dml"
+        model.write_bytes(b'dimension D = ["a\rb", c]\n'
+                          b"input X over (D) = [1, 2]\n"
+                          b"output Y over (D) = X * 2\n")
+        assert run(capsys, "check", str(model)) == (
+            0, "dimension D: 2 instances\n2 variables, 1 dimensions, OK\n", "")
+        assert run(capsys, "eval", str(model), "--out-dir",
+                   str(tmp_path)) == (0, "", "")
+        # the csv module quotes a lone CR from Python 3.13 on
+        label = b'"a\rb"' if sys.version_info >= (3, 13) else b"a\rb"
+        assert (tmp_path / "Y.csv").read_bytes() == (
+            b"D,value\n" + label + b",2\nc,4\n")
+
+    @pytest.mark.parametrize("fixture", sorted(
+        p.name for p in FIXTURES.glob("*.dml")))
+    def test_crlf_copy_reads_like_lf(self, capsys, tmp_path, monkeypatch,
+                                     fixture):
+        source = (FIXTURES / fixture).read_bytes()
+        seen = []
+        for newline in (b"\n", b"\r\n"):
+            side = tmp_path / newline.hex()
+            side.mkdir()
+            (side / fixture).write_bytes(source.replace(b"\n", newline))
+            monkeypatch.chdir(side)
+            checked = run(capsys, "check", fixture, "--json")
+            evaluated = run(capsys, "eval", fixture, "--out-dir", "out")
+            csvs = {p.name: p.read_bytes() for p in side.glob("out/*.csv")}
+            seen.append((checked, evaluated, csvs))
+        assert seen[0] == seen[1]
+        if fixture == "acme.dml":
+            assert len(seen[0][2]) == 4
+
 def _reference_csv(path: Path, tensor, model) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,9 +8,10 @@ from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
 from dimcalc.diagram import DiagramConfig, emit_dot
 from dimcalc.evaluator import evaluate
-from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet, Literal,
-                           Model, Ref, Unary, ValueTable, Variable,
-                           VariableKind, iter_dependencies)
+from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
+                           DimensionSet, Literal, Model, Ref, Unary,
+                           ValueTable, Variable, VariableKind,
+                           iter_dependencies)
 from dimcalc.parser import (ParseFailure, _Parser, _spans_of, _tokenize,
                             _VarStmt, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
@@ -443,14 +445,12 @@ class TestExpressions:
             "-", Binary("-", Ref("a"), Ref("b")), Ref("c"))
 
     def test_power_binds_tightest_and_left_assoc(self):
-        assert self.expr("-a ^ 2") == Unary("-", Binary("^", Ref("a"),
-                                                        Literal(2.0)))
+        assert self.expr("-a ^ 2") == Unary(Binary("^", Ref("a"), Literal(2.0)))
         assert self.expr("a ^ b ^ c") == Binary(
             "^", Binary("^", Ref("a"), Ref("b")), Ref("c"))
 
     def test_unary_minus_in_exponent(self):
-        assert self.expr("a ^ -b") == Binary("^", Ref("a"),
-                                             Unary("-", Ref("b")))
+        assert self.expr("a ^ -b") == Binary("^", Ref("a"), Unary(Ref("b")))
         assert format_expr(self.expr("a ^ -b")) == "a ^ -b"
 
     def test_negative_literal_folds(self):
@@ -465,7 +465,7 @@ class TestExpressions:
 
     def test_sum_call(self):
         assert self.expr("SUM(a) / 2") == Binary(
-            "/", Aggregate("SUM", "a"), Literal(2.0))
+            "/", Aggregate("a"), Literal(2.0))
 
     def test_number_forms(self):
         assert self.expr("1.5e3") == Literal(1500.0)
@@ -492,7 +492,7 @@ class TestPrinting:
         assert format_ident('say "hi"') == '"say \\"hi\\""'
 
     def test_pretty_print_round_trip_fixture(self):
-        src = open("fixtures/acme.dml").read()
+        src = Path("fixtures/acme.dml").read_text(encoding="utf-8")
         model = parse_model(src)
         printed = pretty_print(model)
         again = parse_model(printed)
@@ -517,9 +517,9 @@ def expressions(draw, depth=3):
                       allow_nan=False).map(Literal),
             names.map(Ref)))
     if kind == 1:
-        return Unary("-", draw(expressions(depth=depth - 1)))
+        return Unary(draw(expressions(depth=depth - 1)))
     if kind == 2:
-        return Aggregate("SUM", draw(names))
+        return Aggregate(draw(names))
     op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
     return Binary(op, draw(expressions(depth=depth - 1)),
                   draw(expressions(depth=depth - 1)))
@@ -539,7 +539,7 @@ def test_expr_print_parse_round_trip(expr):
             inner = fold(e.operand)
             if isinstance(inner, Literal):
                 return Literal(-inner.value)
-            return Unary(e.op, inner)
+            return Unary(inner)
         if isinstance(e, Binary):
             return Binary(e.op, fold(e.left), fold(e.right))
         return e
@@ -614,12 +614,12 @@ def library_models(draw):
     variables = []
     for name in names[ndims:]:
         picked = draw(st.lists(st.booleans(), min_size=ndims, max_size=ndims))
-        order = tuple(i for i, keep in enumerate(picked) if keep)
-        size = math.prod(len(dims[i].instances) for i in order)
+        kept = [d for d, keep in zip(dims, picked) if keep]
+        size = math.prod(len(d.instances) for d in kept)
         values = draw(st.lists(number, min_size=size, max_size=size))
         variables.append(Variable(
             name, VariableKind.DATA,
-            DimensionSet(tuple(dims[i].name for i in order), order),
+            DimensionSet(tuple(d.name for d in kept)),
             ValueTable(tuple(values))))
     if len(variables) > 1:
         first = variables[0]
@@ -631,11 +631,11 @@ def library_models(draw):
 
 @given(library_models())
 @example(Model((Dimension("D", ("q", "p")),), (
-    Variable("X", VariableKind.DATA, DimensionSet(("D",), (0,)),
+    Variable("X", VariableKind.DATA, DimensionSet(("D",)),
              ValueTable((2, -0.5))),
-    Variable("Y", VariableKind.DATA, DimensionSet((), ()),
+    Variable("Y", VariableKind.DATA, EMPTY_DIMS,
              ValueTable((7,))),
-    Variable("Z", VariableKind.CALCULATED, DimensionSet(("D",), (0,)),
+    Variable("Z", VariableKind.CALCULATED, DimensionSet(("D",)),
              Binary("*", Ref("X"), Literal(2))))))
 def test_library_model_prints_diagrams_and_evaluates(model):
     assert parse_model(pretty_print(model)) == model
