@@ -105,33 +105,26 @@ def _union_dims(uses, target: Variable, model: Model) -> DimensionSet:
 
 
 def _check_kind(var: Variable, uses: list) -> CheckDiagnostic | None:
-    kind = var.kind
-    if kind.carries_formula:
+    if var.kind.carries_formula:
         if isinstance(var.payload, ValueTable):
-            return CheckDiagnostic(
-                "error", "K-KIND",
-                f"{kind.value} {var.name} carries literal values; write a "
-                f"formula, or declare it as data", var.span, (var.name,))
-        if var.payload is None:
-            return CheckDiagnostic(
-                "error", "K-KIND",
-                f"{kind.value} {var.name} has no formula", var.span, (var.name,))
-        if not uses:
-            return CheckDiagnostic(
-                "error", "K-KIND",
-                f"{kind.value} {var.name} is a constant expression; declare "
-                f"it as data or input", var.span, (var.name,))
+            problem = ("carries literal values; write a formula, or declare "
+                       "it as data")
+        elif var.payload is None:
+            problem = "has no formula"
+        elif not uses:
+            problem = "is a constant expression; declare it as data or input"
+        else:
+            return None
+    elif isinstance(var.payload, Expr):
+        problem = ("carries a formula; only calc and output variables are "
+                   "calculated")
+    elif var.payload is None and var.kind.value == "data":
+        problem = "has no value"
     else:
-        if isinstance(var.payload, Expr):
-            return CheckDiagnostic(
-                "error", "K-KIND",
-                f"{kind.value} {var.name} carries a formula; only calc and "
-                f"output variables are calculated", var.span, (var.name,))
-        if var.payload is None and kind.value == "data":
-            return CheckDiagnostic(
-                "error", "K-KIND", f"data {var.name} has no value",
-                var.span, (var.name,))
-    return None
+        return None
+    return CheckDiagnostic("error", "K-KIND",
+                           f"{var.kind.value} {var.name} {problem}",
+                           var.span, (var.name,))
 
 
 def _check_operand(node: Expr, var: Variable, model: Model):

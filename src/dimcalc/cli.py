@@ -25,14 +25,6 @@ from .model import ModelError, ValueTable, VariableKind
 from .parser import (ParseFailure, _spans_of, _tokenize, format_expr,
                      format_number, parse_model)
 
-_KIND_LABEL = {
-    VariableKind.INPUT: "Input",
-    VariableKind.DATA: "Data",
-    VariableKind.CALCULATED: "Calculated",
-    VariableKind.OUTPUT: "Output",
-}
-
-
 class _Usage(Exception):
     """Bad invocation; maps to exit code 3."""
 
@@ -58,8 +50,9 @@ def _print_diagnostics(diagnostics, as_json: bool):
 
 def _load_checked(path: str, as_json: bool) -> CheckedModel:
     try:
-        # not read_text, whose universal newlines end a line at a quoted CR
-        text = Path(path).read_bytes().decode("utf-8")
+        # not read_text, whose universal newlines end a line at a quoted CR;
+        # utf-8-sig drops the byte-order mark some editors write first
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise _Usage(f"cannot read {path}: "
                      f"{getattr(e, 'strerror', None) or e}") from None
@@ -204,7 +197,7 @@ def _cmd_explain(args) -> int:
         raise _Usage(f"no variable named {args.variable}")
     var = model.variable(args.variable)
 
-    line = _KIND_LABEL[var.kind]
+    line = var.kind.name.capitalize()  # "Input" ... "Calculated", "Output"
     line += f" over {var.dims}" if var.dims.names else ", dimensionless"
     if var.payload is None:
         line += ", no default value"

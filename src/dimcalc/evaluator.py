@@ -26,7 +26,6 @@ from .model import (
     Aggregate,
     Binary,
     DimensionSet,
-    Expr,
     Literal,
     Model,
     Ref,
@@ -36,6 +35,7 @@ from .model import (
     difference,
     iter_nodes,
 )
+from .parser import format_ident
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,9 @@ class EvalError(Exception):
         self.variable = variable
         self.labels = labels
         self.detail = detail
-        cell = f"{variable}[{','.join(labels)}]" if labels else variable
+        # written as --set reads a cell address back
+        cell = format_ident(variable) + (
+            f"[{','.join(map(format_ident, labels))}]" if labels else "")
         super().__init__(f"error[{kind}]: {cell}: {detail}")
 
 
@@ -82,15 +84,6 @@ class _CellError(Exception):
         self.detail = detail
 
 
-def _strides(counts) -> tuple[int, ...]:
-    out = []
-    acc = 1
-    for c in reversed(counts):
-        out.append(acc)
-        acc *= c
-    return tuple(reversed(out))
-
-
 class _Shapes:
     """Index arithmetic over the tensors of one model, each result made once.
 
@@ -110,7 +103,10 @@ class _Shapes:
         and to the first instance of every other source dimension.
         """
         counts = self._model.instance_counts
-        strides = dict(zip(source.names, _strides(counts(source))))
+        strides, stride = {}, 1
+        for name, count in reversed(list(zip(source.names, counts(source)))):
+            strides[name] = stride
+            stride *= count
         index = [0]
         for name, count in zip(dims.names, counts(dims)):
             steps = [k * strides.get(name, 0) for k in range(count)]
@@ -163,44 +159,6 @@ class _Shapes:
                       for name, count in reversed(names)]
 
 
-def _program(expr: Expr, dims: DimensionSet, size: int, model: Model,
-             values: dict[str, list], shapes: _Shapes) -> list:
-    """The formula as steps in post-order (left, right, node) over the
-    `size` cells of `dims`.
-
-    ("leaf", vals) holds a literal or an operand broadcast over `dims`;
-    ("sum", vals, bases, offsets, name) adds vals[bases[cell] + offset]
-    over the offsets in order; ("neg",) and the operator steps ("+",) ...
-    ("^",) take their operands from the stack. Repeated leaves share one
-    list.
-    """
-    refs: dict[str, list] = {}
-    literals: dict[str, list] = {}  # by float.hex, which tells -0.0 from 0.0
-    steps = []
-    for node in iter_nodes(expr):
-        if isinstance(node, Binary):
-            steps.append((node.op,))
-        elif isinstance(node, Ref):
-            if node.name not in refs:
-                refs[node.name] = shapes.broadcast(
-                    values[node.name], model.variable(node.name).dims, dims)
-            steps.append(("leaf", refs[node.name]))
-        elif isinstance(node, Literal):
-            key = node.value.hex()
-            if key not in literals:
-                literals[key] = [node.value] * size
-            steps.append(("leaf", literals[key]))
-        elif isinstance(node, Unary):
-            steps.append(("neg",))
-        elif isinstance(node, Aggregate):
-            source = model.variable(node.source).dims
-            steps.append(("sum", values[node.source],
-                          *shapes.sum_terms(dims, source), node.source))
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return steps
-
-
 def _sum(vals: list, bases: list, offsets: list) -> list:
     """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right.
 
@@ -238,31 +196,24 @@ _OVERFLOWS = {"+": "addition overflows", "-": "subtraction overflows",
               "*": "multiplication overflows", "/": "division overflows"}
 
 
-def _run(steps: list, lo: int, hi: int) -> list:
-    """Each step once, as one list over the cells lo .. hi-1.
+def _run(var, lo: int, hi: int, model: Model, values: dict[str, list],
+         shapes: _Shapes) -> list:
+    """`var`'s formula over its cells lo .. hi-1: each node once, in
+    post-order, as one list operation.
 
-    Raises _CellError at the first step that fails or yields a value that
+    Raises _CellError at the first node that fails or yields a value that
     is not finite, in any of the cells. Its detail names the operands of
     the first cell, so it is exact when the run covers one cell.
     """
+    dims = var.dims
+    count = hi - lo
     stack = []
-    for step in steps:
-        kind = step[0]
-        if kind == "leaf":
-            vals = step[1]
-            stack.append(vals if hi - lo == len(vals) else vals[lo:hi])
-        elif kind == "sum":
-            result = _sum(step[1], step[2][lo:hi], step[3])
-            if not _finite(result):
-                raise _CellError("NON-FINITE", f"SUM({step[4]}) overflows")
-            stack.append(result)
-        elif kind == "neg":
-            stack.append([-a for a in stack.pop()])
-        else:
+    for node in iter_nodes(var.payload):
+        if isinstance(node, Binary):
             right = stack.pop()
             left = stack.pop()
             try:
-                result = list(map(_OPS[kind], left, right))
+                result = list(map(_OPS[node.op], left, right))
             except ZeroDivisionError:
                 raise _CellError("DIV-BY-ZERO", f"{left[0]} / 0") from None
             except ValueError:
@@ -272,9 +223,26 @@ def _run(steps: list, lo: int, hi: int) -> list:
                 raise _CellError(
                     "NON-FINITE", f"{left[0]} ^ {right[0]} overflows") from None
             # math.pow of finite operands is finite or raises
-            if kind != "^" and not _finite(result):
-                raise _CellError("NON-FINITE", _OVERFLOWS[kind])
-            stack.append(result)
+            if node.op != "^" and not _finite(result):
+                raise _CellError("NON-FINITE", _OVERFLOWS[node.op])
+        elif isinstance(node, Ref):
+            result = shapes.broadcast(
+                values[node.name], model.variable(node.name).dims, dims)
+            if len(result) != count:
+                result = result[lo:hi]
+        elif isinstance(node, Literal):
+            result = [node.value] * count
+        elif isinstance(node, Unary):
+            result = [-a for a in stack.pop()]
+        elif isinstance(node, Aggregate):
+            bases, offsets = shapes.sum_terms(
+                dims, model.variable(node.source).dims)
+            result = _sum(values[node.source], bases[lo:hi], offsets)
+            if not _finite(result):
+                raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        stack.append(result)
     return stack.pop()
 
 
@@ -282,14 +250,14 @@ def _evaluate_formula(var, model: Model, values: dict[str, list],
                       shapes: _Shapes) -> list:
     """One formula variable's tensor; EvalError names the first bad cell.
 
-    Each step runs once over the whole tensor. If one fails, the steps run
-    again over ever smaller ranges of cells down to the first bad cell in
-    canonical order, and the error is the first failing step at that cell.
+    Each node runs once over the whole tensor. If one fails, the formula
+    runs again over ever smaller ranges of cells down to the first bad cell
+    in canonical order, and the error is the first failing node at that
+    cell.
     """
     lo, hi = 0, model.tensor_size(var.dims)
-    steps = _program(var.payload, var.dims, hi, model, values, shapes)
     try:
-        return _run(steps, lo, hi)
+        return _run(var, lo, hi, model, values, shapes)
     except _CellError:
         pass
     # cells are computed independently, so a range fails exactly when one
@@ -297,13 +265,13 @@ def _evaluate_formula(var, model: Model, values: dict[str, list],
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _run(steps, lo, mid)
+            _run(var, lo, mid, model, values, shapes)
         except _CellError:
             hi = mid
         else:
             lo = mid
     try:
-        _run(steps, lo, hi)
+        _run(var, lo, hi, model, values, shapes)
     except _CellError as e:
         raise EvalError(e.kind, var.name, model.tensor_coords(var.dims, lo),
                         e.detail) from None
@@ -314,20 +282,23 @@ def _value_tensor(var, model: Model, patch: dict[int, float]) -> list:
     """Dense values for an input or data variable, with the overrides in
     `patch` (by flat index) written over them."""
     if var.payload is None:
-        out = [None] * model.tensor_size(var.dims)
+        # the values up to the first cell no override sets, which is at
+        # most len(patch), so a missing cell costs no list of every cell
+        known = next(i for i in range(len(patch) + 1) if i not in patch)
+        out = [patch[i] for i in range(known)]
     else:
         out = list(var.payload.values)
-    for index, value in patch.items():
-        out[index] = value
+        for index, value in patch.items():
+            out[index] = value
     for index, value in enumerate(out):
-        if value is None:
-            raise EvalError(
-                "MISSING-INPUT", var.name, model.tensor_coords(var.dims, index),
-                "no declared value and no override for this cell")
         if not math.isfinite(value):
             raise EvalError(
                 "NON-FINITE", var.name, model.tensor_coords(var.dims, index),
                 f"value {value!r} is not finite")
+    if len(out) < model.tensor_size(var.dims):
+        raise EvalError(
+            "MISSING-INPUT", var.name, model.tensor_coords(var.dims, len(out)),
+            "no declared value and no override for this cell")
     return out
 
 
@@ -341,9 +312,9 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
     model = checked.model
     patches: dict[str, dict[int, float]] = {}
     for ov in overrides:
-        var = (model.variable(ov.name) if model.has_variable(ov.name) else None)
-        if var is None:
+        if not model.has_variable(ov.name):
             raise ValueError(f"no variable named {ov.name}")
+        var = model.variable(ov.name)
         if var.kind is not VariableKind.INPUT:
             raise ValueError(
                 f"{ov.name} is {var.kind.value}, not input; only inputs can "

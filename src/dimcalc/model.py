@@ -10,7 +10,8 @@ across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
@@ -20,31 +21,85 @@ class ModelError(ValueError):
     """An invariant of the domain types was violated at construction."""
 
 
-@dataclass(frozen=True)
+_SPAN_FIELDS = ("file", "start_line", "start_col", "end_line", "end_col")
+
+
 class SourceSpan:
-    """Half-open region of DSL text, 1-based lines and columns."""
+    """Half-open region of DSL text, 1-based lines and columns.
 
-    file: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    A span built by `at_offsets` holds only character offsets and the
+    offsets where the text's lines start; it works out its file, lines and
+    columns the first time one of them is read. Either kind is immutable,
+    and spans of the same region are equal whichever way they were built.
+    """
 
-    def __post_init__(self):
-        if (self.end_line, self.end_col) < (self.start_line, self.start_col):
+    __slots__ = (*_SPAN_FIELDS, "_source", "_start", "_end")
+
+    def __init__(self, file: str, start_line: int, start_col: int,
+                 end_line: int, end_col: int):
+        if (end_line, end_col) < (start_line, start_col):
             raise ModelError("source span ends before it starts")
+        for name, value in zip(_SPAN_FIELDS, (file, start_line, start_col,
+                                              end_line, end_col)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def at_offsets(cls, source: tuple[str, list[int]], start: int,
+                   end: int) -> SourceSpan:
+        """The span of offsets [start, end) into a text, where `source` is
+        (file, the offsets at which the text's lines start, 0 first)."""
+        span = cls.__new__(cls)
+        _SET_SOURCE(span, source)
+        _SET_START(span, start)
+        _SET_END(span, end)
+        return span
+
+    def __getattr__(self, name: str):
+        # only a span built by at_offsets lacks a field, until it is read
+        if name not in _SPAN_FIELDS:
+            raise AttributeError(
+                f"'SourceSpan' object has no attribute {name!r}")
+        file, starts = self._source
+        line = bisect_right(starts, self._start)
+        end_line = bisect_right(starts, self._end, line - 1)
+        SourceSpan.__init__(self, file, line, self._start - starts[line - 1] + 1,
+                            end_line, self._end - starts[end_line - 1] + 1)
+        return getattr(self, name)
+
+    def __setattr__(self, name: str, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return (self.file, self.start_line, self.start_col, self.end_line,
+                self.end_col)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return SourceSpan, self._fields()
+
+    def __repr__(self) -> str:
+        fields = (f"{key}={value!r}" for key, value in self.as_json().items())
+        return f"SourceSpan({', '.join(fields)})"
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
     def as_json(self) -> dict:
-        return {
-            "file": self.file,
-            "start_line": self.start_line,
-            "start_col": self.start_col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-        }
+        return dict(zip(_SPAN_FIELDS, self._fields()))
+
+
+# the slots' own setters, which the refusing __setattr__ leaves usable
+_SET_SOURCE = SourceSpan._source.__set__
+_SET_START = SourceSpan._start.__set__
+_SET_END = SourceSpan._end.__set__
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ full grammar is documented in README.md.
 A token is a plain tuple `(kind, text, value, start, end)`. The kind is
 name, qname, number, newline or eof, or for punctuation the mark itself
 ("(" or "+"); `value` is a number's float, and `start` and `end` are
-character offsets into the text. Lines and columns are worked out only
-for the spans a parse keeps: a Ref, an Aggregate, a statement, or a
-diagnostic.
+character offsets into the text. The spans a parse keeps (a Ref, an
+Aggregate, a statement, or a diagnostic) hold offsets too, and work out
+their lines and columns only when one is read.
 
 Parsing is total: any input text yields either a Model or a list of
 ParseDiagnostic values carried by ParseFailure, never an exception from
@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .model import (
     EMPTY_DIMS,
@@ -85,6 +85,11 @@ class ParseDiagnostic:
         }
 
 
+def _report(diags: list[ParseDiagnostic], code: str, message: str,
+            span: SourceSpan) -> None:
+    diags.append(ParseDiagnostic("error", code, message, span))
+
+
 class ParseFailure(Exception):
     """Raised by parse_model when the source contains errors."""
 
@@ -95,15 +100,9 @@ class ParseFailure(Exception):
 
 def _spans_of(text: str, file: str):
     """The function from a [start, end) range of offsets into `text` to
-    its SourceSpan, found by bisecting the offsets where lines start."""
-    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
-
-    def span(start: int, end: int) -> SourceSpan:
-        line = bisect_right(line_starts, start)
-        end_line = bisect_right(line_starts, end, line - 1)
-        return SourceSpan(file, line, start - line_starts[line - 1] + 1,
-                          end_line, end - line_starts[end_line - 1] + 1)
-    return span
+    its SourceSpan, which finds its lines and columns when first read."""
+    source = (file, [0, *(m.end() for m in _NEWLINE_RE.finditer(text))])
+    return partial(SourceSpan.at_offsets, source)
 
 
 def _tokenize(text: str, span, diags: list[ParseDiagnostic]) -> list[tuple]:
@@ -112,7 +111,7 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]) -> list[tuple]:
     depth = 0  # bracket depth; newlines inside groups are plain whitespace
 
     def err(code, msg, start, end):
-        diags.append(ParseDiagnostic("error", code, msg, span(start, end)))
+        _report(diags, code, msg, span(start, end))
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -472,18 +471,15 @@ def parse_model(text: str, file: str = "<input>") -> Model:
             continue
         _, name, _, start, end = stmt.name
         if name in dim_index:
-            diags.append(ParseDiagnostic(
-                "error", "P-DUPLICATE", f"dimension {name} is already declared",
-                span(start, end)))
+            _report(diags, "P-DUPLICATE", f"dimension {name} is already declared",
+                    span(start, end))
             continue
         labels = []
         seen = set()
         for _, label, _, start, end in stmt.labels:
             if label in seen:
-                diags.append(ParseDiagnostic(
-                    "error", "P-DUPLICATE",
-                    f"dimension {name} repeats instance label {label}",
-                    span(start, end)))
+                _report(diags, "P-DUPLICATE", f"dimension {name} repeats "
+                        f"instance label {label}", span(start, end))
                 continue
             seen.add(label)
             labels.append(label)
@@ -497,14 +493,12 @@ def parse_model(text: str, file: str = "<input>") -> Model:
             continue
         _, name, _, start, end = stmt.name
         if name in var_names:
-            diags.append(ParseDiagnostic(
-                "error", "P-DUPLICATE", f"variable {name} is already declared",
-                span(start, end)))
+            _report(diags, "P-DUPLICATE", f"variable {name} is already declared",
+                    span(start, end))
             continue
         if name in dim_index:
-            diags.append(ParseDiagnostic(
-                "error", "P-DUPLICATE",
-                f"{name} is already declared as a dimension", span(start, end)))
+            _report(diags, "P-DUPLICATE",
+                    f"{name} is already declared as a dimension", span(start, end))
             continue
         var_names.add(name)
         var_stmts.append(stmt)
@@ -517,8 +511,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
         variables.append(Variable(stmt.name[1], stmt.kind, dims, payload,
                                   span=stmt.span))
 
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
+    if diags:  # every parse diagnostic is an error
         raise ParseFailure(sorted(
             diags, key=lambda d: (d.span.start_line, d.span.start_col, d.code)))
     return Model(tuple(dimensions), tuple(variables))
@@ -530,15 +523,12 @@ def _resolve_dims(stmt: _VarStmt, dim_index, span, diags) -> DimensionSet:
     names = []
     for _, name, _, start, end in stmt.over:
         if name not in dim_index:
-            diags.append(ParseDiagnostic(
-                "error", "P-UNDECLARED", f"no dimension named {name}",
-                span(start, end)))
+            _report(diags, "P-UNDECLARED", f"no dimension named {name}",
+                    span(start, end))
             continue
         if name in names:
-            diags.append(ParseDiagnostic(
-                "error", "P-DUPLICATE",
-                f"dimension {name} appears twice in the over clause",
-                span(start, end)))
+            _report(diags, "P-DUPLICATE", f"dimension {name} appears twice in "
+                    f"the over clause", span(start, end))
             continue
         names.append(name)
     return DimensionSet(tuple(sorted(names, key=dim_index.__getitem__)))
@@ -554,10 +544,9 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
         # a bare number is a scalar value, not a formula
         if isinstance(expr, Literal) and not stmt.kind.carries_formula:
             if len(dims) > 0:
-                diags.append(ParseDiagnostic(
-                    "error", "P-TABLE",
-                    f"{name} is over {dims}; a single number is only "
-                    f"valid for a dimensionless variable", stmt.span))
+                _report(diags, "P-TABLE", f"{name} is over {dims}; a single "
+                        f"number is only valid for a dimensionless variable",
+                        stmt.span)
                 return None
             return ValueTable((expr.value,))
         for node_name, node in refs:
@@ -565,65 +554,55 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
                 dim_names = {d.name for d in dimensions}
                 extra = (" (it is a dimension, not a variable)"
                          if node_name in dim_names else "")
-                diags.append(ParseDiagnostic(
-                    "error", "P-UNDECLARED",
-                    f"no variable named {node_name}{extra}", node.span))
+                _report(diags, "P-UNDECLARED",
+                        f"no variable named {node_name}{extra}", node.span)
         return expr
     by_name = {d.name: d for d in dimensions}
     axes = [by_name[n] for n in dims if n in by_name]
     if stmt.rhs_kind == "list":
         values = stmt.rhs
         if len(axes) != 1:
-            diags.append(ParseDiagnostic(
-                "error", "P-TABLE",
-                f"a positional list needs exactly one dimension; "
-                f"{name} is over {dims}", stmt.span))
+            _report(diags, "P-TABLE", f"a positional list needs exactly one "
+                    f"dimension; {name} is over {dims}", stmt.span)
             return None
         axis = axes[0]
         if len(values) != len(axis.instances):
-            diags.append(ParseDiagnostic(
-                "error", "P-TABLE",
-                f"{name} needs {len(axis.instances)} values for "
-                f"{axis.name}, got {len(values)}", stmt.span))
+            _report(diags, "P-TABLE", f"{name} needs {len(axis.instances)} "
+                    f"values for {axis.name}, got {len(values)}", stmt.span)
             return None
         return ValueTable(tuple(values))
     # keyed table
     if len(axes) != len(dims):
         return None  # over clause already failed; skip follow-on noise
     if not axes:
-        diags.append(ParseDiagnostic(
-            "error", "P-TABLE",
-            f"{name} is dimensionless; write a single number, "
-            f"not a table", stmt.span))
+        _report(diags, "P-TABLE", f"{name} is dimensionless; write a single "
+                f"number, not a table", stmt.span)
         return None
     table: dict[tuple[str, ...], float] = {}
     ok = True
     for key_toks, value in stmt.rhs:
         if len(key_toks) != len(axes):
-            diags.append(ParseDiagnostic(
-                "error", "P-TABLE",
-                f"table key {','.join(t[1] for t in key_toks)} has "
-                f"{len(key_toks)} labels; {name} is over {dims}",
-                span(key_toks[0][3], key_toks[-1][4])))
+            _report(diags, "P-TABLE",
+                    f"table key {','.join(t[1] for t in key_toks)} has "
+                    f"{len(key_toks)} labels; {name} is over {dims}",
+                    span(key_toks[0][3], key_toks[-1][4]))
             ok = False
             continue
         key = []
         for (_, label, _, start, end), axis in zip(key_toks, axes):
             if label not in axis.instances:
-                diags.append(ParseDiagnostic(
-                    "error", "P-TABLE",
-                    f"{label} is not an instance of {axis.name} (table keys "
-                    f"follow the dimension order {dims})", span(start, end)))
+                _report(diags, "P-TABLE", f"{label} is not an instance of "
+                        f"{axis.name} (table keys follow the dimension order "
+                        f"{dims})", span(start, end))
                 ok = False
                 break
             key.append(label)
         else:
             key = tuple(key)
             if key in table:
-                diags.append(ParseDiagnostic(
-                    "error", "P-DUPLICATE",
-                    f"table entry {','.join(key)} is already defined",
-                    span(key_toks[0][3], key_toks[-1][4])))
+                _report(diags, "P-DUPLICATE",
+                        f"table entry {','.join(key)} is already defined",
+                        span(key_toks[0][3], key_toks[-1][4]))
                 ok = False
             else:
                 table[key] = value
@@ -632,11 +611,9 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
     want = list(itertools.product(*(axis.instances for axis in axes)))
     missing = [k for k in want if k not in table]
     if missing:
-        diags.append(ParseDiagnostic(
-            "error", "P-TABLE",
-            f"value table for {name} has {len(table)} of "
-            f"{len(want)} entries (first missing: {','.join(missing[0])})",
-            stmt.span))
+        _report(diags, "P-TABLE", f"value table for {name} has {len(table)} "
+                f"of {len(want)} entries (first missing: "
+                f"{','.join(missing[0])})", stmt.span)
         return None
     return ValueTable(tuple(table[k] for k in want))
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -335,6 +336,24 @@ class TestEval:
                    "--out-dir", str(tmp_path)) == (2, "", err)
         assert [p.name for p in tmp_path.iterdir()] == ["inputs.dml"]
 
+    def test_error_address_reads_back_as_set(self, capsys, tmp_path):
+        # the address is written as --set takes it: a name or label that is
+        # not a plain name is quoted, so a comma inside a label is no split
+        model = tmp_path / "quoted.dml"
+        model.write_text('dimension D = ["a,b", c]\n'
+                         'dimension E = [e]\n'
+                         'input "x y" over (D, E)\n'
+                         'output Y over (D, E) = 1 / "x y"\n')
+        argv = ["eval", str(model), "--out-dir", str(tmp_path)]
+        missing = run(capsys, *argv)
+        assert missing == (2, "", 'error[MISSING-INPUT]: "x y"["a,b",e]: no '
+                                  'declared value and no override for this '
+                                  'cell\n')
+        address = missing[2].split(": ")[1]
+        argv += ["--set", f"{address}=0", "--set", '"x y"[c, e]=1']
+        assert run(capsys, *argv) == (
+            2, "", 'error[DIV-BY-ZERO]: Y["a,b",e]: 1.0 / 0\n')
+
     def test_set_fills_input_without_default(self, capsys, tmp_path):
         model = tmp_path / "inputs.dml"
         model.write_text("dimension M = [Jan, Feb]\n"
@@ -415,24 +434,56 @@ class TestLineEnds:
         assert (tmp_path / "Y.csv").read_bytes() == (
             b"D,value\n" + label + b",2\nc,4\n")
 
-    @pytest.mark.parametrize("fixture", sorted(
-        p.name for p in FIXTURES.glob("*.dml")))
-    def test_crlf_copy_reads_like_lf(self, capsys, tmp_path, monkeypatch,
-                                     fixture):
+    @staticmethod
+    def read_copies(capsys, tmp_path, monkeypatch, fixture, copies):
+        """`check --json` and `eval` results, and the CSV bytes, of each
+        copy of a fixture, the copy made by one function of its bytes."""
         source = (FIXTURES / fixture).read_bytes()
         seen = []
-        for newline in (b"\n", b"\r\n"):
-            side = tmp_path / newline.hex()
+        for number, copy in enumerate(copies):
+            side = tmp_path / str(number)
             side.mkdir()
-            (side / fixture).write_bytes(source.replace(b"\n", newline))
+            (side / fixture).write_bytes(copy(source))
             monkeypatch.chdir(side)
             checked = run(capsys, "check", fixture, "--json")
             evaluated = run(capsys, "eval", fixture, "--out-dir", "out")
             csvs = {p.name: p.read_bytes() for p in side.glob("out/*.csv")}
             seen.append((checked, evaluated, csvs))
-        assert seen[0] == seen[1]
         if fixture == "acme.dml":
             assert len(seen[0][2]) == 4
+        return seen
+
+    @pytest.mark.parametrize("fixture", sorted(
+        p.name for p in FIXTURES.glob("*.dml")))
+    def test_crlf_copy_reads_like_lf(self, capsys, tmp_path, monkeypatch,
+                                     fixture):
+        lf, crlf = self.read_copies(
+            capsys, tmp_path, monkeypatch, fixture,
+            [bytes, lambda source: source.replace(b"\n", b"\r\n")])
+        assert lf == crlf
+
+    @pytest.mark.parametrize("fixture", sorted(
+        p.name for p in FIXTURES.glob("*.dml")))
+    def test_bom_copy_reads_like_plain(self, capsys, tmp_path, monkeypatch,
+                                       fixture):
+        plain, bom = self.read_copies(
+            capsys, tmp_path, monkeypatch, fixture,
+            [bytes, lambda source: codecs.BOM_UTF8 + source])
+        assert plain == bom
+
+    @pytest.mark.parametrize("text,where", [
+        ("input X = 1\n\ufeffinput Y = 2\n", "2:1"),
+        ("input X = 1 \ufeff\n", "1:13"),
+        # the first is the byte-order mark, the second a character
+        ("\ufeff\ufeffinput X = 1\n", "1:1"),
+    ])
+    def test_bom_elsewhere_is_a_token_error(self, capsys, tmp_path, text,
+                                            where):
+        model = tmp_path / "bom.dml"
+        model.write_bytes(text.encode("utf-8"))
+        assert run(capsys, "check", str(model)) == (
+            1, "", f"{model}:{where}: error[P-TOKEN]: unexpected character "
+                   f"'\\ufeff'\n")
 
 def _reference_csv(path: Path, tensor, model) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:

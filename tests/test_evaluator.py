@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from conftest import load_checked
 from dimcalc.checker import check_model
 from dimcalc.evaluator import (EvalError, InputOverride, evaluate,
                                tensor_to_rows)
-from dimcalc.model import Aggregate, Literal, Ref, Unary
+from dimcalc.model import (Aggregate, Dimension, DimensionSet, Literal, Model,
+                           Ref, Unary, Variable, VariableKind)
 from dimcalc.parser import parse_model
 from helpers import broadcast_lookup, full_set
 
@@ -120,6 +122,57 @@ class TestErrors:
         with pytest.raises(EvalError) as info:
             evaluate(checked, [InputOverride("X", ("Feb",), 1.0)])
         assert info.value.labels == ("Jan",)
+
+    def test_missing_input_allocates_no_tensor(self):
+        # a defaultless input over 1,000 x 1,000 cells; a list of every
+        # cell alone would take 8 MB
+        labels = tuple(f"i{k}" for k in range(1000))
+        model = Model((Dimension("A", labels), Dimension("B", labels)), (
+            Variable("X", VariableKind.INPUT, DimensionSet(("A", "B")), None),))
+        checked = check_model(model)
+        overrides = [InputOverride("X", ("i0", "i1"), 2.0)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(EvalError) as info:
+                evaluate(checked, overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.kind, info.value.labels) == (
+            "MISSING-INPUT", ("i0", "i0"))
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("first,second,kind,labels", [
+        ("inf", None, "NON-FINITE", ("a",)),
+        (None, "nan", "MISSING-INPUT", ("a",)),
+        ("1", "nan", "NON-FINITE", ("b",)),
+        ("1", "2", "MISSING-INPUT", ("c",)),
+    ])
+    def test_first_missing_or_non_finite_cell_wins(self, first, second, kind,
+                                                   labels):
+        model = parse_model("dimension D = [a, b, c]\ninput X over (D)\n")
+        overrides = [InputOverride("X", (label,), float(value))
+                     for label, value in (("a", first), ("b", second))
+                     if value is not None]
+        with pytest.raises(EvalError) as info:
+            evaluate(check_model(model), overrides)
+        assert (info.value.kind, info.value.labels) == (kind, labels)
+
+    @pytest.mark.parametrize("source,address,labels", [
+        ('dimension D = ["a,b"]\ninput "x y" over (D)\n', '"x y"["a,b"]',
+         ("a,b",)),
+        ('dimension D = ["q\\"r", "SUM"]\ninput Y over (D)\n', 'Y["q\\"r"]',
+         ('q"r',)),
+        ('input "x y"\n', '"x y"', ()),
+    ])
+    def test_address_quotes_names_and_keeps_labels_raw(self, source, address,
+                                                       labels):
+        with pytest.raises(EvalError) as info:
+            evaluate(check_model(parse_model(source)))
+        assert str(info.value) == (f"error[MISSING-INPUT]: {address}: no "
+                                   f"declared value and no override for "
+                                   f"this cell")
+        assert info.value.labels == labels
 
     def test_error_reports_first_cell_in_canonical_order(self):
         model = parse_model(

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,6 +174,57 @@ def test_node_equality_ignores_span():
     span = SourceSpan("f", 1, 1, 1, 2)
     assert Ref("a", span=span) == Ref("a")
     assert Aggregate("a", span=span) == Aggregate("a")
+
+
+class TestSourceSpan:
+    def test_fields_and_renderings(self):
+        span = SourceSpan(file="f.dml", start_line=2, start_col=3, end_line=4,
+                          end_col=1)
+        assert (span.file, span.start_line, span.start_col, span.end_line,
+                span.end_col) == ("f.dml", 2, 3, 4, 1)
+        assert str(span) == "f.dml:2:3"
+        assert span.as_json() == {"file": "f.dml", "start_line": 2,
+                                  "start_col": 3, "end_line": 4, "end_col": 1}
+        assert repr(span) == ("SourceSpan(file='f.dml', start_line=2, "
+                              "start_col=3, end_line=4, end_col=1)")
+
+    def test_rejects_an_end_before_the_start(self):
+        SourceSpan("f", 2, 5, 2, 5)
+        with pytest.raises(ModelError, match="ends before it starts"):
+            SourceSpan("f", 2, 5, 1, 9)
+
+    def test_is_immutable(self):
+        span = SourceSpan("f", 1, 1, 1, 2)
+        for field in ("file", "end_col", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(span, field, 3)
+        with pytest.raises(FrozenInstanceError):
+            del span.start_line
+        assert span == SourceSpan("f", 1, 1, 1, 2)
+        with pytest.raises(AttributeError, match="'SourceSpan' object has "
+                                                 "no attribute 'nope'"):
+            span.nope
+
+    def test_equality_hash_and_copies(self):
+        span = SourceSpan("f", 1, 1, 1, 2)
+        assert span == SourceSpan("f", 1, 1, 1, 2)
+        assert hash(span) == hash(SourceSpan("f", 1, 1, 1, 2))
+        assert span != SourceSpan("f", 1, 1, 1, 3)
+        assert span != ("f", 1, 1, 1, 2)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(span, protocol)) == span
+        assert copy.deepcopy(span) == span
+        assert copy.copy(span) == span
+
+    def test_offset_span_equals_eager_span(self):
+        # "ab\ncd": lines start at offsets 0 and 3
+        lazy = SourceSpan.at_offsets(("f", [0, 3]), 1, 4)
+        eager = SourceSpan("f", 1, 2, 2, 2)
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert pickle.loads(pickle.dumps(lazy)) == eager
+        assert copy.deepcopy(SourceSpan.at_offsets(
+            ("f", [0, 3]), 1, 4)) == eager
 
 
 def test_walk_orders():

@@ -1,17 +1,22 @@
+import copy
 import math
+import pickle
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import FIXTURES
+from dimcalc import model as model_module
 from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
 from dimcalc.diagram import DiagramConfig, emit_dot
-from dimcalc.evaluator import evaluate
+from dimcalc.evaluator import InputOverride, evaluate
 from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
-                           DimensionSet, Literal, Model, Ref, Unary,
-                           ValueTable, Variable, VariableKind,
-                           iter_dependencies)
+                           DimensionSet, Expr, Literal, Model, Ref,
+                           SourceSpan, Unary, ValueTable, Variable,
+                           VariableKind, iter_dependencies)
 from dimcalc.parser import (ParseFailure, _Parser, _spans_of, _tokenize,
                             _VarStmt, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
@@ -394,6 +399,66 @@ def test_diagnostic_spans_cover_their_source(source):
     else:
         found = []
     assert found == expected
+
+
+def _eager_span(text, start, end):
+    """The span of offsets [start, end) with its lines and columns counted
+    by splitting the text before each offset on LF, built directly."""
+    before_start, before_end = text[:start].split("\n"), text[:end].split("\n")
+    return SourceSpan("<input>", len(before_start), len(before_start[-1]) + 1,
+                      len(before_end), len(before_end[-1]) + 1)
+
+
+_SPAN_FIELDS = ["file", "start_line", "start_col", "end_line", "end_col"]
+
+
+@given(st.booleans().flatmap(lambda failing: _sources(failing)), st.data())
+@settings(max_examples=150)
+def test_parsed_spans_equal_eager_spans(source, data):
+    text, _ = source
+    try:
+        model = parse_model(text)
+    except ParseFailure as err:
+        spans = [d.span for d in err.diagnostics]
+    else:
+        spans = [v.span for v in model.variables] + [
+            node.span for v in model.variables if isinstance(v.payload, Expr)
+            for _, node in iter_dependencies(v.payload)]
+    assert spans
+    for span in spans:
+        # the offsets it holds, read before any line or column of a clean
+        # parse; copies may be taken before that first read
+        eager = _eager_span(text, span._start, span._end)
+        if data.draw(st.booleans()):
+            assert copy.deepcopy(span) == eager
+            assert pickle.loads(pickle.dumps(span)) == eager
+        first = data.draw(st.sampled_from(_SPAN_FIELDS))
+        assert getattr(span, first) == getattr(eager, first)
+        assert span == eager and eager == span
+        assert hash(span) == hash(eager)
+        assert (str(span), span.as_json()) == (str(eager), eager.as_json())
+        assert pickle.loads(pickle.dumps(span)) == eager
+        assert copy.deepcopy(span) == eager
+
+
+def test_clean_run_works_out_no_line_or_column(monkeypatch):
+    """parse, check and evaluate leave every span as offsets; only a read
+    maps an offset to its line."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(model_module, "bisect_right", counted)
+    for fixture, overrides in [("acme.dml", []), ("pricing.dml", [
+            InputOverride("Price", None, 200.0)])]:
+        text = (FIXTURES / fixture).read_bytes().decode("utf-8")
+        model = parse_model(text, fixture)
+        evaluate(check_model(model), overrides)
+        assert calls == []
+    assert str(model.variables[0].span) == "pricing.dml:8:1"
+    assert len(calls) == 2
 
 
 def _collected_references(text):

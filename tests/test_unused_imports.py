@@ -1,4 +1,5 @@
-"""Every name a dimcalc module imports is used in that module."""
+"""Every name a dimcalc module imports is used in that module, and every
+module-level private name is used somewhere in the package."""
 
 import ast
 
@@ -43,3 +44,52 @@ def test_checker_flags_an_unused_import():
               "__all__ = ['Ref']\n"
               "def f() -> Iterator[int]:\n    return sys.argv\n")
     assert _unused_imports(source) == ["line 4: NT", "line 2: os"]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no code
+    in the given modules refers to outside their own definition.
+
+    A use is a name read or an attribute of that name, so a function
+    that only calls itself counts as unused; tests are not among the
+    modules, so a name only tests read counts as unused too.
+    """
+    defined = []  # (module, name)
+    uses = set()  # (module, top-level definition holding the use, name)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner, names = node.name, [node.name]
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, ast.AnnAssign)
+                           else [])
+                owner = None
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    uses.add((module, owner, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    uses.add((module, owner, sub.attr))
+    return [f"{module}: {name}" for module, name in defined
+            if not any(used == name and (where, owner) != (module, name)
+                       for where, owner, used in uses)]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a.py": ("import re\n_PATTERN = re.compile('x')\n_SEEN: set = set()\n"
+                 "def _loop(n):\n    return _loop(n - 1)\n"
+                 "class _Old:\n    pass\n__all__ = []\n"
+                 "def _used():\n    return _PATTERN\n"),
+        "b.py": "from .a import _used\ndef main():\n    return _used()\n",
+    }
+    assert _unreferenced_private_names(sources) == [
+        "a.py: _SEEN", "a.py: _loop", "a.py: _Old"]
