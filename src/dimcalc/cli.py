@@ -266,10 +266,14 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+# built once at import, as parser._TOKEN_RE is compiled once: parse_args
+# writes only to a new namespace, so main() calls share no state
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)

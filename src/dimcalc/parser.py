@@ -34,6 +34,7 @@ from .model import (
     Expr,
     Literal,
     Model,
+    ModelError,
     Ref,
     SourceSpan,
     Unary,
@@ -695,14 +696,27 @@ def format_payload(model: Model, variable: Variable) -> str | None:
     return format_expr(payload)
 
 
+def _source_ident(name: str, what: str) -> str:
+    # a quoted name ends at its line, and no escape in it writes an LF
+    if "\n" in name:
+        raise ModelError(f"cannot print {what} {name!r}: .dml source cannot "
+                         f"write an LF in a name or label")
+    return format_ident(name)
+
+
 def pretty_print(model: Model) -> str:
-    """Render a Model as DSL source that parses back to an equal Model."""
+    """Render a Model as DSL source that parses back to an equal Model.
+
+    Raises ModelError for a name or label holding an LF, which the DSL
+    cannot write."""
     lines = []
     for dim in model.dimensions:
-        labels = ", ".join(format_ident(l) for l in dim.instances)
-        lines.append(f"dimension {format_ident(dim.name)} = [{labels}]")
+        name = _source_ident(dim.name, "dimension")
+        labels = ", ".join(_source_ident(l, f"label of dimension {name}")
+                           for l in dim.instances)
+        lines.append(f"dimension {name} = [{labels}]")
     for v in model.variables:
-        head = f"{v.kind.value} {format_ident(v.name)}"
+        head = f"{v.kind.value} {_source_ident(v.name, 'variable')}"
         if len(v.dims) > 0:
             head += f" over ({', '.join(format_ident(n) for n in v.dims)})"
         payload = format_payload(model, v)

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import csv
 import json
@@ -605,9 +606,78 @@ class TestExplain:
         assert "no variable named Nope" in err
 
 
-def test_console_script_installed(tmp_path):
+class TestManyCallsInOneProcess:
+    """main() parses with a grammar built once at import, and no call
+    leaves state behind for the next one."""
+
+    def test_calls_build_no_argument_parser(self, capsys, tmp_path,
+                                            monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(argv) for argv in (
+            ["check", ACME], ["explain", ACME, "Base_Price"],
+            ["diagram", ACME, "-o", str(tmp_path / "acme.dot")],
+            ["eval", PRICING, "--set", "Price=200", "-o", str(tmp_path)],
+            ["check"])]
+        capsys.readouterr()
+        assert (codes, built) == ([0, 0, 0, 0, 3], [])
+
+    def test_set_does_not_carry_over(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "eval", ACME, "--set", "Base_Price=150",
+                           "--out-dir", str(tmp_path / "a"))
+        assert (code, out) == (0, "Total_Profit = 284150.5818806181\n")
+        code, out, _ = run(capsys, "eval", ACME,
+                           "--out-dir", str(tmp_path / "b"))
+        assert (code, out) == (0, "Total_Profit = -27686.567818786803\n")
+
+    def test_var_does_not_carry_over(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "eval", ACME, "--var", "Monthly_Profit",
+                           "--out-dir", str(tmp_path / "a"))
+        assert (code, out) == (0, "")
+        assert [p.name for p in (tmp_path / "a").iterdir()] == [
+            "Monthly_Profit.csv"]
+        code, out, _ = run(capsys, "eval", ACME,
+                           "--out-dir", str(tmp_path / "b"))
+        assert (code, out) == (0, "Total_Profit = -27686.567818786803\n")
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "MPR_Unit_Sales.csv", "MP_Sales_Amount.csv",
+            "MP_Unit_Sales.csv", "Monthly_Unit_Sales.csv"]
+
+    def test_usage_error_then_good_call(self, capsys):
+        code, _, err = run(capsys, "check")
+        assert code == 3
+        assert err.startswith("error: dimcalc check: ")
+        code, _, err = run(capsys, "check", ACME)
+        assert (code, err) == (0, "")
+
+    def test_json_does_not_carry_over(self, capsys):
+        bad = str(FIXTURES / "bad_rule2.dml")
+        text = run(capsys, "check", bad)
+        as_json = run(capsys, "check", "--json", bad)
+        assert as_json[0] == 1 and json.loads(as_json[2])
+        assert run(capsys, "check", bad) == text
+        assert text[0] == 1 and text[2].startswith(bad + ":")
+
+
+# a fresh interpreter each: the grammar main() uses is built at import
+@pytest.mark.parametrize("argv,code,out_start,err", [
+    (["check", ACME], 0, "dimension Month: 12 instances\n"
+     "dimension Sector: 4 instances\ndimension Product: 2 instances\n"
+     "dimension Region: 5 instances\n31 variables, 4 dimensions, OK\n", ""),
+    (["--help"], 0, "usage: dimcalc [-h] {check,eval,diagram,explain}", ""),
+    ([], 3, "", "error: dimcalc: the following arguments are required: "
+                "command\n"),
+], ids=["check", "help", "no-arguments"])
+def test_console_script_installed(argv, code, out_start, err):
     result = subprocess.run(
-        [sys.executable, "-m", "dimcalc.cli", "check", ACME],
+        [sys.executable, "-m", "dimcalc.cli", *argv],
         capture_output=True, text=True)
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[-1] == "31 variables, 4 dimensions, OK"
+    assert result.returncode == code
+    assert result.stdout.startswith(out_start)
+    assert result.stderr == err

@@ -14,7 +14,7 @@ from dimcalc.cli import main
 from dimcalc.diagram import DiagramConfig, emit_dot
 from dimcalc.evaluator import InputOverride, evaluate
 from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
-                           DimensionSet, Expr, Literal, Model, Ref,
+                           DimensionSet, Expr, Literal, Model, ModelError, Ref,
                            SourceSpan, Unary, ValueTable, Variable,
                            VariableKind, iter_dependencies)
 from dimcalc.parser import (ParseFailure, _Parser, _spans_of, _tokenize,
@@ -563,6 +563,26 @@ class TestPrinting:
         again = parse_model(printed)
         assert again == model
         assert pretty_print(again) == printed
+
+    # the DSL has no way to write an LF inside quotes, so pretty_print
+    # refuses a library-built name or label holding one
+    @pytest.mark.parametrize("model,message", [
+        (Model((Dimension("D", ("a\nb", "c")),), ()),
+         "cannot print label of dimension D 'a\\nb'"),
+        (Model((Dimension("D\nE", ("c",)),), ()),
+         "cannot print dimension 'D\\nE'"),
+        (Model((), (Variable("X\nY", VariableKind.DATA, EMPTY_DIMS,
+                             ValueTable((1,))),)),
+         "cannot print variable 'X\\nY'"),
+    ], ids=["label", "dimension", "variable"])
+    def test_pretty_print_refuses_lf_in_identifier(self, model, message):
+        with pytest.raises(ModelError) as info:
+            pretty_print(model)
+        assert str(info.value).startswith(message + ": ")
+
+    def test_pretty_print_keeps_cr_in_identifier(self):
+        model = Model((Dimension("D", ("a\rb", "c")),), ())
+        assert parse_model(pretty_print(model)) == model
 
 
 names = st.sampled_from(["a", "b", "c", "d"])
