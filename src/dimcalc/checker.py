@@ -19,13 +19,13 @@ a mismatch there is the Rule 1 kind, not Rule 2.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .model import (
     Aggregate,
     DimensionSet,
     Expr,
     Model,
+    Record,
     Ref,
     SourceSpan,
     ValueTable,
@@ -37,15 +37,21 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CheckDiagnostic:
-    severity: str  # "error" or "warning"
-    code: str  # R1-MISMATCH, R2-NOT-SUBSET, R3-NOT-SUPERSET, R3-DEGENERATE,
-    #            K-KIND, C-CYCLE
-    message: str
-    span: SourceSpan | None
-    variables: tuple[str, ...] = ()
-    dimension_sets: tuple[DimensionSet, ...] = ()
+class CheckDiagnostic(Record):
+    __slots__ = _fields = ("severity", "code", "message", "span", "variables",
+                           "dimension_sets")
+
+    # severity is "error" or "warning"; code is R1-MISMATCH, R2-NOT-SUBSET,
+    # R3-NOT-SUPERSET, R3-DEGENERATE, K-KIND or C-CYCLE
+    def __init__(self, severity: str, code: str, message: str,
+                 span: SourceSpan | None, variables: tuple[str, ...] = (),
+                 dimension_sets: tuple[DimensionSet, ...] = ()):
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "dimension_sets", dimension_sets)
 
     def render(self) -> str:
         where = f"{self.span}: " if self.span else ""
@@ -70,17 +76,20 @@ class CheckFailure(Exception):
         super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class CheckedModel:
+class CheckedModel(Record):
     """A model that passed every check, ready to evaluate.
 
     `order` lists variable names so that every variable comes after all
     variables it references; ties are broken by declaration order.
     """
 
-    model: Model
-    order: tuple[str, ...]
-    warnings: tuple[CheckDiagnostic, ...] = ()
+    __slots__ = _fields = ("model", "order", "warnings")
+
+    def __init__(self, model: Model, order: tuple[str, ...],
+                 warnings: tuple[CheckDiagnostic, ...] = ()):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "warnings", warnings)
 
 
 def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:

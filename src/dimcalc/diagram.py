@@ -12,9 +12,7 @@ Output is byte-deterministic for a given model and config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import EMPTY_DIMS, Aggregate, Expr, Model, Variable, \
+from .model import EMPTY_DIMS, Aggregate, Expr, Model, Record, Variable, \
     VariableKind, ValueTable, iter_dependencies
 from .parser import format_number
 
@@ -26,10 +24,13 @@ _SHAPE = {
 }
 
 
-@dataclass(frozen=True)
-class DiagramConfig:
-    group_by_dimension_set: bool = True
-    include_data_values: bool = False
+class DiagramConfig(Record):
+    __slots__ = _fields = ("group_by_dimension_set", "include_data_values")
+
+    def __init__(self, group_by_dimension_set: bool = True,
+                 include_data_values: bool = False):
+        object.__setattr__(self, "group_by_dimension_set", group_by_dimension_set)
+        object.__setattr__(self, "include_data_values", include_data_values)
 
 
 def _quote(text: str) -> str:

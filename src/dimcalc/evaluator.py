@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .checker import CheckedModel
@@ -28,6 +27,7 @@ from .model import (
     DimensionSet,
     Literal,
     Model,
+    Record,
     Ref,
     Tensor,
     Unary,
@@ -38,17 +38,19 @@ from .model import (
 from .parser import format_ident
 
 
-@dataclass(frozen=True)
-class InputOverride:
+class InputOverride(Record):
     """A user-supplied value for one input cell.
 
     `labels` is None for a dimensionless input; a dimensioned input takes
     one full instance tuple per override.
     """
 
-    name: str
-    labels: tuple[str, ...] | None
-    value: float
+    __slots__ = _fields = ("name", "labels", "value")
+
+    def __init__(self, name: str, labels: tuple[str, ...] | None, value: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "value", value)
 
 
 class EvalError(Exception):
@@ -66,13 +68,18 @@ class EvalError(Exception):
         super().__init__(f"error[{kind}]: {cell}: {detail}")
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(Record):
     """One Tensor per variable, plus the order used and the time taken."""
 
-    tensors: dict = field(repr=False)
-    order: tuple[str, ...]
-    elapsed: float
+    __slots__ = _fields = ("tensors", "order", "elapsed")
+
+    def __init__(self, tensors: dict, order: tuple[str, ...], elapsed: float):
+        object.__setattr__(self, "tensors", tensors)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "elapsed", elapsed)
+
+    def __repr__(self) -> str:  # without the tensors, which may be large
+        return f"EvaluationResult(order={self.order!r}, elapsed={self.elapsed!r})"
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]

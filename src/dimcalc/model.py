@@ -11,20 +11,51 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass, field
+from collections.abc import Iterator
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
 
 
 class ModelError(ValueError):
     """An invariant of the domain types was violated at construction."""
 
 
-_SPAN_FIELDS = ("file", "start_line", "start_col", "end_line", "end_col")
+class Record:
+    """Base of the immutable types. `_fields` name the values that decide
+    `==` and `hash`, that `repr` shows and that pickling passes back to the
+    constructor; assignment raises `dataclasses.FrozenInstanceError`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, *value):
+        # imported on this path alone: it costs a cold start milliseconds
+        from dataclasses import FrozenInstanceError
+        verb = "assign to" if value else "delete"
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    __delattr__ = __setattr__
 
 
-class SourceSpan:
+class SourceSpan(Record):
     """Half-open region of DSL text, 1-based lines and columns.
 
     A span built by `at_offsets` holds only character offsets and the
@@ -33,15 +64,18 @@ class SourceSpan:
     and spans of the same region are equal whichever way they were built.
     """
 
-    __slots__ = (*_SPAN_FIELDS, "_source", "_start", "_end")
+    _fields = ("file", "start_line", "start_col", "end_line", "end_col")
+    __slots__ = (*_fields, "_source", "_start", "_end")
 
     def __init__(self, file: str, start_line: int, start_col: int,
                  end_line: int, end_col: int):
         if (end_line, end_col) < (start_line, start_col):
             raise ModelError("source span ends before it starts")
-        for name, value in zip(_SPAN_FIELDS, (file, start_line, start_col,
-                                              end_line, end_col)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "start_line", start_line)
+        object.__setattr__(self, "start_col", start_col)
+        object.__setattr__(self, "end_line", end_line)
+        object.__setattr__(self, "end_col", end_col)
 
     @classmethod
     def at_offsets(cls, source: tuple[str, list[int]], start: int,
@@ -56,7 +90,7 @@ class SourceSpan:
 
     def __getattr__(self, name: str):
         # only a span built by at_offsets lacks a field, until it is read
-        if name not in _SPAN_FIELDS:
+        if name not in SourceSpan._fields:
             raise AttributeError(
                 f"'SourceSpan' object has no attribute {name!r}")
         file, starts = self._source
@@ -66,34 +100,11 @@ class SourceSpan:
                             end_line, self._end - starts[end_line - 1] + 1)
         return getattr(self, name)
 
-    def __setattr__(self, name: str, *value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return (self.file, self.start_line, self.start_col, self.end_line,
-                self.end_col)
-
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._fields() == other._fields() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return SourceSpan, self._fields()
-
-    def __repr__(self) -> str:
-        fields = (f"{key}={value!r}" for key, value in self.as_json().items())
-        return f"SourceSpan({', '.join(fields)})"
-
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
     def as_json(self) -> dict:
-        return dict(zip(_SPAN_FIELDS, self._fields()))
+        return dict(zip(self._fields, self._values()))
 
 
 # the slots' own setters, which the refusing __setattr__ leaves usable
@@ -102,22 +113,22 @@ _SET_START = SourceSpan._start.__set__
 _SET_END = SourceSpan._end.__set__
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(Record):
     """A named, ordered partition of instance labels.
 
     Labels must be pairwise distinct: an entity belongs to exactly one
     instance, and the instances jointly cover all possibilities.
     """
 
-    name: str
-    instances: tuple[str, ...]
+    __slots__ = _fields = ("name", "instances")
 
-    def __post_init__(self):
-        if not self.instances:
-            raise ModelError(f"dimension {self.name} has no instances")
-        if len(set(self.instances)) != len(self.instances):
-            raise ModelError(f"dimension {self.name} repeats an instance label")
+    def __init__(self, name: str, instances: tuple[str, ...]):
+        if not instances:
+            raise ModelError(f"dimension {name} has no instances")
+        if len(set(instances)) != len(instances):
+            raise ModelError(f"dimension {name} repeats an instance label")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "instances", instances)
 
     def index_of(self, label: str) -> int:
         try:
@@ -127,8 +138,7 @@ class Dimension:
                 f"dimension {self.name} has no instance {label!r}") from None
 
 
-@dataclass(frozen=True)
-class DimensionSet:
+class DimensionSet(Record):
     """A set of dimension names, listed in the owning model's declaration
     order.
 
@@ -137,11 +147,21 @@ class DimensionSet:
     valid and marks a dimensionless (scalar) variable.
     """
 
-    names: tuple[str, ...]
+    __slots__ = _fields = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
             raise ModelError("dimension set repeats a name")
+        object.__setattr__(self, "names", names)
+
+    # direct: the checker and the diagram compare and hash these in loops
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
@@ -185,47 +205,81 @@ class VariableKind(Enum):
         return self in (VariableKind.CALCULATED, VariableKind.OUTPUT)
 
 
-class Expr:
-    """Base class for formula AST nodes."""
+class Expr(Record):
+    """Base class for formula AST nodes, whose `_operands` hold nodes. `==`,
+    hash, repr and pickling walk `iter_nodes`, so they work at any depth: with
+    operand counts fixed by class, a post-order list decodes to one tree."""
 
     __slots__ = ()
+    _operands: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([(n.__class__, Record._values(n)) for n in iter_nodes(self)])
+
+    def __repr__(self) -> str:
+        done: list[str] = []  # the reprs of the operands still to take
+        for cls, values in self._values():
+            fields = [f"{name}={value!r}" for name, value in zip(cls._fields, values)]
+            start = len(done) - len(cls._operands)
+            fields += map("=".join, zip(cls._operands, done[start:]))
+            done[start:] = [f"{cls.__qualname__}({', '.join(fields)})"]
+        return done[0]
+
+    def __reduce__(self):
+        spans = [getattr(node, "span", None) for node in iter_nodes(self)]
+        return _build_expr, (self._values(), spans)
 
 
-@dataclass(frozen=True)
+def _build_expr(nodes: tuple, spans: list) -> Expr:
+    """The formula of an `Expr.__reduce__` result, built bottom up."""
+    done: list[Expr] = []  # the nodes still to take as operands
+    for (cls, values), span in zip(nodes, spans):
+        start = len(done) - len(cls._operands)
+        done[start:] = [cls(*values, *done[start:]) if span is None
+                        else cls(*values, span=span)]
+    return done[0]
+
+
 class Literal(Expr):
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        _SET_LITERAL_VALUE(self, float(value))
 
 
-@dataclass(frozen=True)
 class Ref(Expr):
     """Reference to a variable by name."""
 
-    name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "span")
+    _fields = ("name",)  # the span takes no part in equality or repr
+
+    def __init__(self, name: str, span: SourceSpan | None = None):
+        _SET_REF_NAME(self, name)
+        _SET_REF_SPAN(self, span)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
     """Prefix negation."""
 
-    operand: Expr
+    __slots__ = _operands = ("operand",)
+
+    def __init__(self, operand: Expr):
+        _SET_UNARY_OPERAND(self, operand)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+    _fields = ("op",)
+    _operands = ("left", "right")
 
-    def __post_init__(self):
-        if self.op not in ("+", "-", "*", "/", "^"):
-            raise ModelError(f"unknown binary operator {self.op!r}")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        if op not in ("+", "-", "*", "/", "^"):
+            raise ModelError(f"unknown binary operator {op!r}")
+        _SET_BINARY_OP(self, op)
+        _SET_BINARY_LEFT(self, left)
+        _SET_BINARY_RIGHT(self, right)
 
 
-@dataclass(frozen=True)
 class Aggregate(Expr):
     """SUM over a bare variable reference.
 
@@ -233,9 +287,21 @@ class Aggregate(Expr):
     source variable's dimensions that the defined variable does not have.
     """
 
-    source: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False,
-                                    kw_only=True)
+    __slots__ = ("source", "span")
+    _fields = ("source",)  # the span takes no part in equality or repr
+
+    def __init__(self, source: str, *, span: SourceSpan | None = None):
+        _SET_AGGREGATE_SOURCE(self, source)
+        _SET_AGGREGATE_SPAN(self, span)
+
+
+# the slots' setters, faster than object.__setattr__ for the many nodes
+_SET_LITERAL_VALUE, _SET_UNARY_OPERAND = Literal.value.__set__, Unary.operand.__set__
+_SET_REF_NAME, _SET_REF_SPAN = Ref.name.__set__, Ref.span.__set__
+_SET_BINARY_OP = Binary.op.__set__
+_SET_BINARY_LEFT, _SET_BINARY_RIGHT = Binary.left.__set__, Binary.right.__set__
+_SET_AGGREGATE_SOURCE = Aggregate.source.__set__
+_SET_AGGREGATE_SPAN = Aggregate.span.__set__
 
 
 def iter_nodes(expr: Expr) -> list[Expr]:
@@ -271,18 +337,17 @@ def iter_dependencies(expr: Expr) -> Iterator[tuple[str, Expr]]:
             yield node.source, node
 
 
-@dataclass(frozen=True)
-class ValueTable:
+class ValueTable(Record):
     """Literal values of a data or input variable, one per instance tuple.
 
     Values are floats, row-major over the variable's dimension set exactly
     like `Tensor.values`; a dimensionless table holds one value.
     """
 
-    values: tuple[float, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+    def __init__(self, values: tuple[float, ...]):
+        object.__setattr__(self, "values", tuple(map(float, values)))
 
     @property
     def scalar(self) -> float:
@@ -291,11 +356,7 @@ class ValueTable:
         return self.values[0]
 
 
-Payload = Union[ValueTable, Expr, None]
-
-
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     """One row of a model: a named value with a kind and a dimension set.
 
     Input and data variables carry a value table (inputs may carry none and
@@ -304,11 +365,19 @@ class Variable:
     here.
     """
 
-    name: str
-    kind: VariableKind
-    dims: DimensionSet
-    payload: Payload
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "kind", "dims", "payload", "span")
+    _fields = __slots__[:4]  # the span takes no part in equality or repr
+
+    def __init__(self, name: str, kind: VariableKind, dims: DimensionSet,
+                 payload: ValueTable | Expr | None, span: SourceSpan | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "span", span)
+
+    def __reduce__(self):
+        return self.__class__, (*self._values(), self.span)
 
     @property
     def dependencies(self) -> tuple[str, ...]:
@@ -319,8 +388,7 @@ class Variable:
         return tuple(dict.fromkeys(names))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A complete calculation model: dimensions plus variables.
 
     Construction validates the cross-cutting invariants: unique names,
@@ -328,22 +396,25 @@ class Model:
     one table value per cell, and reference closure of every formula.
     """
 
-    dimensions: tuple[Dimension, ...]
-    variables: tuple[Variable, ...]
+    _fields = ("dimensions", "variables")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self):
-        dim_names = [d.name for d in self.dimensions]
+    def __init__(self, dimensions: tuple[Dimension, ...],
+                 variables: tuple[Variable, ...]):
+        object.__setattr__(self, "dimensions", dimensions)
+        object.__setattr__(self, "variables", variables)
+        dim_names = [d.name for d in dimensions]
         if len(set(dim_names)) != len(dim_names):
             raise ModelError("duplicate dimension name")
-        var_names = {v.name for v in self.variables}
-        if len(var_names) != len(self.variables):
+        var_names = {v.name for v in variables}
+        if len(var_names) != len(variables):
             raise ModelError("duplicate variable name")
         overlap = set(dim_names) & var_names
         if overlap:
             raise ModelError(
                 f"name used for both a dimension and a variable: {sorted(overlap)}")
         index = self._dim_index
-        for v in self.variables:
+        for v in variables:
             last = -1
             for n in v.dims.names:
                 # undeclared (-1) or out of declaration order
@@ -439,12 +510,14 @@ class Model:
         return tuple(reversed(labels))
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Record):
     """Evaluated values of one variable, row-major over its instance tuples.
 
     A dimensionless tensor holds exactly one value.
     """
 
-    dims: DimensionSet
-    values: tuple[float, ...]
+    __slots__ = _fields = ("dims", "values")
+
+    def __init__(self, dims: DimensionSet, values: tuple[float, ...]):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "values", values)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 
 from .model import (
@@ -35,6 +34,7 @@ from .model import (
     Literal,
     Model,
     ModelError,
+    Record,
     Ref,
     SourceSpan,
     Unary,
@@ -67,12 +67,16 @@ _ESCAPE_RE = re.compile(r"\\(.?)")
 _NEWLINE_RE = re.compile(r"\n")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str  # "error" or "warning"
-    code: str  # P-SYNTAX, P-TOKEN, P-NUMBER, P-DUPLICATE, P-UNDECLARED, P-TABLE
-    message: str
-    span: SourceSpan
+class ParseDiagnostic(Record):
+    __slots__ = _fields = ("severity", "code", "message", "span")
+
+    # severity is "error" or "warning"; code is P-SYNTAX, P-TOKEN, P-NUMBER,
+    # P-DUPLICATE, P-UNDECLARED or P-TABLE
+    def __init__(self, severity: str, code: str, message: str, span: SourceSpan):
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
 
     def render(self) -> str:
         return f"{self.span}: {self.severity}[{self.code}]: {self.message}"
@@ -168,23 +172,6 @@ class _StatementError(Exception):
         self.diag = diag
 
 
-@dataclass
-class _DimStmt:
-    name: tuple  # a token
-    labels: list[tuple]
-
-
-@dataclass
-class _VarStmt:
-    kind: VariableKind
-    name: tuple  # a token
-    over: list[tuple] | None
-    rhs_kind: str  # "expr", "table", "list", "none"
-    # (formula, its references) for "expr", table entries, list values, None
-    rhs: object
-    span: SourceSpan
-
-
 class _Parser:
     def __init__(self, tokens: list[tuple], span, diags: list[ParseDiagnostic]):
         self.tokens = tokens
@@ -194,6 +181,12 @@ class _Parser:
         # names of variables whose declarations failed after the name was
         # read; kept so references to them do not cascade into P-UNDECLARED
         self.failed_names: set[str] = set()
+        # the statements read: a dimension's is (name token, label tokens), a
+        # variable's (kind, name token, over clause tokens or None, rhs_kind,
+        # rhs, span), where rhs is (formula, its references), table entries,
+        # list values or None, as rhs_kind is "expr", "table", "list", "none"
+        self.dimensions: list[tuple] = []
+        self.variables: list[tuple] = []
 
     def _accept(self, mark: str) -> bool:
         """Step over the next token if its kind is `mark`."""
@@ -229,16 +222,15 @@ class _Parser:
             self._fail("P-SYNTAX",
                        f"unexpected {_describe(tok)} after declaration", tok)
 
-    def parse_statements(self) -> list:
+    def parse_statements(self) -> None:
         tokens = self.tokens
-        stmts = []
         while True:
             while tokens[self.pos][0] == "newline":
                 self.pos += 1
             if tokens[self.pos][0] == "eof":
-                return stmts
+                return
             try:
-                stmts.append(self._parse_statement())
+                self._parse_statement()
             except _StatementError as e:
                 self.diags.append(e.diag)
                 while tokens[self.pos][0] not in ("newline", "eof"):
@@ -254,7 +246,7 @@ class _Parser:
                    "expected a declaration (dimension, input, data, calc, "
                    f"output), got {_describe(tok)}", tok)
 
-    def _parse_dimension(self) -> _DimStmt:
+    def _parse_dimension(self) -> None:
         self.pos += 1
         name = self._expect_name("a dimension name")
         self._expect("=")
@@ -264,9 +256,9 @@ class _Parser:
             labels.append(self._expect_name("an instance label"))
         self._expect("]")
         self._end_statement()
-        return _DimStmt(name, labels)
+        self.dimensions.append((name, labels))
 
-    def _parse_variable(self, first: tuple) -> _VarStmt:
+    def _parse_variable(self, first: tuple) -> None:
         kind = VariableKind(first[1])
         self.pos += 1
         name = self._expect_name("a variable name")
@@ -280,26 +272,24 @@ class _Parser:
                 while self._accept(","):
                     over.append(self._expect_name("a dimension name"))
                 self._expect(")")
-            if not self._accept("="):
-                if kind is VariableKind.INPUT:
-                    self._end_statement()
-                    return _VarStmt(kind, name, over, "none", None,
-                                    self.span(first[3], name[4]))
+            rhs_kind, rhs, last = "none", None, name
+            if self._accept("="):
+                mark = self.tokens[self.pos][0]
+                if mark == "{":
+                    rhs_kind, rhs = "table", self._parse_keyed_table()
+                elif mark == "[":
+                    rhs_kind, rhs = "list", self._parse_positional_list()
+                else:
+                    rhs_kind, rhs = "expr", self._parse_expr()
+                last = self.tokens[self.pos - 1]
+            elif kind is not VariableKind.INPUT:
                 self._fail("P-SYNTAX",
                            f"{kind.value} {name[1]} needs '=' and a "
                            f"{'formula' if kind.carries_formula else 'value'}",
                            self.tokens[self.pos])
-            mark = self.tokens[self.pos][0]
-            if mark == "{":
-                rhs_kind, rhs = "table", self._parse_keyed_table()
-            elif mark == "[":
-                rhs_kind, rhs = "list", self._parse_positional_list()
-            else:
-                rhs_kind, rhs = "expr", self._parse_expr()
-            last = self.tokens[self.pos - 1]
             self._end_statement()
-            return _VarStmt(kind, name, over, rhs_kind, rhs,
-                            self.span(first[3], last[4]))
+            self.variables.append((kind, name, over, rhs_kind, rhs,
+                                   self.span(first[3], last[4])))
         except _StatementError:
             self.failed_names.add(name[1])
             raise
@@ -385,7 +375,8 @@ class _Parser:
                 # a diagnostic on a grouped reference covers the parentheses;
                 # the group holds only that reference, the last one read
                 if isinstance(operands[-1], (Ref, Aggregate)):
-                    node = replace(operands[-1], span=self.span(opening[3], close[4]))
+                    node = operands[-1].__class__(
+                        refs[-1][0], span=self.span(opening[3], close[4]))
                     operands[-1] = node
                     refs[-1] = (refs[-1][0], node)
             prec = _BINARY_PREC[tok[0]]
@@ -463,21 +454,18 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     diags: list[ParseDiagnostic] = []
     span = _spans_of(text, file)
     parser = _Parser(_tokenize(text, span, diags), span, diags)
-    stmts = parser.parse_statements()
+    parser.parse_statements()
 
     dimensions: list[Dimension] = []
     dim_index: dict[str, int] = {}
-    for stmt in stmts:
-        if not isinstance(stmt, _DimStmt):
-            continue
-        _, name, _, start, end = stmt.name
+    for (_, name, _, start, end), label_tokens in parser.dimensions:
         if name in dim_index:
             _report(diags, "P-DUPLICATE", f"dimension {name} is already declared",
                     span(start, end))
             continue
         labels = []
         seen = set()
-        for _, label, _, start, end in stmt.labels:
+        for _, label, _, start, end in label_tokens:
             if label in seen:
                 _report(diags, "P-DUPLICATE", f"dimension {name} repeats "
                         f"instance label {label}", span(start, end))
@@ -487,12 +475,10 @@ def parse_model(text: str, file: str = "<input>") -> Model:
         dim_index[name] = len(dimensions)
         dimensions.append(Dimension(name, tuple(labels)))
 
-    var_stmts: list[_VarStmt] = []
+    var_stmts: list[tuple] = []
     var_names: set[str] = set()
-    for stmt in stmts:
-        if not isinstance(stmt, _VarStmt):
-            continue
-        _, name, _, start, end = stmt.name
+    for stmt in parser.variables:
+        _, name, _, start, end = stmt[1]
         if name in var_names:
             _report(diags, "P-DUPLICATE", f"variable {name} is already declared",
                     span(start, end))
@@ -507,10 +493,10 @@ def parse_model(text: str, file: str = "<input>") -> Model:
 
     variables = []
     for stmt in var_stmts:
-        dims = _resolve_dims(stmt, dim_index, span, diags)
+        kind, name, over, _, _, where = stmt
+        dims = _resolve_dims(over, dim_index, span, diags)
         payload = _resolve_payload(stmt, dims, dimensions, known_names, span, diags)
-        variables.append(Variable(stmt.name[1], stmt.kind, dims, payload,
-                                  span=stmt.span))
+        variables.append(Variable(name[1], kind, dims, payload, span=where))
 
     if diags:  # every parse diagnostic is an error
         raise ParseFailure(sorted(
@@ -518,11 +504,11 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     return Model(tuple(dimensions), tuple(variables))
 
 
-def _resolve_dims(stmt: _VarStmt, dim_index, span, diags) -> DimensionSet:
-    if stmt.over is None:
+def _resolve_dims(over, dim_index, span, diags) -> DimensionSet:
+    if over is None:
         return EMPTY_DIMS
     names = []
-    for _, name, _, start, end in stmt.over:
+    for _, name, _, start, end in over:
         if name not in dim_index:
             _report(diags, "P-UNDECLARED", f"no dimension named {name}",
                     span(start, end))
@@ -535,19 +521,20 @@ def _resolve_dims(stmt: _VarStmt, dim_index, span, diags) -> DimensionSet:
     return DimensionSet(tuple(sorted(names, key=dim_index.__getitem__)))
 
 
-def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names,
+def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, known_names,
                      span, diags):
-    if stmt.rhs_kind == "none":
+    kind, name_token, _, rhs_kind, rhs, where = stmt
+    if rhs_kind == "none":
         return None
-    name = stmt.name[1]
-    if stmt.rhs_kind == "expr":
-        expr, refs = stmt.rhs
+    name = name_token[1]
+    if rhs_kind == "expr":
+        expr, refs = rhs
         # a bare number is a scalar value, not a formula
-        if isinstance(expr, Literal) and not stmt.kind.carries_formula:
+        if isinstance(expr, Literal) and not kind.carries_formula:
             if len(dims) > 0:
                 _report(diags, "P-TABLE", f"{name} is over {dims}; a single "
                         f"number is only valid for a dimensionless variable",
-                        stmt.span)
+                        where)
                 return None
             return ValueTable((expr.value,))
         for node_name, node in refs:
@@ -560,28 +547,27 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
         return expr
     by_name = {d.name: d for d in dimensions}
     axes = [by_name[n] for n in dims if n in by_name]
-    if stmt.rhs_kind == "list":
-        values = stmt.rhs
+    if rhs_kind == "list":
         if len(axes) != 1:
             _report(diags, "P-TABLE", f"a positional list needs exactly one "
-                    f"dimension; {name} is over {dims}", stmt.span)
+                    f"dimension; {name} is over {dims}", where)
             return None
         axis = axes[0]
-        if len(values) != len(axis.instances):
+        if len(rhs) != len(axis.instances):
             _report(diags, "P-TABLE", f"{name} needs {len(axis.instances)} "
-                    f"values for {axis.name}, got {len(values)}", stmt.span)
+                    f"values for {axis.name}, got {len(rhs)}", where)
             return None
-        return ValueTable(tuple(values))
+        return ValueTable(tuple(rhs))
     # keyed table
     if len(axes) != len(dims):
         return None  # over clause already failed; skip follow-on noise
     if not axes:
         _report(diags, "P-TABLE", f"{name} is dimensionless; write a single "
-                f"number, not a table", stmt.span)
+                f"number, not a table", where)
         return None
     table: dict[tuple[str, ...], float] = {}
     ok = True
-    for key_toks, value in stmt.rhs:
+    for key_toks, value in rhs:
         if len(key_toks) != len(axes):
             _report(diags, "P-TABLE",
                     f"table key {','.join(t[1] for t in key_toks)} has "
@@ -614,7 +600,7 @@ def _resolve_payload(stmt: _VarStmt, dims: DimensionSet, dimensions, known_names
     if missing:
         _report(diags, "P-TABLE", f"value table for {name} has {len(table)} "
                 f"of {len(want)} entries (first missing: "
-                f"{','.join(missing[0])})", stmt.span)
+                f"{','.join(missing[0])})", where)
         return None
     return ValueTable(tuple(table[k] for k in want))
 

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import load_checked, load_model
 from dimcalc.checker import (CheckFailure, check_model, infer_dims)
-from dimcalc.model import Aggregate, Binary, EMPTY_DIMS, Literal, Ref
+from dimcalc.model import (Aggregate, Binary, EMPTY_DIMS, Literal, Model, Ref,
+                           Variable, VariableKind)
 from dimcalc.parser import parse_model
 
 DIMS = ("A", "B", "C", "D")
@@ -70,6 +71,33 @@ def test_rule1_overspan_message():
     message = info.value.diagnostics[0].message
     assert "(Month, Sector)" in message and "(Month)" in message
     assert "extra" in message
+
+
+def test_rule1_missing_and_extra_message():
+    model = parse_model("dimension A = [a]\ndimension B = [b]\n"
+                        "data X over (A) = [1]\ncalc Y over (B) = X\n")
+    with pytest.raises(CheckFailure) as info:
+        check_model(model)
+    assert [d.render() for d in info.value.diagnostics] == [
+        "<input>:4:1: error[R1-MISMATCH]: Y is declared over (B) but its "
+        "formula spans (A): missing (B), extra (A)"]
+
+
+def test_kind_messages():
+    with pytest.raises(CheckFailure) as info:
+        check_model(parse_model("dimension S = [a, b]\n"
+                                "calc X over (S) = [1, 2]\n"))
+    assert [d.render() for d in info.value.diagnostics] == [
+        "<input>:2:1: error[K-KIND]: calc X carries literal values; write a "
+        "formula, or declare it as data"]
+    # the parser gives every calc a formula and every data a value
+    model = Model((), (Variable("X", VariableKind.CALCULATED, EMPTY_DIMS, None),
+                       Variable("Z", VariableKind.DATA, EMPTY_DIMS, None)))
+    with pytest.raises(CheckFailure) as info:
+        check_model(model)
+    assert [d.render() for d in info.value.diagnostics] == [
+        "error[K-KIND]: calc X has no formula",
+        "error[K-KIND]: data Z has no value"]
 
 
 def test_rule1_underspan_message():

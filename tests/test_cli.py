@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dimcalc
 from conftest import FIXTURES
 from dimcalc.cli import _write_csv, main
 from dimcalc.model import Dimension, Model, Tensor
@@ -127,6 +128,31 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(bad))
         assert code == 1
         assert "error[P-NUMBER]" in err
+
+    @pytest.mark.parametrize("argv", [["check"], ["eval", "--out-dir", "out"]])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_warning_goes_to_stderr(self, capsys, tmp_path, monkeypatch, argv,
+                                    as_json):
+        monkeypatch.chdir(tmp_path)
+        head = "dimension M = [a, b]\ninput X over (M) = [1, 2]\n"
+        Path("plain.dml").write_text(head + "output Y over (M) = X\n")
+        Path("warned.dml").write_text(head + "output Y over (M) = SUM(X)\n")
+        flags = ["--json"] if as_json else []
+        plain = run(capsys, argv[0], "plain.dml", *argv[1:], *flags)
+        assert plain[0] == 0 and plain[2] == ""
+        code, out, err = run(capsys, argv[0], "warned.dml", *argv[1:], *flags)
+        assert (code, out) == (0, plain[1])
+        message = ("SUM(X) eliminates nothing: source and target are both "
+                   "over (M)")
+        if as_json:
+            assert json.loads(err) == [{
+                "severity": "warning", "code": "R3-DEGENERATE",
+                "message": message,
+                "span": {"file": "warned.dml", "start_line": 3,
+                         "start_col": 21, "end_line": 3, "end_col": 27},
+                "variables": ["Y", "X"], "dimension_sets": [["M"], ["M"]]}]
+        else:
+            assert err == f"warned.dml:3:21: warning[R3-DEGENERATE]: {message}\n"
 
 
 class TestEval:
@@ -681,3 +707,16 @@ def test_console_script_installed(argv, code, out_start, err):
     assert result.returncode == code
     assert result.stdout.startswith(out_start)
     assert result.stderr == err
+
+
+def test_cold_import_leaves_out_slow_modules():
+    # -I -S: no site packages and no PYTHONPATH, so this is all the import
+    # loads; the package is found where this test imported it from
+    source = ("import sys; sys.path.insert(0, sys.argv[1]); import dimcalc.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'typing'} "
+              "& set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", source,
+         str(Path(dimcalc.__file__).parents[1])],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

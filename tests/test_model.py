@@ -3,14 +3,17 @@ import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dimcalc.checker import CheckDiagnostic, CheckedModel, check_model
+from dimcalc.diagram import DiagramConfig
+from dimcalc.evaluator import EvaluationResult, InputOverride
 from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
-                           EMPTY_DIMS, Literal, Model, ModelError, Ref,
+                           EMPTY_DIMS, Expr, Literal, Model, ModelError, Ref,
                            SourceSpan, Tensor, Unary, ValueTable, Variable,
                            VariableKind, difference, intersect, is_subset,
                            iter_dependencies, iter_nodes)
-from dimcalc.parser import parse_model
+from dimcalc.parser import ParseDiagnostic, parse_model
 from helpers import enumerate_dimension_sets, full_set, union
 
 ACME_DIM_NAMES = ("Month", "Sector", "Product", "Region")
@@ -174,6 +177,14 @@ def test_node_equality_ignores_span():
     span = SourceSpan("f", 1, 1, 1, 2)
     assert Ref("a", span=span) == Ref("a")
     assert Aggregate("a", span=span) == Aggregate("a")
+    for with_span, without in [
+            (Ref("a", span=span), Ref("a")),
+            (Aggregate("a", span=span), Aggregate("a")),
+            (Variable("X", VariableKind.INPUT, EMPTY_DIMS, None, span),
+             Variable("X", VariableKind.INPUT, EMPTY_DIMS, None))]:
+        assert hash(with_span) == hash(without)
+        assert repr(with_span) == repr(without)
+        assert "span" not in repr(with_span)
 
 
 class TestSourceSpan:
@@ -256,3 +267,175 @@ def test_nodes_hold_no_operator_name():
         Unary("+", Ref("X"))
     with pytest.raises(TypeError):
         Aggregate("MEAN", "X")
+
+
+SPAN = SourceSpan("f.dml", 2, 3, 2, 9)
+SMALL_SOURCE = ("dimension M = [a, b]\ninput X over (M) = [1, 2]\n"
+                "output Y over (M) = X * 2\n")
+
+
+def _small_model():
+    return parse_model(SMALL_SOURCE, "s.dml")
+
+
+# each public immutable type, one of its fields, and the type built afresh
+# on every call; keyword arguments where the constructor takes them
+VALUES = {
+    "SourceSpan": ("file", lambda: SourceSpan("f.dml", 2, 3, 2, 9)),
+    "Dimension": ("name", lambda: Dimension(name="M", instances=("a", "b"))),
+    "DimensionSet": ("names", lambda: DimensionSet(("M", "N"))),
+    "Literal": ("value", lambda: Literal(2)),
+    "Ref": ("span", lambda: Ref("X", span=SPAN)),
+    "Unary": ("operand", lambda: Unary(Ref("X", SPAN))),
+    "Binary": ("left", lambda: Binary("*", left=Ref("X", SPAN),
+                                      right=Literal(2))),
+    "Aggregate": ("source", lambda: Aggregate("X", span=SPAN)),
+    "ValueTable": ("values", lambda: ValueTable((1, 2))),
+    "Variable": ("payload", lambda: Variable(
+        "X", VariableKind.INPUT, DimensionSet(("M",)), ValueTable((1, 2)),
+        span=SPAN)),
+    "Model": ("variables", _small_model),
+    "Tensor": ("values", lambda: Tensor(dims=DimensionSet(("M",)),
+                                        values=(1.0, 2.0))),
+    "ParseDiagnostic": ("message", lambda: ParseDiagnostic(
+        "error", "P-TABLE", "m", SPAN)),
+    "CheckDiagnostic": ("span", lambda: CheckDiagnostic(
+        "warning", "R3-DEGENERATE", "m", SPAN, variables=("Y", "X"),
+        dimension_sets=(DimensionSet(("M",)),) * 2)),
+    "CheckedModel": ("order", lambda: check_model(_small_model())),
+    "InputOverride": ("value", lambda: InputOverride("X", labels=("a",),
+                                                     value=3.0)),
+    "EvaluationResult": ("tensors", lambda: EvaluationResult(
+        {"X": Tensor(EMPTY_DIMS, (1.0,))}, ("X",), elapsed=0.5)),
+    "DiagramConfig": ("include_data_values",
+                      lambda: DiagramConfig(include_data_values=True)),
+}
+
+
+def _spans(value) -> list:
+    """Every span a value holds, in a fixed order."""
+    if isinstance(value, CheckedModel):
+        value = value.model
+    if isinstance(value, Model):
+        return [span for v in value.variables for span in _spans(v)]
+    if isinstance(value, Variable) and isinstance(value.payload, Expr):
+        return [value.span, *_spans(value.payload)]
+    if isinstance(value, Expr):
+        return [getattr(node, "span", None) for node in iter_nodes(value)]
+    return [getattr(value, "span", None)]
+
+
+def _copies(value) -> list:
+    pickled = [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [*pickled, copy.deepcopy(value), copy.copy(value)]
+
+
+@pytest.mark.parametrize("field,make", VALUES.values(), ids=VALUES.keys())
+def test_value_semantics(field, make):
+    value, other = make(), make()
+    assert value is not other
+    assert value == other and not value != other
+    if isinstance(value, EvaluationResult):
+        # its tensors are a dict, which does not hash
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    else:
+        assert hash(value) == hash(other)
+    for copied in _copies(value):
+        assert copied == value
+        assert _spans(copied) == _spans(value)
+    for name in (field, "other"):
+        with pytest.raises(FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 1)
+        with pytest.raises(FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert value == other
+
+
+def test_values_holding_spans():
+    # test_value_semantics compares the spans of copies; these have some
+    holding = [name for name, (_, make) in VALUES.items()
+               if any(_spans(make()))]
+    assert holding == ["Ref", "Unary", "Binary", "Aggregate", "Variable",
+                       "Model", "ParseDiagnostic", "CheckDiagnostic",
+                       "CheckedModel"]
+
+
+def test_keyword_and_default_arguments():
+    assert DiagramConfig(include_data_values=True) == DiagramConfig(True, True)
+    assert DiagramConfig() == DiagramConfig(group_by_dimension_set=True,
+                                            include_data_values=False)
+    assert Aggregate("X", span=SPAN).span is SPAN
+    assert Variable("X", VariableKind.INPUT, EMPTY_DIMS, None).span is None
+    assert CheckDiagnostic("error", "C-CYCLE", "m", None) == CheckDiagnostic(
+        "error", "C-CYCLE", "m", None, (), ())
+    model = _small_model()
+    assert CheckedModel(model, ("X", "Y")).warnings == ()
+    with pytest.raises(TypeError):
+        Aggregate("X", SPAN)  # the span is keyword-only
+
+
+# repr texts as the dataclasses of earlier versions wrote them
+SMALL_MODEL_REPR = (
+    "Model(dimensions=(Dimension(name='M', instances=('a', 'b')),), "
+    "variables=(Variable(name='X', kind=<VariableKind.INPUT: 'input'>, "
+    "dims=DimensionSet(names=('M',)), payload=ValueTable(values=(1.0, 2.0))), "
+    "Variable(name='Y', kind=<VariableKind.OUTPUT: 'output'>, "
+    "dims=DimensionSet(names=('M',)), payload=Binary(op='*', "
+    "left=Ref(name='X'), right=Literal(value=2.0)))))")
+
+
+def test_reprs():
+    model = _small_model()
+    assert repr(model) == SMALL_MODEL_REPR
+    assert repr(check_model(model)) == (
+        f"CheckedModel(model={SMALL_MODEL_REPR}, order=('X', 'Y'), "
+        f"warnings=())")
+    assert repr(Tensor(DimensionSet(("M",)), (1.0, 2.0))) == (
+        "Tensor(dims=DimensionSet(names=('M',)), values=(1.0, 2.0))")
+    assert repr(VALUES["EvaluationResult"][1]()) == (
+        "EvaluationResult(order=('X',), elapsed=0.5)")
+
+
+@st.composite
+def formula_sources(draw):
+    """A model whose formula is shallow, or deeper than a recursive walk
+    could go: many terms, parentheses or negations."""
+    size = st.integers(1, 4) | st.integers(1000, 1300)
+    atoms = draw(st.lists(st.sampled_from(
+        ["X", "SUM(Z)", "2", "(X - 1)", "-0.5", "Z"]), min_size=1, max_size=4))
+    ops = draw(st.lists(st.sampled_from("+-*/^"), min_size=1, max_size=4))
+    terms = draw(size)
+    body = atoms[0] + "".join(f" {ops[i % len(ops)]} {atoms[i % len(atoms)]}"
+                              for i in range(1, terms))
+    depth = draw(st.integers(0, 3) | st.integers(400, 600))
+    formula = "- " * draw(size) + "(" * depth + body + ")" * depth
+    return ("dimension M = [a, b]\ninput X = 2\ninput Z over (M) = [1, 2]\n"
+            f"output Y over (M) = {formula}\n")
+
+
+@given(formula_sources())
+@settings(max_examples=25, deadline=None)
+def test_formulas_of_any_depth_keep_value_semantics(source):
+    model, again = parse_model(source), parse_model(source)
+    assert model == again and hash(model) == hash(again)
+    assert repr(model) == repr(again)
+    for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert copied == model
+        assert _spans(copied) == _spans(model)
+    formula = model.variable("Y").payload
+    assert Unary(formula) != formula
+    assert Binary("+", formula, Literal(0)) != Binary("+", Literal(0), formula)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("X - (X - X)", "(X - X) - X"), ("-X ^ 2", "(-X) ^ 2"), ("X", "SUM(X)"),
+    ("X + 1", "X + 2"), ("X * Z", "Z * X")])
+def test_formulas_of_other_shapes_differ(a, b):
+    source = "input X = 2\ninput Z = 3\noutput Y = {}\n"
+    left = parse_model(source.format(a)).variable("Y").payload
+    right = parse_model(source.format(b)).variable("Y").payload
+    assert left != right and repr(left) != repr(right)

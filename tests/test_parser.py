@@ -18,8 +18,8 @@ from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
                            SourceSpan, Unary, ValueTable, Variable,
                            VariableKind, iter_dependencies)
 from dimcalc.parser import (ParseFailure, _Parser, _spans_of, _tokenize,
-                            _VarStmt, format_expr, format_ident,
-                            format_number, parse_model, pretty_print)
+                            format_expr, format_ident, format_number,
+                            parse_model, pretty_print)
 
 
 def parse_one(text):
@@ -178,6 +178,33 @@ class TestDiagnostics:
     def test_recovery_reports_multiple_statements(self):
         err = parse_fail("input X = 40%\ninput Y over (Ghost) = 1\n")
         assert {"P-NUMBER", "P-UNDECLARED"} <= set(codes_of(err))
+
+    @pytest.mark.parametrize("source,rendered", [
+        ("dimension D = [a, b, a]\n",
+         "1:22: error[P-DUPLICATE]: dimension D repeats instance label a"),
+        ("dimension D = [a]\ndata D = 1\n",
+         "2:6: error[P-DUPLICATE]: D is already declared as a dimension"),
+        ("dimension D = [a, b]\ndata X over (D, D) = [1, 2]\n",
+         "2:17: error[P-DUPLICATE]: dimension D appears twice in the over "
+         "clause"),
+        ("dimension D = [a, b]\ndata X over (D) = [1, 2, 3]\n",
+         "2:1: error[P-TABLE]: X needs 2 values for D, got 3"),
+        ("dimension D = [a, b]\ndimension E = [c]\n"
+         "data X over (D, E) = [1, 2]\n",
+         "3:1: error[P-TABLE]: a positional list needs exactly one "
+         "dimension; X is over (D, E)"),
+        ("data X = {a: 1}\n",
+         "1:1: error[P-TABLE]: X is dimensionless; write a single number, "
+         "not a table"),
+        ("dimension D = [a, b]\ndimension E = [c]\n"
+         "data X over (D, E) = {a: 1, b, c: 2}\n",
+         "3:23: error[P-TABLE]: table key a has 1 labels; X is over (D, E)"),
+        ("dimension D = [a, b]\ndata X over (D) = {}\n",
+         "2:20: error[P-TABLE]: value table has no entries"),
+    ])
+    def test_rendered_message(self, source, rendered):
+        err = parse_fail(source)
+        assert [d.render() for d in err.diagnostics] == [f"<input>:{rendered}"]
 
 
 def _error(code, message, start_line, start_col, end_line, end_col, **extra):
@@ -465,11 +492,11 @@ def _collected_references(text):
     """(formula, the references its parser collected) of each formula."""
     diags = []
     span = _spans_of(text, "<input>")
-    statements = _Parser(_tokenize(text, span, diags), span,
-                         diags).parse_statements()
+    parser = _Parser(_tokenize(text, span, diags), span, diags)
+    parser.parse_statements()
     assert not diags
-    return [s.rhs for s in statements
-            if isinstance(s, _VarStmt) and s.rhs_kind == "expr"]
+    # a variable's statement is (kind, name, over, rhs_kind, rhs, span)
+    return [s[4] for s in parser.variables if s[3] == "expr"]
 
 
 def _assert_references_match(text):
@@ -767,12 +794,12 @@ DEEP_FORMULAS = {
                          ids=DEEP_FORMULAS.keys())
 def test_deep_formula_parses_checks_and_prints(formula, printed, tmp_path,
                                                capsys):
-    # compare text, not Expr objects: dataclass __eq__ recurses
     source = f"input X = 2\noutput Y = {formula}\n"
     model = parse_model(source)
     check_model(model)
     text = pretty_print(model)
     assert text == f"input X = 2\noutput Y = {printed}\n"
+    assert parse_model(text) == model
     assert pretty_print(parse_model(text)) == text
     path = tmp_path / "deep.dml"
     path.write_text(source)
