@@ -113,14 +113,14 @@ def _union_dims(uses, target: Variable, model: Model) -> DimensionSet:
     return model.dim_set(names)
 
 
-def _check_kind(var: Variable, uses: list) -> CheckDiagnostic | None:
+def _check_kind(var: Variable) -> CheckDiagnostic | None:
     if var.kind.carries_formula:
         if isinstance(var.payload, ValueTable):
             problem = ("carries literal values; write a formula, or declare "
                        "it as data")
         elif var.payload is None:
             problem = "has no formula"
-        elif not uses:
+        elif not var.uses:
             problem = "is a constant expression; declare it as data or input"
         else:
             return None
@@ -178,11 +178,8 @@ def check_model(model: Model) -> CheckedModel:
     deps: dict[str, tuple[str, ...]] = {}
 
     for var in model.variables:
-        expr = var.payload
-        # the formula's one walk: (name, node) for each Ref and Aggregate
-        uses = list(iter_dependencies(expr)) if isinstance(expr, Expr) else []
-        deps[var.name] = tuple(dict.fromkeys(name for name, _ in uses))
-        kind_diag = _check_kind(var, uses)
+        deps[var.name] = var.dependencies
+        kind_diag = _check_kind(var)
         if kind_diag:
             errors.append(kind_diag)
             continue
@@ -190,7 +187,7 @@ def check_model(model: Model) -> CheckedModel:
             continue
         # a bare reference applies no operator, so it has no operand to
         # hold against Rule 2; Rule 1 judges the whole formula instead
-        for _, node in () if isinstance(expr, Ref) else uses:
+        for _, node in () if isinstance(var.payload, Ref) else var.uses:
             error, warning = _check_operand(node, var, model)
             if warning:
                 warnings.append(warning)
@@ -198,7 +195,7 @@ def check_model(model: Model) -> CheckedModel:
                 errors.append(error)
                 break
         else:
-            inferred = _union_dims(uses, var, model)
+            inferred = _union_dims(var.uses, var, model)
             if inferred != var.dims:
                 missing = difference(var.dims, inferred)
                 extra = difference(inferred, var.dims)

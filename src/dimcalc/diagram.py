@@ -12,8 +12,8 @@ Output is byte-deterministic for a given model and config.
 
 from __future__ import annotations
 
-from .model import EMPTY_DIMS, Aggregate, Expr, Model, Record, Variable, \
-    VariableKind, ValueTable, iter_dependencies
+from .model import EMPTY_DIMS, Aggregate, Model, Record, Variable, \
+    VariableKind, ValueTable
 from .parser import format_number
 
 _SHAPE = {
@@ -76,14 +76,13 @@ def emit_dot(model: Model, config: DiagramConfig = DiagramConfig()) -> str:
     sum_edges = set()
     seen = set()
     for var in model.variables:
-        if isinstance(var.payload, Expr):
-            for name, node in iter_dependencies(var.payload):
-                key = (name, var.name)
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-                if isinstance(node, Aggregate):
-                    sum_edges.add(key)
+        for name, node in var.uses:
+            key = (name, var.name)
+            if key not in seen:
+                seen.add(key)
+                edges.append(key)
+            if isinstance(node, Aggregate):
+                sum_edges.add(key)
     for source, target in edges:
         label = ' [label="SUM"]' if (source, target) in sum_edges else ""
         lines.append(f"  {_quote(source)} -> {_quote(target)}{label};")

@@ -238,6 +238,9 @@ def _run(var, lo: int, hi: int, model: Model, values: dict[str, list],
             if len(result) != count:
                 result = result[lo:hi]
         elif isinstance(node, Literal):
+            if not math.isfinite(node.value):
+                raise _CellError("NON-FINITE",
+                                 f"literal {node.value!r} is not finite")
             result = [node.value] * count
         elif isinstance(node, Unary):
             result = [-a for a in stack.pop()]

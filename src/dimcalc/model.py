@@ -13,7 +13,6 @@ import itertools
 from bisect import bisect_right
 from collections.abc import Iterator
 from enum import Enum
-from functools import cached_property
 
 
 class ModelError(ValueError):
@@ -362,10 +361,12 @@ class Variable(Record):
     Input and data variables carry a value table (inputs may carry none and
     be supplied at evaluation time); calculated and output variables carry
     a formula. Kind/payload agreement is the checker's job, not enforced
-    here.
+    here. `uses` holds the formula's `iter_dependencies` pairs, found once
+    here (empty without a formula); derived from the payload, it takes no
+    part in equality or repr.
     """
 
-    __slots__ = ("name", "kind", "dims", "payload", "span")
+    __slots__ = ("name", "kind", "dims", "payload", "span", "uses")
     _fields = __slots__[:4]  # the span takes no part in equality or repr
 
     def __init__(self, name: str, kind: VariableKind, dims: DimensionSet,
@@ -375,6 +376,8 @@ class Variable(Record):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "uses", tuple(iter_dependencies(payload))
+                           if isinstance(payload, Expr) else ())
 
     def __reduce__(self):
         return self.__class__, (*self._values(), self.span)
@@ -382,10 +385,7 @@ class Variable(Record):
     @property
     def dependencies(self) -> tuple[str, ...]:
         """Distinct names the formula references, in first-use order."""
-        if not isinstance(self.payload, Expr):
-            return ()
-        names = (name for name, _ in iter_dependencies(self.payload))
-        return tuple(dict.fromkeys(names))
+        return tuple(dict.fromkeys(name for name, _ in self.uses))
 
 
 class Model(Record):
@@ -397,23 +397,26 @@ class Model(Record):
     """
 
     _fields = ("dimensions", "variables")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
+    __slots__ = (*_fields, "_dim_by_name", "_dim_index", "_var_by_name")
 
     def __init__(self, dimensions: tuple[Dimension, ...],
                  variables: tuple[Variable, ...]):
         object.__setattr__(self, "dimensions", dimensions)
         object.__setattr__(self, "variables", variables)
-        dim_names = [d.name for d in dimensions]
-        if len(set(dim_names)) != len(dim_names):
+        dim_by_name = {d.name: d for d in dimensions}
+        index = {name: i for i, name in enumerate(dim_by_name)}
+        var_by_name = {v.name: v for v in variables}
+        object.__setattr__(self, "_dim_by_name", dim_by_name)
+        object.__setattr__(self, "_dim_index", index)
+        object.__setattr__(self, "_var_by_name", var_by_name)
+        if len(dim_by_name) != len(dimensions):
             raise ModelError("duplicate dimension name")
-        var_names = {v.name for v in variables}
-        if len(var_names) != len(variables):
+        if len(var_by_name) != len(variables):
             raise ModelError("duplicate variable name")
-        overlap = set(dim_names) & var_names
+        overlap = dim_by_name.keys() & var_by_name.keys()
         if overlap:
             raise ModelError(
                 f"name used for both a dimension and a variable: {sorted(overlap)}")
-        index = self._dim_index
         for v in variables:
             last = -1
             for n in v.dims.names:
@@ -430,23 +433,10 @@ class Model(Record):
                     raise ModelError(
                         f"variable {v.name}: value table holds "
                         f"{len(v.payload.values)} values for {size} cells")
-            elif isinstance(v.payload, Expr):
-                for name, _ in iter_dependencies(v.payload):
-                    if name not in var_names:
-                        raise ModelError(
-                            f"variable {v.name} references undeclared name {name}")
-
-    @cached_property
-    def _dim_by_name(self) -> dict[str, Dimension]:
-        return {d.name: d for d in self.dimensions}
-
-    @cached_property
-    def _dim_index(self) -> dict[str, int]:
-        return {d.name: i for i, d in enumerate(self.dimensions)}
-
-    @cached_property
-    def _var_by_name(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
+            for name, _ in v.uses:
+                if name not in var_by_name:
+                    raise ModelError(
+                        f"variable {v.name} references undeclared name {name}")
 
     def dimension(self, name: str) -> Dimension:
         try:

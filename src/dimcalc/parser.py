@@ -183,8 +183,8 @@ class _Parser:
         self.failed_names: set[str] = set()
         # the statements read: a dimension's is (name token, label tokens), a
         # variable's (kind, name token, over clause tokens or None, rhs_kind,
-        # rhs, span), where rhs is (formula, its references), table entries,
-        # list values or None, as rhs_kind is "expr", "table", "list", "none"
+        # rhs, span), where rhs is a formula, table entries, list values or
+        # None, as rhs_kind is "expr", "table", "list", "none"
         self.dimensions: list[tuple] = []
         self.variables: list[tuple] = []
 
@@ -328,20 +328,16 @@ class _Parser:
         self._expect("]")
         return values
 
-    def _parse_expr(self) -> tuple[Expr, list[tuple[str, Expr]]]:
-        """One formula and its references, by operator precedence over
-        explicit stacks.
+    def _parse_expr(self) -> Expr:
+        """One formula, by operator precedence over explicit stacks.
 
         Loosest to tightest: `+ -`, `* /`, prefix `-`, `^` (left-associative),
         and a `-` right after `^`, which negates the exponent's atom alone:
         `-a ^ b` is -(a ^ b) and `a ^ -b ^ c` is (a ^ (-b)) ^ c. Operands are
-        numbers, names, `SUM(name)` and parenthesized formulas. The
-        references are (name, Ref or Aggregate) in source order, the order
-        in which `iter_dependencies` yields them.
+        numbers, names, `SUM(name)` and parenthesized formulas.
         """
         tokens = self.tokens
         operands: list[Expr] = []
-        refs: list[tuple[str, Expr]] = []
         # (precedence, operator, token); "neg" is a prefix minus and "(" an
         # open group, which no operator reduces past
         ops: list[tuple[int, str, tuple]] = []
@@ -359,7 +355,7 @@ class _Parser:
                     neg_prec = _NEG_PREC
                 self.pos += 1
                 tok = tokens[self.pos]
-            operands.append(self._parse_atom(tok, refs))
+            operands.append(self._parse_atom(tok))
             # operator position: close groups, then a binary operator or the end
             while True:
                 tok = tokens[self.pos]
@@ -367,18 +363,18 @@ class _Parser:
                     break
                 if not open_groups:
                     self._reduce(operands, ops, 1)
-                    return operands[0], refs
+                    return operands[0]
                 close = self._expect(")")
                 self._reduce(operands, ops, 1)
                 opening = ops.pop()[2]
                 open_groups -= 1
-                # a diagnostic on a grouped reference covers the parentheses;
-                # the group holds only that reference, the last one read
-                if isinstance(operands[-1], (Ref, Aggregate)):
-                    node = operands[-1].__class__(
-                        refs[-1][0], span=self.span(opening[3], close[4]))
-                    operands[-1] = node
-                    refs[-1] = (refs[-1][0], node)
+                # a diagnostic on a grouped reference covers the parentheses
+                node = operands[-1]
+                if isinstance(node, Ref):
+                    operands[-1] = Ref(node.name, self.span(opening[3], close[4]))
+                elif isinstance(node, Aggregate):
+                    operands[-1] = Aggregate(
+                        node.source, span=self.span(opening[3], close[4]))
             prec = _BINARY_PREC[tok[0]]
             self._reduce(operands, ops, prec)
             ops.append((prec, tok[0], tok))
@@ -396,7 +392,7 @@ class _Parser:
                 left = operands.pop()
                 operands.append(Binary(op, left, right))
 
-    def _parse_atom(self, tok: tuple, refs: list) -> Expr:
+    def _parse_atom(self, tok: tuple) -> Expr:
         if tok[0] == "number":
             self.pos += 1
             return Literal(tok[2])
@@ -412,16 +408,12 @@ class _Parser:
             if last[0] != ")":
                 self._fail("P-SYNTAX", "SUM takes a single variable name", last)
             self.pos += 1
-            ref = source[1], Aggregate(source[1],
-                                       span=self.span(tok[3], last[4]))
-        elif tok[0] in ("name", "qname"):
+            return Aggregate(source[1], span=self.span(tok[3], last[4]))
+        if tok[0] in ("name", "qname"):
             name = self._expect_name("a variable name")
-            ref = name[1], Ref(name[1], span=self.span(name[3], name[4]))
-        else:
-            self._fail("P-SYNTAX", "expected a number, variable, or '(', "
-                       f"got {_describe(tok)}", tok)
-        refs.append(ref)
-        return ref[1]
+            return Ref(name[1], span=self.span(name[3], name[4]))
+        self._fail("P-SYNTAX", "expected a number, variable, or '(', "
+                   f"got {_describe(tok)}", tok)
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -493,10 +485,20 @@ def parse_model(text: str, file: str = "<input>") -> Model:
 
     variables = []
     for stmt in var_stmts:
-        kind, name, over, _, _, where = stmt
+        kind, name, over, rhs_kind, _, where = stmt
         dims = _resolve_dims(over, dim_index, span, diags)
-        payload = _resolve_payload(stmt, dims, dimensions, known_names, span, diags)
-        variables.append(Variable(name[1], kind, dims, payload, span=where))
+        if dims is None and rhs_kind != "expr":
+            continue  # the over clause failed; values would only add noise
+        dims = dims or EMPTY_DIMS
+        payload = _resolve_payload(stmt, dims, dimensions, span, diags)
+        variable = Variable(name[1], kind, dims, payload, span=where)
+        for ref, node in variable.uses:
+            if ref not in known_names:
+                extra = (" (it is a dimension, not a variable)"
+                         if ref in dim_index else "")
+                _report(diags, "P-UNDECLARED",
+                        f"no variable named {ref}{extra}", node.span)
+        variables.append(variable)
 
     if diags:  # every parse diagnostic is an error
         raise ParseFailure(sorted(
@@ -504,49 +506,43 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     return Model(tuple(dimensions), tuple(variables))
 
 
-def _resolve_dims(over, dim_index, span, diags) -> DimensionSet:
+def _resolve_dims(over, dim_index, span, diags) -> DimensionSet | None:
+    """The over clause's dimension set; None if it names an undeclared
+    dimension."""
     if over is None:
         return EMPTY_DIMS
-    names = []
+    names, failed = [], False
     for _, name, _, start, end in over:
         if name not in dim_index:
             _report(diags, "P-UNDECLARED", f"no dimension named {name}",
                     span(start, end))
-            continue
-        if name in names:
+            failed = True
+        elif name in names:
             _report(diags, "P-DUPLICATE", f"dimension {name} appears twice in "
                     f"the over clause", span(start, end))
-            continue
-        names.append(name)
-    return DimensionSet(tuple(sorted(names, key=dim_index.__getitem__)))
+        else:
+            names.append(name)
+    return None if failed else DimensionSet(
+        tuple(sorted(names, key=dim_index.__getitem__)))
 
 
-def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, known_names,
-                     span, diags):
+def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
     kind, name_token, _, rhs_kind, rhs, where = stmt
     if rhs_kind == "none":
         return None
     name = name_token[1]
     if rhs_kind == "expr":
-        expr, refs = rhs
         # a bare number is a scalar value, not a formula
-        if isinstance(expr, Literal) and not kind.carries_formula:
+        if isinstance(rhs, Literal) and not kind.carries_formula:
             if len(dims) > 0:
                 _report(diags, "P-TABLE", f"{name} is over {dims}; a single "
                         f"number is only valid for a dimensionless variable",
                         where)
                 return None
-            return ValueTable((expr.value,))
-        for node_name, node in refs:
-            if node_name not in known_names:
-                dim_names = {d.name for d in dimensions}
-                extra = (" (it is a dimension, not a variable)"
-                         if node_name in dim_names else "")
-                _report(diags, "P-UNDECLARED",
-                        f"no variable named {node_name}{extra}", node.span)
-        return expr
+            return ValueTable((rhs.value,))
+        return rhs
     by_name = {d.name: d for d in dimensions}
-    axes = [by_name[n] for n in dims if n in by_name]
+    axes = [by_name[n] for n in dims]
     if rhs_kind == "list":
         if len(axes) != 1:
             _report(diags, "P-TABLE", f"a positional list needs exactly one "
@@ -559,8 +555,6 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, known_names,
             return None
         return ValueTable(tuple(rhs))
     # keyed table
-    if len(axes) != len(dims):
-        return None  # over clause already failed; skip follow-on noise
     if not axes:
         _report(diags, "P-TABLE", f"{name} is dimensionless; write a single "
                 f"number, not a table", where)
@@ -690,11 +684,22 @@ def _source_ident(name: str, what: str) -> str:
     return format_ident(name)
 
 
+def _source_numbers(variable: Variable) -> None:
+    payload = variable.payload
+    numbers = payload.values if isinstance(payload, ValueTable) else ()
+    if isinstance(payload, Expr):
+        numbers = [n.value for n in iter_nodes(payload) if isinstance(n, Literal)]
+    for value in numbers:
+        if not math.isfinite(value):
+            raise ModelError(f"cannot print variable {variable.name!r}: .dml "
+                             f"source cannot write the number {value!r}")
+
+
 def pretty_print(model: Model) -> str:
     """Render a Model as DSL source that parses back to an equal Model.
 
-    Raises ModelError for a name or label holding an LF, which the DSL
-    cannot write."""
+    Raises ModelError for a name or label holding an LF, or for a number
+    that is not finite, which the DSL cannot write."""
     lines = []
     for dim in model.dimensions:
         name = _source_ident(dim.name, "dimension")
@@ -705,6 +710,7 @@ def pretty_print(model: Model) -> str:
         head = f"{v.kind.value} {_source_ident(v.name, 'variable')}"
         if len(v.dims) > 0:
             head += f" over ({', '.join(format_ident(n) for n in v.dims)})"
+        _source_numbers(v)
         payload = format_payload(model, v)
         lines.append(head if payload is None else f"{head} = {payload}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -10,8 +10,9 @@ from conftest import load_checked
 from dimcalc.checker import check_model
 from dimcalc.evaluator import (EvalError, InputOverride, evaluate,
                                tensor_to_rows)
-from dimcalc.model import (Aggregate, Dimension, DimensionSet, Literal, Model,
-                           Ref, Unary, Variable, VariableKind)
+from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
+                           Literal, Model, Ref, Unary, ValueTable, Variable,
+                           VariableKind)
 from dimcalc.parser import parse_model
 from helpers import broadcast_lookup, full_set
 
@@ -105,6 +106,20 @@ class TestErrors:
         with pytest.raises(EvalError) as info:
             evaluate(check_model(model))
         assert info.value.kind == "NON-FINITE"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("op", ["^", "+"])
+    def test_non_finite_literal(self, op, value):
+        # only a library model holds one: P-NUMBER refuses it in source
+        dims = DimensionSet(("D",))
+        model = Model((Dimension("D", ("a", "b")),), (
+            Variable("X", VariableKind.DATA, dims, ValueTable((2, 3))),
+            Variable("Y", VariableKind.OUTPUT, dims,
+                     Binary(op, Ref("X"), Literal(value)))))
+        with pytest.raises(EvalError) as info:
+            evaluate(check_model(model))
+        assert str(info.value) == (f"error[NON-FINITE]: Y[a]: literal "
+                                   f"{value!r} is not finite")
 
     def test_missing_input(self, pricing_checked):
         with pytest.raises(EvalError) as info:

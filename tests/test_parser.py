@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURES
-from dimcalc import model as model_module
+from dimcalc import evaluator as evaluator_module, model as model_module, \
+    parser as parser_module
 from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
 from dimcalc.diagram import DiagramConfig, emit_dot
@@ -16,10 +17,9 @@ from dimcalc.evaluator import InputOverride, evaluate
 from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
                            DimensionSet, Expr, Literal, Model, ModelError, Ref,
                            SourceSpan, Unary, ValueTable, Variable,
-                           VariableKind, iter_dependencies)
-from dimcalc.parser import (ParseFailure, _Parser, _spans_of, _tokenize,
-                            format_expr, format_ident, format_number,
-                            parse_model, pretty_print)
+                           VariableKind, iter_dependencies, iter_nodes)
+from dimcalc.parser import (ParseFailure, format_expr, format_ident,
+                            format_number, parse_model, pretty_print)
 
 
 def parse_one(text):
@@ -114,6 +114,23 @@ class TestDiagnostics:
     def test_undeclared_dimension(self):
         err = parse_fail("input X over (Ghost) = 1\n")
         assert codes_of(err) == ["P-UNDECLARED"]
+
+    def test_failed_over_clause_reports_no_follow_on(self):
+        # a table or list over an undeclared dimension adds nothing more
+        text = ("dimension A = [a, b]\n"
+                "data X over (A, B) = {a, x: 1, b, x: 2}\n"
+                "data Z over (B) = [1, 2]\n")
+        expected = [
+            ("P-UNDECLARED", "no dimension named B", "<input>:2:17"),
+            ("P-UNDECLARED", "no dimension named B", "<input>:3:14")]
+        err = parse_fail(text)
+        assert [(d.code, d.message, str(d.span))
+                for d in err.diagnostics] == expected
+        # a formula's references are still resolved
+        err = parse_fail(text + "calc Y over (A, B) = X + nope\n")
+        assert [(d.code, d.message, str(d.span)) for d in err.diagnostics] == [
+            *expected, ("P-UNDECLARED", "no dimension named B", "<input>:4:17"),
+            ("P-UNDECLARED", "no variable named nope", "<input>:4:26")]
 
     def test_undeclared_reference_in_formula(self):
         err = parse_fail("calc X = SUM(Y)\n")
@@ -488,39 +505,81 @@ def test_clean_run_works_out_no_line_or_column(monkeypatch):
     assert len(calls) == 2
 
 
-def _collected_references(text):
-    """(formula, the references its parser collected) of each formula."""
-    diags = []
-    span = _spans_of(text, "<input>")
-    parser = _Parser(_tokenize(text, span, diags), span, diags)
-    parser.parse_statements()
-    assert not diags
-    # a variable's statement is (kind, name, over, rhs_kind, rhs, span)
-    return [s[4] for s in parser.variables if s[3] == "expr"]
+def test_one_reference_walk_per_formula(monkeypatch):
+    """parse, check, diagram and every `dependencies` read walk each formula
+    once, when its Variable is built; evaluate walks it once more."""
+    calls = []
+
+    def counted(expr):
+        calls.append(id(expr))
+        return iter_nodes(expr)
+
+    for module in (model_module, parser_module, evaluator_module):
+        monkeypatch.setattr(module, "iter_nodes", counted)
+    text = (FIXTURES / "acme.dml").read_bytes().decode("utf-8")
+    model = parse_model(text, "acme.dml")
+    checked = check_model(model)
+    emit_dot(model)
+    for variable in model.variables:
+        variable.dependencies
+    formulas = [id(v.payload) for v in model.variables
+                if isinstance(v.payload, Expr)]
+    assert len(formulas) == 20
+    assert calls == formulas
+    calls.clear()
+    evaluate(checked)
+    assert sorted(calls) == sorted(formulas)
 
 
-def _assert_references_match(text):
-    collected = _collected_references(text)
-    assert collected
-    for formula, refs in collected:
-        walked = list(iter_dependencies(formula))
-        assert [(name, id(node), node.span) for name, node in refs] == [
-            (name, id(node), node.span) for name, node in walked]
+# the text each reference's span covers, in source order: a grouped
+# reference's span covers its parentheses
+_GROUPED_MARKS = {
+    "(A)": ["(A)"], "-(SUM(X))": ["(SUM(X))"],
+    "((A)) * B ^ -(C)": ["((A))", "B", "(C)"], "(nope) + 1": ["(nope)"],
+    "2 * -(\n(nope)\n)": ["(\n(nope)\n)"],
+    "SUM(X) - (SUM(X)) / A ^ A": ["SUM(X)", "(SUM(X))", "A", "A"],
+    "((((B))))": ["((((B))))"], "3": [], "-(2)": []}
 
 
-@pytest.mark.parametrize("formula", [
-    "(A)", "-(SUM(X))", "((A)) * B ^ -(C)", "(nope) + 1", "2 * -(\n(nope)\n)",
-    "SUM(X) - (SUM(X)) / A ^ A", "((((B))))", "3", "-(2)"])
+def _assert_uses_are_the_tree(variable):
+    """Each entry of `Variable.uses` is the formula's own node."""
+    assert [(name, id(node)) for name, node in variable.uses] == [
+        (name, id(node)) for name, node in iter_dependencies(variable.payload)]
+
+
+@pytest.mark.parametrize("formula", list(_GROUPED_MARKS))
 def test_collected_references_are_iter_dependencies(formula):
-    _assert_references_match(f"input A = 1\ncalc Y = {formula}\n")
+    text = ("input A = 1\ninput B = 2\ninput C = 3\ninput X = 4\n"
+            f"calc Y = {formula}\n")
+    marks = _GROUPED_MARKS[formula]
+    if "nope" in formula:
+        err = parse_fail(text)
+        assert [(d.code, _text_at(text, d.span)) for d in err.diagnostics] == [
+            ("P-UNDECLARED", mark) for mark in marks]
+        return
+    variable = parse_model(text).variable("Y")
+    _assert_uses_are_the_tree(variable)
+    assert [_text_at(text, node.span) for _, node in variable.uses] == marks
 
 
 @given(_sources(failing=True))
 @settings(max_examples=100)
 def test_collected_references_are_iter_dependencies_generated(source):
     text, statements = source
-    if "40%" not in text:  # a P-NUMBER, which _collected_references refuses
-        _assert_references_match(text)
+    try:
+        model = parse_model(text)
+    except ParseFailure as err:
+        undeclared = sorted(mark for _, marks in statements.values()
+                            for mark, name in marks
+                            if name in _UNDECLARED.values())
+        assert sorted(_text_at(text, d.span) for d in err.diagnostics
+                      if d.code == "P-UNDECLARED") == undeclared
+        return
+    for name, (_, marks) in statements.items():
+        variable = model.variable(name)
+        _assert_uses_are_the_tree(variable)
+        assert [(_text_at(text, node.span), ref)
+                for ref, node in variable.uses] == marks
 
 
 class TestExpressions:
@@ -606,6 +665,22 @@ class TestPrinting:
         with pytest.raises(ModelError) as info:
             pretty_print(model)
         assert str(info.value).startswith(message + ": ")
+
+    # the DSL writes no nan or inf: `nan` would read back as a name
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("payload", ["table", "literal"])
+    def test_pretty_print_refuses_non_finite_numbers(self, payload, value):
+        dims = DimensionSet(("D",))
+        x = Variable("X", VariableKind.DATA, dims, ValueTable(
+            (2, value) if payload == "table" else (2, 3)))
+        y = Variable("Y", VariableKind.OUTPUT, dims, Binary(
+            "^", Ref("X"), Literal(3 if payload == "table" else value)))
+        model = Model((Dimension("D", ("a", "b")),), (x, y))
+        with pytest.raises(ModelError) as info:
+            pretty_print(model)
+        name = "X" if payload == "table" else "Y"
+        assert str(info.value) == (f"cannot print variable {name!r}: .dml "
+                                   f"source cannot write the number {value!r}")
 
     def test_pretty_print_keeps_cr_in_identifier(self):
         model = Model((Dimension("D", ("a\rb", "c")),), ())
