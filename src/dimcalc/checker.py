@@ -22,6 +22,8 @@ import heapq
 
 from .model import (
     Aggregate,
+    Diagnostic,
+    DiagnosticFailure,
     DimensionSet,
     Expr,
     Model,
@@ -37,43 +39,28 @@ from .model import (
 )
 
 
-class CheckDiagnostic(Record):
-    __slots__ = _fields = ("severity", "code", "message", "span", "variables",
-                           "dimension_sets")
+class CheckDiagnostic(Diagnostic):
+    """A checker finding and the variables and dimension sets it names; its
+    code is R1-MISMATCH, R2-NOT-SUBSET, R3-NOT-SUPERSET, R3-DEGENERATE, K-KIND
+    or C-CYCLE."""
 
-    # severity is "error" or "warning"; code is R1-MISMATCH, R2-NOT-SUBSET,
-    # R3-NOT-SUPERSET, R3-DEGENERATE, K-KIND or C-CYCLE
+    __slots__ = ("variables", "dimension_sets")
+    _fields = (*Diagnostic._fields, *__slots__)
+
     def __init__(self, severity: str, code: str, message: str,
                  span: SourceSpan | None, variables: tuple[str, ...] = (),
                  dimension_sets: tuple[DimensionSet, ...] = ()):
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "span", span)
+        super().__init__(severity, code, message, span)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "dimension_sets", dimension_sets)
 
-    def render(self) -> str:
-        where = f"{self.span}: " if self.span else ""
-        return f"{where}{self.severity}[{self.code}]: {self.message}"
-
     def as_json(self) -> dict:
-        return {
-            "severity": self.severity,
-            "code": self.code,
-            "message": self.message,
-            "span": self.span.as_json() if self.span else None,
-            "variables": list(self.variables),
-            "dimension_sets": [list(d.names) for d in self.dimension_sets],
-        }
+        return {**super().as_json(), "variables": list(self.variables),
+                "dimension_sets": [list(d.names) for d in self.dimension_sets]}
 
 
-class CheckFailure(Exception):
+class CheckFailure(DiagnosticFailure):
     """Raised by check_model when the model violates any rule."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
 class CheckedModel(Record):
@@ -217,10 +204,7 @@ def check_model(model: Model) -> CheckedModel:
     errors.extend(cycle_diags)
 
     if errors:
-        raise CheckFailure(sorted(
-            errors + warnings,
-            key=lambda d: (d.span.start_line if d.span else 0,
-                           d.span.start_col if d.span else 0, d.code)))
+        raise CheckFailure(errors + warnings)
     return CheckedModel(model, tuple(order), tuple(warnings))
 
 
@@ -254,36 +238,26 @@ def _topological_order(model: Model, deps: dict[str, tuple[str, ...]]):
 
 
 def _cycle_diagnostics(model: Model, deps, remaining: set) -> list[CheckDiagnostic]:
-    """One C-CYCLE diagnostic per cycle found among the unordered variables."""
+    """One C-CYCLE diagnostic per cycle among the unordered variables.
+
+    A walk from each follows its first unordered dependency, which every
+    unordered variable has, until a name repeats. It stops early at a
+    variable an earlier walk passed: that walk found the cycle there.
+    """
     diags = []
-    seen: set[str] = set()
+    passed: set[str] = set()
     for var in model.variables:
-        if var.name not in remaining or var.name in seen:
+        if var.name not in remaining:
             continue
-        cycle = _walk_cycle(var.name, deps, remaining)
-        if not cycle or any(n in seen for n in cycle):
-            seen.add(var.name)
-            continue
-        seen.update(cycle)
-        path = " -> ".join(cycle + [cycle[0]])
-        first = model.variable(cycle[0])
-        diags.append(CheckDiagnostic(
-            "error", "C-CYCLE", f"dependency cycle: {path}", first.span,
-            tuple(cycle)))
+        path: dict[str, int] = {}  # each name of this walk: its position
+        name = var.name
+        while name not in path and name not in passed:
+            path[name] = len(path)
+            name = next(d for d in deps[name] if d in remaining)
+        passed.update(path)
+        if name in path:
+            cycle = list(path)[path[name]:]
+            diags.append(CheckDiagnostic(
+                "error", "C-CYCLE", f"dependency cycle: {' -> '.join(cycle)} "
+                f"-> {name}", model.variable(name).span, tuple(cycle)))
     return diags
-
-
-def _walk_cycle(start: str, deps, remaining: set) -> list[str] | None:
-    """Follow in-cycle dependencies from start until a node repeats."""
-    path = [start]
-    positions = {start: 0}
-    current = start
-    while True:
-        next_name = next((d for d in deps[current] if d in remaining), None)
-        if next_name is None:
-            return None
-        if next_name in positions:
-            return path[positions[next_name]:]
-        positions[next_name] = len(path)
-        path.append(next_name)
-        current = next_name

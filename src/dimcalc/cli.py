@@ -18,12 +18,12 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .checker import CheckedModel, CheckFailure, check_model
+from .checker import CheckedModel, check_model
 from .diagram import DiagramConfig, emit_dot
 from .evaluator import EvalError, InputOverride, evaluate
-from .model import ModelError, ValueTable, VariableKind
-from .parser import (ParseFailure, _spans_of, _tokenize, format_expr,
-                     format_number, parse_model)
+from .model import DiagnosticFailure, ModelError, ValueTable, VariableKind
+from .parser import (_spans_of, _tokenize, format_expr, format_number,
+                     parse_model)
 
 class _Usage(Exception):
     """Bad invocation; maps to exit code 3."""
@@ -59,7 +59,7 @@ def _load_checked(path: str, as_json: bool) -> CheckedModel:
     try:
         model = parse_model(text, path)
         checked = check_model(model)
-    except (ParseFailure, CheckFailure) as e:
+    except DiagnosticFailure as e:
         _print_diagnostics(e.diagnostics, as_json)
         raise _Failed(1) from None
     if checked.warnings:

@@ -112,6 +112,39 @@ _SET_START = SourceSpan._start.__set__
 _SET_END = SourceSpan._end.__set__
 
 
+class Diagnostic(Record):
+    """One finding of the parser or the checker. `severity` is "error" or
+    "warning"; a diagnostic without a span renders without a location."""
+
+    __slots__ = _fields = ("severity", "code", "message", "span")
+
+    def __init__(self, severity: str, code: str, message: str,
+                 span: SourceSpan | None):
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
+
+    def render(self) -> str:
+        where = f"{self.span}: " if self.span else ""
+        return f"{where}{self.severity}[{self.code}]: {self.message}"
+
+    def as_json(self) -> dict:
+        return {"severity": self.severity, "code": self.code,
+                "message": self.message,
+                "span": self.span.as_json() if self.span else None}
+
+
+class DiagnosticFailure(Exception):
+    """Diagnostics that stop a stage, sorted by where they start (those
+    without a span first) and then by code; the message renders them."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = sorted(diagnostics, key=lambda d: (
+            (d.span.start_line, d.span.start_col) if d.span else (0, 0), d.code))
+        super().__init__("\n".join(d.render() for d in self.diagnostics))
+
+
 class Dimension(Record):
     """A named, ordered partition of instance labels.
 

@@ -28,13 +28,14 @@ from .model import (
     EMPTY_DIMS,
     Aggregate,
     Binary,
+    Diagnostic,
+    DiagnosticFailure,
     Dimension,
     DimensionSet,
     Expr,
     Literal,
     Model,
     ModelError,
-    Record,
     Ref,
     SourceSpan,
     Unary,
@@ -67,27 +68,11 @@ _ESCAPE_RE = re.compile(r"\\(.?)")
 _NEWLINE_RE = re.compile(r"\n")
 
 
-class ParseDiagnostic(Record):
-    __slots__ = _fields = ("severity", "code", "message", "span")
+class ParseDiagnostic(Diagnostic):
+    """A parser finding: always an error with a span. Its code is P-SYNTAX,
+    P-TOKEN, P-NUMBER, P-DUPLICATE, P-UNDECLARED or P-TABLE."""
 
-    # severity is "error" or "warning"; code is P-SYNTAX, P-TOKEN, P-NUMBER,
-    # P-DUPLICATE, P-UNDECLARED or P-TABLE
-    def __init__(self, severity: str, code: str, message: str, span: SourceSpan):
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "span", span)
-
-    def render(self) -> str:
-        return f"{self.span}: {self.severity}[{self.code}]: {self.message}"
-
-    def as_json(self) -> dict:
-        return {
-            "severity": self.severity,
-            "code": self.code,
-            "message": self.message,
-            "span": self.span.as_json(),
-        }
+    __slots__ = ()
 
 
 def _report(diags: list[ParseDiagnostic], code: str, message: str,
@@ -95,12 +80,8 @@ def _report(diags: list[ParseDiagnostic], code: str, message: str,
     diags.append(ParseDiagnostic("error", code, message, span))
 
 
-class ParseFailure(Exception):
+class ParseFailure(DiagnosticFailure):
     """Raised by parse_model when the source contains errors."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("\n".join(d.render() for d in self.diagnostics))
 
 
 def _spans_of(text: str, file: str):
@@ -168,8 +149,7 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]) -> list[tuple]:
 
 
 class _StatementError(Exception):
-    def __init__(self, diag: ParseDiagnostic):
-        self.diag = diag
+    """A statement failed; its diagnostic is already reported."""
 
 
 class _Parser:
@@ -196,8 +176,8 @@ class _Parser:
         return False
 
     def _fail(self, code: str, message: str, tok: tuple):
-        raise _StatementError(ParseDiagnostic(
-            "error", code, message, self.span(tok[3], tok[4])))
+        _report(self.diags, code, message, self.span(tok[3], tok[4]))
+        raise _StatementError
 
     def _expect(self, mark: str) -> tuple:
         tok = self.tokens[self.pos]
@@ -231,8 +211,7 @@ class _Parser:
                 return
             try:
                 self._parse_statement()
-            except _StatementError as e:
-                self.diags.append(e.diag)
+            except _StatementError:
                 while tokens[self.pos][0] not in ("newline", "eof"):
                     self.pos += 1
 
@@ -449,60 +428,55 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     parser.parse_statements()
 
     dimensions: list[Dimension] = []
-    dim_index: dict[str, int] = {}
+    # each dimension's {label: its position}, which tables are resolved by
+    positions: dict[str, dict[str, int]] = {}
     for (_, name, _, start, end), label_tokens in parser.dimensions:
-        if name in dim_index:
+        if name in positions:
             _report(diags, "P-DUPLICATE", f"dimension {name} is already declared",
                     span(start, end))
             continue
-        labels = []
-        seen = set()
+        labels: dict[str, int] = {}
         for _, label, _, start, end in label_tokens:
-            if label in seen:
+            if label in labels:
                 _report(diags, "P-DUPLICATE", f"dimension {name} repeats "
                         f"instance label {label}", span(start, end))
-                continue
-            seen.add(label)
-            labels.append(label)
-        dim_index[name] = len(dimensions)
+            else:
+                labels[label] = len(labels)
+        positions[name] = labels
         dimensions.append(Dimension(name, tuple(labels)))
+    dim_index = {name: i for i, name in enumerate(positions)}
 
-    var_stmts: list[tuple] = []
+    known_names = {stmt[1][1] for stmt in parser.variables
+                   if stmt[1][1] not in positions} | parser.failed_names
     var_names: set[str] = set()
+    variables = []
     for stmt in parser.variables:
-        _, name, _, start, end = stmt[1]
+        kind, (_, name, _, start, end), over, rhs_kind, _, where = stmt
         if name in var_names:
             _report(diags, "P-DUPLICATE", f"variable {name} is already declared",
                     span(start, end))
             continue
-        if name in dim_index:
+        if name in positions:
             _report(diags, "P-DUPLICATE",
                     f"{name} is already declared as a dimension", span(start, end))
             continue
         var_names.add(name)
-        var_stmts.append(stmt)
-    known_names = var_names | parser.failed_names
-
-    variables = []
-    for stmt in var_stmts:
-        kind, name, over, rhs_kind, _, where = stmt
         dims = _resolve_dims(over, dim_index, span, diags)
         if dims is None and rhs_kind != "expr":
             continue  # the over clause failed; values would only add noise
         dims = dims or EMPTY_DIMS
-        payload = _resolve_payload(stmt, dims, dimensions, span, diags)
-        variable = Variable(name[1], kind, dims, payload, span=where)
+        payload = _resolve_payload(stmt, dims, positions, span, diags)
+        variable = Variable(name, kind, dims, payload, span=where)
         for ref, node in variable.uses:
             if ref not in known_names:
                 extra = (" (it is a dimension, not a variable)"
-                         if ref in dim_index else "")
+                         if ref in positions else "")
                 _report(diags, "P-UNDECLARED",
                         f"no variable named {ref}{extra}", node.span)
         variables.append(variable)
 
     if diags:  # every parse diagnostic is an error
-        raise ParseFailure(sorted(
-            diags, key=lambda d: (d.span.start_line, d.span.start_col, d.code)))
+        raise ParseFailure(diags)
     return Model(tuple(dimensions), tuple(variables))
 
 
@@ -526,7 +500,7 @@ def _resolve_dims(over, dim_index, span, diags) -> DimensionSet | None:
         tuple(sorted(names, key=dim_index.__getitem__)))
 
 
-def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
+def _resolve_payload(stmt: tuple, dims: DimensionSet, positions, span, diags):
     kind, name_token, _, rhs_kind, rhs, where = stmt
     if rhs_kind == "none":
         return None
@@ -541,62 +515,61 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
                 return None
             return ValueTable((rhs.value,))
         return rhs
-    by_name = {d.name: d for d in dimensions}
-    axes = [by_name[n] for n in dims]
+    axes = [positions[n] for n in dims]
     if rhs_kind == "list":
         if len(axes) != 1:
             _report(diags, "P-TABLE", f"a positional list needs exactly one "
                     f"dimension; {name} is over {dims}", where)
             return None
-        axis = axes[0]
-        if len(rhs) != len(axis.instances):
-            _report(diags, "P-TABLE", f"{name} needs {len(axis.instances)} "
-                    f"values for {axis.name}, got {len(rhs)}", where)
+        if len(rhs) != len(axes[0]):
+            _report(diags, "P-TABLE", f"{name} needs {len(axes[0])} values for "
+                    f"{dims.names[0]}, got {len(rhs)}", where)
             return None
         return ValueTable(tuple(rhs))
-    # keyed table
+    # keyed table: each value goes to its cell's row-major index
     if not axes:
         _report(diags, "P-TABLE", f"{name} is dimensionless; write a single "
                 f"number, not a table", where)
         return None
-    table: dict[tuple[str, ...], float] = {}
+    cells: list[float | None] = [None] * math.prod(map(len, axes))
     ok = True
     for key_toks, value in rhs:
         if len(key_toks) != len(axes):
+            count = len(key_toks)
             _report(diags, "P-TABLE",
-                    f"table key {','.join(t[1] for t in key_toks)} has "
-                    f"{len(key_toks)} labels; {name} is over {dims}",
+                    f"table key {','.join(t[1] for t in key_toks)} has {count} "
+                    f"label{'s' if count != 1 else ''}; {name} is over {dims}",
                     span(key_toks[0][3], key_toks[-1][4]))
             ok = False
             continue
-        key = []
-        for (_, label, _, start, end), axis in zip(key_toks, axes):
-            if label not in axis.instances:
+        index = 0
+        for (_, label, _, start, end), dim, axis in zip(key_toks, dims, axes):
+            position = axis.get(label)
+            if position is None:
                 _report(diags, "P-TABLE", f"{label} is not an instance of "
-                        f"{axis.name} (table keys follow the dimension order "
+                        f"{dim} (table keys follow the dimension order "
                         f"{dims})", span(start, end))
                 ok = False
                 break
-            key.append(label)
+            index = index * len(axis) + position
         else:
-            key = tuple(key)
-            if key in table:
-                _report(diags, "P-DUPLICATE",
-                        f"table entry {','.join(key)} is already defined",
+            if cells[index] is not None:
+                _report(diags, "P-DUPLICATE", f"table entry "
+                        f"{','.join(t[1] for t in key_toks)} is already defined",
                         span(key_toks[0][3], key_toks[-1][4]))
                 ok = False
             else:
-                table[key] = value
+                cells[index] = value
     if not ok:
         return None
-    want = list(itertools.product(*(axis.instances for axis in axes)))
-    missing = [k for k in want if k not in table]
-    if missing:
-        _report(diags, "P-TABLE", f"value table for {name} has {len(table)} "
-                f"of {len(want)} entries (first missing: "
-                f"{','.join(missing[0])})", where)
+    if None in cells:
+        gap = cells.index(None)
+        labels = next(itertools.islice(itertools.product(*axes), gap, None))
+        _report(diags, "P-TABLE", f"value table for {name} has "
+                f"{len(cells) - cells.count(None)} of {len(cells)} entries "
+                f"(first missing: {','.join(labels)})", where)
         return None
-    return ValueTable(tuple(table[k] for k in want))
+    return ValueTable(tuple(cells))
 
 
 def format_number(value: float) -> str:

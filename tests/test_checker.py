@@ -121,6 +121,29 @@ def test_cycle_message_shows_path():
     assert "A -> B -> A" in message or "B -> A -> B" in message
 
 
+@pytest.mark.parametrize("source,cycles", [
+    ("input I = 1\ncalc X = X + I\n", [("2:1", "X")]),
+    ("calc A = B\ncalc B = A\ncalc C = D\ncalc D = C\n",
+     [("1:1", "A", "B"), ("3:1", "C", "D")]),
+    # C only uses the cycle; it is no part of one
+    ("calc A = B\ncalc B = A\ncalc C = A + B\n", [("1:1", "A", "B")]),
+    # declared first, C leads into the cycle, which starts at A
+    ("calc C = A\ncalc A = B\ncalc B = A\n", [("2:1", "A", "B")]),
+    # B -> C -> B shares B with A -> B -> A: no variable is reported twice
+    ("calc A = B\ncalc B = A + C\ncalc C = B\n", [("1:1", "A", "B")]),
+], ids=["self-reference", "disjoint", "dependent-after", "dependent-before",
+        "shared-variable"])
+def test_cycle_shapes(source, cycles):
+    with pytest.raises(CheckFailure) as info:
+        check_model(parse_model(source))
+    diagnostics = info.value.diagnostics
+    assert [d.render() for d in diagnostics] == [
+        f"<input>:{where}: error[C-CYCLE]: dependency cycle: "
+        f"{' -> '.join([*names, names[0]])}" for where, *names in cycles]
+    assert [d.variables for d in diagnostics] == [
+        tuple(names) for _, *names in cycles]
+
+
 class TestInferDims:
     def test_literal_is_dimensionless(self, acme_model):
         target = acme_model.variable("Total_Profit")

@@ -3,6 +3,7 @@ import codecs
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -720,3 +721,31 @@ def test_cold_import_leaves_out_slow_modules():
          str(Path(dimcalc.__file__).parents[1])],
         capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+# a duplicate and an undeclared dimension and reference fail the parse; the
+# second model parses, and its cycles share variables and have dependents
+_TANGLED = [
+    "dimension D = [a, b]\ndimension D = [c]\ninput X over (E) = 1\n"
+    "calc A = B + nope\ncalc B = A\ncalc C = A + B\n",
+    "calc P = Q\ncalc Q = R + P\ncalc R = Q\ncalc S = T\ncalc T = S + P\n"
+    "calc U = U + S\ncalc V = U + R\n",
+]
+
+
+def test_diagnostics_do_not_depend_on_hash_order(tmp_path):
+    paths = sorted(map(str, FIXTURES.glob("bad_*.dml")))
+    for i, text in enumerate(_TANGLED):
+        (tmp_path / f"tangled{i}.dml").write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / f"tangled{i}.dml"))
+    src = str(Path(dimcalc.__file__).parents[1])
+    seen = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        seen.append([subprocess.run(
+            [sys.executable, "-m", "dimcalc.cli", "check", path, "--json"],
+            capture_output=True, text=True, env=env) for path in paths])
+    for under_0, under_1 in zip(*seen):
+        assert under_0.returncode == under_1.returncode == 1
+        assert json.loads(under_0.stderr)
+        assert under_0.stderr == under_1.stderr

@@ -5,15 +5,16 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimcalc.checker import CheckDiagnostic, CheckedModel, check_model
+from dimcalc.checker import (CheckDiagnostic, CheckedModel, CheckFailure,
+                             check_model)
 from dimcalc.diagram import DiagramConfig
 from dimcalc.evaluator import EvaluationResult, InputOverride
-from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
-                           EMPTY_DIMS, Expr, Literal, Model, ModelError, Ref,
-                           SourceSpan, Tensor, Unary, ValueTable, Variable,
-                           VariableKind, difference, intersect, is_subset,
-                           iter_dependencies, iter_nodes)
-from dimcalc.parser import ParseDiagnostic, parse_model
+from dimcalc.model import (Aggregate, Binary, DiagnosticFailure, Dimension,
+                           DimensionSet, EMPTY_DIMS, Expr, Literal, Model,
+                           ModelError, Ref, SourceSpan, Tensor, Unary,
+                           ValueTable, Variable, VariableKind, difference,
+                           intersect, is_subset, iter_dependencies, iter_nodes)
+from dimcalc.parser import ParseDiagnostic, ParseFailure, parse_model
 from helpers import enumerate_dimension_sets, full_set, union
 
 ACME_DIM_NAMES = ("Month", "Sector", "Product", "Region")
@@ -146,6 +147,64 @@ class TestModel:
                      Ref("Ghost"), None)
         with pytest.raises(ModelError):
             Model(dims, (v,))
+
+    def test_rejects_duplicate_dimension_names(self):
+        dims = (Dimension("Month", ("Jan",)), Dimension("Month", ("Feb",)))
+        with pytest.raises(ModelError, match="^duplicate dimension name$"):
+            Model(dims, ())
+
+    def test_unknown_names(self):
+        model = make_model()
+        with pytest.raises(ModelError, match="^no dimension named Sector$"):
+            model.dimension("Sector")
+        with pytest.raises(ModelError, match="^no variable named Y$"):
+            model.variable("Y")
+
+    def test_index_errors(self):
+        model = make_model()
+        dims = model.dim_set(("Month", "Region"))
+        with pytest.raises(ModelError, match=r"^expected 2 instance labels "
+                                             r"for \(Month, Region\), got 1$"):
+            model.tensor_index(dims, ("Jan",))
+        for index in (-1, 6):
+            with pytest.raises(ModelError, match=rf"^index {index} out of "
+                               r"range for \(Month, Region\) \(size 6\)$"):
+                model.tensor_coords(dims, index)
+
+
+class TestValueErrors:
+    def test_dimension_needs_instances(self):
+        with pytest.raises(ModelError, match="^dimension D has no instances$"):
+            Dimension("D", ())
+
+    def test_dimension_refuses_a_repeated_label(self):
+        with pytest.raises(ModelError,
+                           match="^dimension D repeats an instance label$"):
+            Dimension("D", ("a", "b", "a"))
+
+    def test_scalar_of_two_values(self):
+        with pytest.raises(ModelError, match="^value table is not a scalar$"):
+            ValueTable((1, 2)).scalar
+
+
+def test_diagnostic_failures_share_one_base():
+    late = ParseDiagnostic("error", "P-TABLE", "late", SourceSpan("f", 3, 1, 3, 2))
+    early = CheckDiagnostic("error", "R1-MISMATCH", "early",
+                            SourceSpan("f", 1, 9, 1, 10))
+    same_place = CheckDiagnostic("error", "C-CYCLE", "same place",
+                                 SourceSpan("f", 1, 9, 1, 12))
+    unplaced = CheckDiagnostic("warning", "R3-DEGENERATE", "no span", None)
+    assert unplaced.render() == "warning[R3-DEGENERATE]: no span"
+    failure = DiagnosticFailure([late, early, same_place, unplaced])
+    # span-less first, then by line, column and code
+    assert failure.diagnostics == [unplaced, same_place, early, late]
+    assert str(failure) == "\n".join(d.render() for d in failure.diagnostics)
+    for stage, source in ((ParseFailure, "input X = 40%\n"),
+                          (CheckFailure, "calc A = B\ncalc B = A\n")):
+        with pytest.raises(DiagnosticFailure) as info:
+            check_model(parse_model(source))
+        assert type(info.value) is stage
+        assert repr(info.value).startswith(f"{stage.__name__}(")
 
 
 def test_enumerate_dimension_sets(acme_model):

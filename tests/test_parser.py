@@ -1,6 +1,8 @@
 import copy
+import itertools
 import math
 import pickle
+import random
 from bisect import bisect_right
 from pathlib import Path
 
@@ -158,6 +160,50 @@ class TestDiagnostics:
                          "data X over (S) = {A: 1, B: 2, C: 3}\n")
         assert codes_of(err) == ["P-TABLE"]
 
+    @pytest.mark.parametrize("values,got", [("[1, a]", "a"), ("{a: b}", "b")])
+    def test_table_value_that_is_not_a_number(self, values, got):
+        err = parse_fail(f"dimension D = [a, b]\ndata X over (D) = {values}\n")
+        assert [d.render() for d in err.diagnostics] == [
+            f"<input>:2:23: error[P-SYNTAX]: expected a number, got {got!r}"]
+
+    def test_first_gap_in_the_middle_of_a_3d_table(self):
+        err = parse_fail(
+            "dimension D = [a, b]\ndimension E = [c, d]\ndimension F = [e, f]\n"
+            "data X over (D, E, F) = {b,d,f: 8, a,c,e: 1, a,c,f: 2, a,d,e: 3,\n"
+            "  b,c,e: 5, b,c,f: 6, b,d,e: 7}\n")
+        assert [d.render() for d in err.diagnostics] == [
+            "<input>:4:1: error[P-TABLE]: value table for X has 7 of 8 "
+            "entries (first missing: a,d,f)"]
+
+    @pytest.mark.parametrize("entries,first,second", [
+        ("{a: 1, z: 2, a: 3}", "P-TABLE", "P-DUPLICATE"),
+        ("{a: 1, a: 3, z: 2}", "P-DUPLICATE", "P-TABLE"),
+    ])
+    def test_duplicate_entry_and_bad_label_are_both_reported(
+            self, entries, first, second):
+        err = parse_fail(f"dimension D = [a, b]\ndata X over (D) = {entries}\n")
+        messages = {"P-TABLE": "z is not an instance of D (table keys follow "
+                               "the dimension order (D))",
+                    "P-DUPLICATE": "table entry a is already defined"}
+        assert [d.render() for d in err.diagnostics] == [
+            f"<input>:2:26: error[{first}]: {messages[first]}",
+            f"<input>:2:32: error[{second}]: {messages[second]}"]
+
+    def test_large_keyed_table_is_row_major(self):
+        sizes = {"A": 3, "B": 20, "C": 20}
+        cells = list(itertools.product(
+            *([f"{n.lower()}{i}" for i in range(k)] for n, k in sizes.items())))
+        entries = [f"{','.join(key)}: {i}" for i, key in enumerate(cells)]
+        random.Random(1).shuffle(entries)
+        text = "".join(
+            f"dimension {n} = [{', '.join(f'{n.lower()}{i}' for i in range(k))}]\n"
+            for n, k in sizes.items())
+        model = parse_model(text + "data X over (A, B, C) = {"
+                            + ",\n".join(entries) + "}\n")
+        assert model.variable("X").payload == ValueTable(
+            tuple(range(len(cells))))
+        assert list(model.instance_tuples(model.variable("X").dims)) == cells
+
     def test_percent_literal_rejected(self):
         err = parse_fail("input X = 40%\n")
         assert "P-NUMBER" in codes_of(err)
@@ -215,7 +261,7 @@ class TestDiagnostics:
          "not a table"),
         ("dimension D = [a, b]\ndimension E = [c]\n"
          "data X over (D, E) = {a: 1, b, c: 2}\n",
-         "3:23: error[P-TABLE]: table key a has 1 labels; X is over (D, E)"),
+         "3:23: error[P-TABLE]: table key a has 1 label; X is over (D, E)"),
         ("dimension D = [a, b]\ndata X over (D) = {}\n",
          "2:20: error[P-TABLE]: value table has no entries"),
     ])
