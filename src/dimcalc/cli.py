@@ -21,17 +21,12 @@ from types import SimpleNamespace
 from .checker import CheckedModel, check_model
 from .diagram import DiagramConfig, emit_dot
 from .evaluator import EvalError, InputOverride, evaluate
-from .model import DiagnosticFailure, ModelError, ValueTable, VariableKind
+from .model import DiagnosticFailure, ValueTable, VariableKind
 from .parser import (_spans_of, _tokenize, format_expr, format_number,
                      parse_model)
 
 class _Usage(Exception):
     """Bad invocation; maps to exit code 3."""
-
-
-class _Failed(Exception):
-    def __init__(self, code: int):
-        self.code = code
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -56,25 +51,18 @@ def _load_checked(path: str, as_json: bool) -> CheckedModel:
     except (OSError, UnicodeDecodeError) as e:
         raise _Usage(f"cannot read {path}: "
                      f"{getattr(e, 'strerror', None) or e}") from None
-    try:
-        model = parse_model(text, path)
-        checked = check_model(model)
-    except DiagnosticFailure as e:
-        _print_diagnostics(e.diagnostics, as_json)
-        raise _Failed(1) from None
+    checked = check_model(parse_model(text, path))
     if checked.warnings:
         _print_diagnostics(checked.warnings, as_json)
     return checked
 
 
-def _cmd_check(args) -> int:
-    checked = _load_checked(args.model, args.json)
+def _cmd_check(args, checked: CheckedModel) -> None:
     model = checked.model
     for dim in model.dimensions:
         print(f"dimension {dim.name}: {len(dim.instances)} instances")
     print(f"{len(model.variables)} variables, {len(model.dimensions)} "
           f"dimensions, OK")
-    return 0
 
 
 def _parse_set(text: str) -> InputOverride:
@@ -133,8 +121,7 @@ def _write_csv(directory: Path, name: str, tensor, model) -> None:
                          for prefix, value in zip(prefixes, tensor.values)]))
 
 
-def _cmd_eval(args) -> int:
-    checked = _load_checked(args.model, args.json)
+def _cmd_eval(args, checked: CheckedModel) -> None:
     model = checked.model
     overrides = [_parse_set(s) for s in args.set or []]
     selected = list(dict.fromkeys(args.var or []))
@@ -152,12 +139,9 @@ def _cmd_eval(args) -> int:
                          f"needs a name that is a plain file name")
     try:
         result = evaluate(checked, overrides)
-    except (ValueError, ModelError) as e:
+    except ValueError as e:
         # bad override target or label: an invocation problem
         raise _Usage(str(e)) from None
-    except EvalError as e:
-        print(str(e), file=sys.stderr)
-        return 2
 
     out_dir = Path(args.out_dir)
     try:
@@ -172,11 +156,9 @@ def _cmd_eval(args) -> int:
         tensor = result[name]
         if not tensor.dims.names:
             print(f"{name} = {format_number(tensor.values[0])}")
-    return 0
 
 
-def _cmd_diagram(args) -> int:
-    checked = _load_checked(args.model, args.json)
+def _cmd_diagram(args, checked: CheckedModel) -> None:
     config = DiagramConfig(group_by_dimension_set=not args.no_group,
                            include_data_values=args.data_values)
     dot = emit_dot(checked.model, config)
@@ -187,11 +169,9 @@ def _cmd_diagram(args) -> int:
             Path(args.out).write_text(dot, encoding="utf-8")
         except OSError as e:
             raise _cannot_write(e) from None
-    return 0
 
 
-def _cmd_explain(args) -> int:
-    checked = _load_checked(args.model, args.json)
+def _cmd_explain(args, checked: CheckedModel) -> None:
     model = checked.model
     if not model.has_variable(args.variable):
         raise _Usage(f"no variable named {args.variable}")
@@ -216,7 +196,6 @@ def _cmd_explain(args) -> int:
     if used_by:
         line += f"; used by: {', '.join(used_by)}"
     print(line)
-    return 0
 
 
 def _build_parser() -> _ArgumentParser:
@@ -226,14 +205,15 @@ def _build_parser() -> _ArgumentParser:
                     "calculation models (.dml files).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="verify a model and report diagnostics")
-    p.add_argument("model", help="path to a .dml file")
-    p.add_argument("--json", action="store_true",
-                   help="render diagnostics as a JSON array")
-    p.set_defaults(func=_cmd_check)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("model", help="path to a .dml file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate a model and export CSV tables")
-    p.add_argument("model", help="path to a .dml file")
+    command("check", _cmd_check, "verify a model and report diagnostics")
+
+    p = command("eval", _cmd_eval, "evaluate a model and export CSV tables")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="override an input (NAME=value or NAME[labels]=value); "
                         "repeatable")
@@ -241,28 +221,22 @@ def _build_parser() -> _ArgumentParser:
                    help="variable to export (default: every output variable)")
     p.add_argument("-o", "--out-dir", default=".",
                    help="directory for CSV files (default: current)")
-    p.add_argument("--json", action="store_true",
-                   help="render diagnostics as a JSON array")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("diagram", help="emit a DOT dependency diagram")
-    p.add_argument("model", help="path to a .dml file")
+    p = command("diagram", _cmd_diagram, "emit a DOT dependency diagram")
     p.add_argument("-o", "--out", default="-",
                    help="output file, or - for stdout (default)")
     p.add_argument("--no-group", action="store_true",
                    help="do not cluster variables by dimension set")
     p.add_argument("--data-values", action="store_true",
                    help="append literal values to data-node labels")
-    p.add_argument("--json", action="store_true",
-                   help="render diagnostics as a JSON array")
-    p.set_defaults(func=_cmd_diagram)
 
-    p = sub.add_parser("explain", help="describe one variable")
-    p.add_argument("model", help="path to a .dml file")
+    p = command("explain", _cmd_explain, "describe one variable")
     p.add_argument("variable", help="variable name")
-    p.add_argument("--json", action="store_true",
-                   help="render diagnostics as a JSON array")
-    p.set_defaults(func=_cmd_explain)
+
+    # last, as each subcommand's --help lists it
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true",
+                       help="render diagnostics as a JSON array")
     return parser
 
 
@@ -272,14 +246,20 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one invocation; the only place a failure becomes an exit code."""
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        args.func(args, _load_checked(args.model, args.json))
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except _Failed as e:
-        return e.code
+    except DiagnosticFailure as e:
+        _print_diagnostics(e.diagnostics, args.json)
+        return 1
+    except EvalError as e:
+        print(e, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -54,18 +54,19 @@ class InputOverride(Record):
 
 
 class EvalError(Exception):
-    """A numeric failure at one cell; evaluation stops here."""
+    """A numeric failure at one cell; evaluation stops here. The fields are
+    the arguments, which pickle and copy pass back."""
 
     def __init__(self, kind: str, variable: str, labels: tuple[str, ...],
                  detail: str):
-        self.kind = kind
-        self.variable = variable
-        self.labels = labels
-        self.detail = detail
+        super().__init__(kind, variable, labels, detail)
+        self.kind, self.variable, self.labels, self.detail = self.args
+
+    def __str__(self) -> str:
         # written as --set reads a cell address back
-        cell = format_ident(variable) + (
-            f"[{','.join(map(format_ident, labels))}]" if labels else "")
-        super().__init__(f"error[{kind}]: {cell}: {detail}")
+        cell = format_ident(self.variable) + (
+            f"[{','.join(map(format_ident, self.labels))}]" if self.labels else "")
+        return f"error[{self.kind}]: {cell}: {self.detail}"
 
 
 class EvaluationResult(Record):

@@ -137,12 +137,16 @@ class Diagnostic(Record):
 
 class DiagnosticFailure(Exception):
     """Diagnostics that stop a stage, sorted by where they start (those
-    without a span first) and then by code; the message renders them."""
+    without a span first) and then by code: the one argument, which pickle
+    and copy pass back. The message renders them."""
 
     def __init__(self, diagnostics):
         self.diagnostics = sorted(diagnostics, key=lambda d: (
             (d.span.start_line, d.span.start_col) if d.span else (0, 0), d.code))
-        super().__init__("\n".join(d.render() for d in self.diagnostics))
+        super().__init__(self.diagnostics)
+
+    def __str__(self) -> str:
+        return "\n".join(d.render() for d in self.diagnostics)
 
 
 class Dimension(Record):

@@ -14,7 +14,8 @@ from hypothesis import example, given, strategies as st
 
 import dimcalc
 from conftest import FIXTURES
-from dimcalc.cli import _write_csv, main
+from dimcalc.cli import _parse_cell, _write_csv, main
+from dimcalc.evaluator import EvalError
 from dimcalc.model import Dimension, Model, Tensor
 from dimcalc.parser import format_number
 
@@ -749,3 +750,75 @@ def test_diagnostics_do_not_depend_on_hash_order(tmp_path):
         assert under_0.returncode == under_1.returncode == 1
         assert json.loads(under_0.stderr)
         assert under_0.stderr == under_1.stderr
+
+
+# every subcommand checks its model the same way, so a failure to read,
+# parse or check it reads the same whichever subcommand met it
+_SUBCOMMAND_TAILS = {"check": [], "eval": ["--out-dir", "out"],
+                     "diagram": [], "explain": ["X"]}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_TAILS))
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+class TestFailureMatrix:
+    def call(self, capsys, command, path, flags):
+        return run(capsys, command, path, *_SUBCOMMAND_TAILS[command], *flags)
+
+    @pytest.mark.parametrize("source", ["percent.dml", "bad_rule2.dml"])
+    def test_model_failure_exits_1_as_check_does(self, capsys, tmp_path,
+                                                 monkeypatch, command, flags,
+                                                 source):
+        monkeypatch.chdir(tmp_path)
+        Path("percent.dml").write_text("input X = 40%\n")
+        path = source if source == "percent.dml" else str(FIXTURES / source)
+        checked = run(capsys, "check", path, *flags)
+        assert checked[:2] == (1, "") and checked[2]
+        assert self.call(capsys, command, path, flags) == checked
+        assert not Path("out").exists()
+
+    def test_missing_file_exits_3(self, capsys, tmp_path, command, flags):
+        path = str(tmp_path / "ghost.dml")
+        code, out, err = self.call(capsys, command, path, flags)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_warning_then_eval_error(capsys, tmp_path, as_json):
+    model = tmp_path / "warned.dml"
+    model.write_text("dimension M = [a, b]\n"
+                     "input X over (M) = [1, 0]\n"
+                     "calc S over (M) = SUM(X)\n"
+                     "output Y over (M) = 1 / S\n")
+    code, out, err = run(capsys, "eval", str(model), "--out-dir",
+                         str(tmp_path / "out"), *(["--json"] if as_json else []))
+    assert (code, out) == (2, "")
+    warning, failure = err.rstrip("\n").rsplit("\n", 1)
+    assert failure == "error[DIV-BY-ZERO]: Y[b]: 1.0 / 0"
+    if as_json:
+        assert [d["code"] for d in json.loads(warning)] == ["R3-DEGENERATE"]
+    else:
+        assert warning == (f"{model}:3:19: warning[R3-DEGENERATE]: SUM(X) "
+                           f"eliminates nothing: source and target are both "
+                           f"over (M)")
+    assert not (tmp_path / "out").exists()
+
+
+# an address holds anything but an LF: quotes, backslashes, the address's
+# own punctuation, a comment mark, CR, blanks, keywords, leading digits
+_awkward = st.one_of(
+    st.text(st.sampled_from('"\\,=[]# \t\rSUMover0123éa_'), min_size=1),
+    st.sampled_from(["SUM", "over", "2024", "1e3", "a", " a ", "é"]),
+    st.text(min_size=1).filter(lambda s: "\n" not in s))
+
+
+@given(_awkward, st.lists(_awkward, max_size=3))
+@example("SUM", ["over", "1"])
+@example('a"b\\', [" ", "a,b", "x]=1", "#", "\r"])
+def test_error_address_reads_back_through_set(name, labels):
+    error = EvalError("DIV-BY-ZERO", name, tuple(labels), "1.0 / 0")
+    text = str(error)
+    head, tail = "error[DIV-BY-ZERO]: ", ": 1.0 / 0"
+    assert text.startswith(head) and text.endswith(tail)
+    address = text[len(head):-len(tail)]
+    assert _parse_cell(address) == (name, tuple(labels) or None)

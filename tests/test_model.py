@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dimcalc.checker import (CheckDiagnostic, CheckedModel, CheckFailure,
                              check_model)
 from dimcalc.diagram import DiagramConfig
-from dimcalc.evaluator import EvaluationResult, InputOverride
+from dimcalc.evaluator import EvalError, EvaluationResult, InputOverride
 from dimcalc.model import (Aggregate, Binary, DiagnosticFailure, Dimension,
                            DimensionSet, EMPTY_DIMS, Expr, Literal, Model,
                            ModelError, Ref, SourceSpan, Tensor, Unary,
@@ -205,6 +205,26 @@ def test_diagnostic_failures_share_one_base():
             check_model(parse_model(source))
         assert type(info.value) is stage
         assert repr(info.value).startswith(f"{stage.__name__}(")
+
+
+def _failures():
+    for source in ("input X = 40%\n", "calc A = B\ncalc B = A\n"):
+        with pytest.raises(DiagnosticFailure) as info:
+            check_model(parse_model(source))
+        yield info.value
+    yield EvalError("MISSING-INPUT", "x y", ("a,b", "e"), "no value")
+
+
+@pytest.mark.parametrize("failure", list(_failures()),
+                         ids=["parse", "check", "eval"])
+def test_failures_pickle_and_copy(failure):
+    fields = ("diagnostics", "kind", "variable", "labels", "detail")
+    for copied in _copies(failure):
+        assert type(copied) is type(failure)
+        assert str(copied) == str(failure)
+        for name in fields:
+            assert (getattr(copied, name, None)
+                    == getattr(failure, name, None))
 
 
 def test_enumerate_dimension_sets(acme_model):
