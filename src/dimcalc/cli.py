@@ -115,10 +115,13 @@ def _write_csv(directory: Path, name: str, tensor, model) -> None:
                          for label in model.dimension(dim).instances)
         axes.append([text[:-1] for text in quoted])
     prefixes = map("".join, itertools.product(*axes))
+    values = iter(tensor.values)
     with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerow([*tensor.dims.names, "value"])
-        f.write("".join([prefix + format_number(value) + "\n"
-                         for prefix, value in zip(prefixes, tensor.values)]))
+        # 4,096 rows at a time, so no string holds the whole file
+        while block := list(itertools.islice(values, 4096)):
+            f.write("".join([prefix + format_number(value) + "\n"
+                             for value, prefix in zip(block, prefixes)]))
 
 
 def _cmd_eval(args, checked: CheckedModel) -> None:

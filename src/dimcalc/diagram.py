@@ -33,9 +33,10 @@ class DiagramConfig(Record):
         object.__setattr__(self, "include_data_values", include_data_values)
 
 
-def _quote(text: str) -> str:
+def _quote(text: str, raw: str = "") -> str:
+    """`text` as a DOT string, escaped, with `raw` appended as written."""
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return f'"{escaped}{raw}"'
 
 
 def _node_line(var: Variable, config: DiagramConfig) -> str:
@@ -43,8 +44,7 @@ def _node_line(var: Variable, config: DiagramConfig) -> str:
     if (config.include_data_values and var.kind is VariableKind.DATA
             and isinstance(var.payload, ValueTable)):
         values = ", ".join(format_number(v) for v in var.payload.values)
-        name = var.name.replace("\\", "\\\\").replace('"', '\\"')
-        attrs.append(f'label="{name}\\n{values}"')
+        attrs.append("label=" + _quote(var.name, "\\n" + values))
     return f"{_quote(var.name)} [{', '.join(attrs)}];"
 
 
@@ -72,19 +72,14 @@ def emit_dot(model: Model, config: DiagramConfig = DiagramConfig()) -> str:
     for var in top_level:
         lines.append("  " + _node_line(var, config))
 
-    edges = []  # (source, target) in first-appearance order
-    sum_edges = set()
-    seen = set()
+    # {(source, target): whether a SUM carries it}, in first-appearance order
+    edges: dict[tuple[str, str], bool] = {}
     for var in model.variables:
         for name, node in var.uses:
             key = (name, var.name)
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-            if isinstance(node, Aggregate):
-                sum_edges.add(key)
-    for source, target in edges:
-        label = ' [label="SUM"]' if (source, target) in sum_edges else ""
+            edges[key] = edges.get(key, False) or isinstance(node, Aggregate)
+    for (source, target), via_sum in edges.items():
+        label = ' [label="SUM"]' if via_sum else ""
         lines.append(f"  {_quote(source)} -> {_quote(target)}{label};")
 
     lines.append("}")

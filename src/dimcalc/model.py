@@ -153,23 +153,27 @@ class Dimension(Record):
     """A named, ordered partition of instance labels.
 
     Labels must be pairwise distinct: an entity belongs to exactly one
-    instance, and the instances jointly cover all possibilities.
+    instance, and the instances jointly cover all possibilities. Derived
+    from them, each label's position takes no part in equality or repr.
     """
 
-    __slots__ = _fields = ("name", "instances")
+    _fields = ("name", "instances")
+    __slots__ = (*_fields, "_positions")
 
     def __init__(self, name: str, instances: tuple[str, ...]):
         if not instances:
             raise ModelError(f"dimension {name} has no instances")
-        if len(set(instances)) != len(instances):
+        positions = {label: i for i, label in enumerate(instances)}
+        if len(positions) != len(instances):
             raise ModelError(f"dimension {name} repeats an instance label")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "_positions", positions)
 
     def index_of(self, label: str) -> int:
         try:
-            return self.instances.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise ModelError(
                 f"dimension {self.name} has no instance {label!r}") from None
 

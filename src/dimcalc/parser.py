@@ -161,11 +161,11 @@ class _Parser:
         # names of variables whose declarations failed after the name was
         # read; kept so references to them do not cascade into P-UNDECLARED
         self.failed_names: set[str] = set()
-        # the statements read: a dimension's is (name token, label tokens), a
-        # variable's (kind, name token, over clause tokens or None, rhs_kind,
+        # the dimensions read, by name in declaration order, and the variable
+        # statements: (kind, name token, over clause tokens or None, rhs_kind,
         # rhs, span), where rhs is a formula, table entries, list values or
         # None, as rhs_kind is "expr", "table", "list", "none"
-        self.dimensions: list[tuple] = []
+        self.dimensions: dict[str, Dimension] = {}
         self.variables: list[tuple] = []
 
     def _accept(self, mark: str) -> bool:
@@ -235,7 +235,16 @@ class _Parser:
             labels.append(self._expect_name("an instance label"))
         self._expect("]")
         self._end_statement()
-        self.dimensions.append((name, labels))
+        if name[1] in self.dimensions:
+            self._fail("P-DUPLICATE", f"dimension {name[1]} is already "
+                       f"declared", name)
+        unique: dict[str, None] = {}
+        for _, label, _, start, end in labels:
+            if label in unique:
+                _report(self.diags, "P-DUPLICATE", f"dimension {name[1]} "
+                        f"repeats instance label {label}", self.span(start, end))
+            unique[label] = None
+        self.dimensions[name[1]] = Dimension(name[1], tuple(unique))
 
     def _parse_variable(self, first: tuple) -> None:
         kind = VariableKind(first[1])
@@ -426,28 +435,11 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     span = _spans_of(text, file)
     parser = _Parser(_tokenize(text, span, diags), span, diags)
     parser.parse_statements()
-
-    dimensions: list[Dimension] = []
-    # each dimension's {label: its position}, which tables are resolved by
-    positions: dict[str, dict[str, int]] = {}
-    for (_, name, _, start, end), label_tokens in parser.dimensions:
-        if name in positions:
-            _report(diags, "P-DUPLICATE", f"dimension {name} is already declared",
-                    span(start, end))
-            continue
-        labels: dict[str, int] = {}
-        for _, label, _, start, end in label_tokens:
-            if label in labels:
-                _report(diags, "P-DUPLICATE", f"dimension {name} repeats "
-                        f"instance label {label}", span(start, end))
-            else:
-                labels[label] = len(labels)
-        positions[name] = labels
-        dimensions.append(Dimension(name, tuple(labels)))
-    dim_index = {name: i for i, name in enumerate(positions)}
+    dimensions = parser.dimensions
+    dim_index = {name: i for i, name in enumerate(dimensions)}
 
     known_names = {stmt[1][1] for stmt in parser.variables
-                   if stmt[1][1] not in positions} | parser.failed_names
+                   if stmt[1][1] not in dimensions} | parser.failed_names
     var_names: set[str] = set()
     variables = []
     for stmt in parser.variables:
@@ -456,7 +448,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
             _report(diags, "P-DUPLICATE", f"variable {name} is already declared",
                     span(start, end))
             continue
-        if name in positions:
+        if name in dimensions:
             _report(diags, "P-DUPLICATE",
                     f"{name} is already declared as a dimension", span(start, end))
             continue
@@ -465,19 +457,19 @@ def parse_model(text: str, file: str = "<input>") -> Model:
         if dims is None and rhs_kind != "expr":
             continue  # the over clause failed; values would only add noise
         dims = dims or EMPTY_DIMS
-        payload = _resolve_payload(stmt, dims, positions, span, diags)
+        payload = _resolve_payload(stmt, dims, dimensions, span, diags)
         variable = Variable(name, kind, dims, payload, span=where)
         for ref, node in variable.uses:
             if ref not in known_names:
                 extra = (" (it is a dimension, not a variable)"
-                         if ref in positions else "")
+                         if ref in dimensions else "")
                 _report(diags, "P-UNDECLARED",
                         f"no variable named {ref}{extra}", node.span)
         variables.append(variable)
 
     if diags:  # every parse diagnostic is an error
         raise ParseFailure(diags)
-    return Model(tuple(dimensions), tuple(variables))
+    return Model(tuple(dimensions.values()), tuple(variables))
 
 
 def _resolve_dims(over, dim_index, span, diags) -> DimensionSet | None:
@@ -500,7 +492,7 @@ def _resolve_dims(over, dim_index, span, diags) -> DimensionSet | None:
         tuple(sorted(names, key=dim_index.__getitem__)))
 
 
-def _resolve_payload(stmt: tuple, dims: DimensionSet, positions, span, diags):
+def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
     kind, name_token, _, rhs_kind, rhs, where = stmt
     if rhs_kind == "none":
         return None
@@ -515,7 +507,7 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, positions, span, diags):
                 return None
             return ValueTable((rhs.value,))
         return rhs
-    axes = [positions[n] for n in dims]
+    axes = [dimensions[n].instances for n in dims]
     if rhs_kind == "list":
         if len(axes) != 1:
             _report(diags, "P-TABLE", f"a positional list needs exactly one "
@@ -526,12 +518,14 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, positions, span, diags):
                     f"{dims.names[0]}, got {len(rhs)}", where)
             return None
         return ValueTable(tuple(rhs))
-    # keyed table: each value goes to its cell's row-major index
+    # keyed table: each value goes to its cell's row-major index, so memory
+    # follows the entries written, not the cells the dimensions declare
     if not axes:
         _report(diags, "P-TABLE", f"{name} is dimensionless; write a single "
                 f"number, not a table", where)
         return None
-    cells: list[float | None] = [None] * math.prod(map(len, axes))
+    size = math.prod(map(len, axes))
+    cells: dict[int, float] = {}
     ok = True
     for key_toks, value in rhs:
         if len(key_toks) != len(axes):
@@ -544,16 +538,16 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, positions, span, diags):
             continue
         index = 0
         for (_, label, _, start, end), dim, axis in zip(key_toks, dims, axes):
-            position = axis.get(label)
-            if position is None:
+            try:
+                index = index * len(axis) + dimensions[dim].index_of(label)
+            except ModelError:
                 _report(diags, "P-TABLE", f"{label} is not an instance of "
                         f"{dim} (table keys follow the dimension order "
                         f"{dims})", span(start, end))
                 ok = False
                 break
-            index = index * len(axis) + position
         else:
-            if cells[index] is not None:
+            if index in cells:
                 _report(diags, "P-DUPLICATE", f"table entry "
                         f"{','.join(t[1] for t in key_toks)} is already defined",
                         span(key_toks[0][3], key_toks[-1][4]))
@@ -562,14 +556,14 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, positions, span, diags):
                 cells[index] = value
     if not ok:
         return None
-    if None in cells:
-        gap = cells.index(None)
+    if len(cells) < size:
+        # a gap lies among the first len(cells) + 1 indexes
+        gap = next(i for i in range(len(cells) + 1) if i not in cells)
         labels = next(itertools.islice(itertools.product(*axes), gap, None))
-        _report(diags, "P-TABLE", f"value table for {name} has "
-                f"{len(cells) - cells.count(None)} of {len(cells)} entries "
-                f"(first missing: {','.join(labels)})", where)
+        _report(diags, "P-TABLE", f"value table for {name} has {len(cells)} "
+                f"of {size} entries (first missing: {','.join(labels)})", where)
         return None
-    return ValueTable(tuple(cells))
+    return ValueTable(tuple([cells[i] for i in range(size)]))
 
 
 def format_number(value: float) -> str:

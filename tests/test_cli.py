@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -558,6 +559,25 @@ def test_csv_matches_csv_writer(case):
         _reference_csv(Path(tmp) / "ref.csv", tensor, model)
         assert ((Path(tmp) / "T.csv").read_bytes()
                 == (Path(tmp) / "ref.csv").read_bytes())
+
+
+def test_csv_export_holds_rows_in_blocks(tmp_path):
+    # 48,000 rows, 1.3 MB of text: a string of the whole file would alone
+    # outgrow the bound, and the list of rows it is joined from more so
+    dims = tuple(Dimension(n, tuple(f"{n.lower()}{i}" for i in range(k)))
+                 for n, k in (("A", 40), ("B", 40), ("C", 30)))
+    tensor, model = _case(dims, [i / 7 for i in range(48_000)])
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path, "T", tensor, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "T.csv").stat().st_size > 1_300_000
+    assert peak < 1_000_000
+    # the rows on either side of each block's end are the writer's too
+    _reference_csv(tmp_path / "ref.csv", tensor, model)
+    assert (tmp_path / "T.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDiagram:

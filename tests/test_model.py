@@ -443,6 +443,16 @@ def test_values_holding_spans():
                        "CheckedModel"]
 
 
+def test_dimension_copies_find_their_labels():
+    # a label's position is not a field: pickling and copying rebuild it
+    dim = VALUES["Dimension"][1]()
+    for copied in [dim, *_copies(dim)]:
+        assert [copied.index_of(label) for label in dim.instances] == [0, 1]
+        with pytest.raises(ModelError,
+                           match=r"^dimension M has no instance 'c'$"):
+            copied.index_of("c")
+
+
 def test_keyword_and_default_arguments():
     assert DiagramConfig(include_data_values=True) == DiagramConfig(True, True)
     assert DiagramConfig() == DiagramConfig(group_by_dimension_set=True,

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -203,6 +204,24 @@ class TestDiagnostics:
         assert model.variable("X").payload == ValueTable(
             tuple(range(len(cells))))
         assert list(model.instance_tuples(model.variable("X").dims)) == cells
+
+    def test_sparse_table_costs_its_entries_not_its_cells(self):
+        # 8,000,000 declared cells and one entry: a slot per declared cell
+        # would take 64 MB
+        text = "".join(
+            f"dimension {n} = [{', '.join(f'{n.lower()}{i}' for i in range(200))}]\n"
+            for n in "ABC") + "data X over (A, B, C) = {a0, b0, c0: 1}\n"
+        assert len(text) == 3355
+        tracemalloc.start()
+        try:
+            err = parse_fail(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [d.render() for d in err.diagnostics] == [
+            "<input>:4:1: error[P-TABLE]: value table for X has 1 of 8000000 "
+            "entries (first missing: a0,b0,c1)"]
+        assert peak < 2_000_000
 
     def test_percent_literal_rejected(self):
         err = parse_fail("input X = 40%\n")
@@ -626,6 +645,57 @@ def test_collected_references_are_iter_dependencies_generated(source):
         _assert_uses_are_the_tree(variable)
         assert [(_text_at(text, node.span), ref)
                 for ref, node in variable.uses] == marks
+
+
+@st.composite
+def _keyed_tables(draw):
+    """A keyed table over 1-3 dimensions of 1-4 labels, which reuse one
+    another's labels in their own orders: a shuffled subset of the keys,
+    sometimes with one key written twice."""
+    axes = [draw(st.permutations("pqrs").map(lambda p, k=k: p[:k]))
+            for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))]
+    keys = draw(st.lists(st.sampled_from(list(itertools.product(*axes))),
+                         min_size=1, unique=True).flatmap(st.permutations))
+    repeat = draw(st.none() | st.integers(0, len(keys) - 1))
+    if repeat is not None:
+        keys.insert(draw(st.integers(repeat + 1, len(keys))), keys[repeat])
+    return axes, keys
+
+
+@given(_keyed_tables())
+@settings(max_examples=200)
+def test_keyed_table_matches_a_set_oracle(case):
+    axes, keys = case
+    names = [f"D{i}" for i in range(len(axes))]
+    # one entry a line, after a line per dimension and the declaration's
+    text = "".join(f"dimension {n} = [{', '.join(labels)}]\n"
+                   for n, labels in zip(names, axes))
+    text += f"data X over ({', '.join(names)}) = {{\n"
+    text += "".join(f"{','.join(key)}: {keys.index(key)},\n" for key in keys)
+    text += "}\n"
+    cells = list(itertools.product(*axes))
+    repeated = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
+    written = set(keys)
+    missing = [cell for cell in cells if cell not in written]
+    try:
+        model = parse_model(text)
+    except ParseFailure as err:
+        rendered = [d.render() for d in err.diagnostics]
+    else:
+        assert repeated is None and not missing
+        assert model.variable("X").payload == ValueTable(
+            tuple(keys.index(cell) for cell in cells))
+        return
+    if repeated is not None:
+        key = ",".join(keys[repeated])
+        assert rendered == [f"<input>:{len(axes) + 2 + repeated}:1: "
+                            f"error[P-DUPLICATE]: table entry {key} is "
+                            f"already defined"]
+    else:
+        assert missing and rendered == [
+            f"<input>:{len(axes) + 1}:1: error[P-TABLE]: value table for X "
+            f"has {len(keys)} of {len(cells)} entries (first missing: "
+            f"{','.join(missing[0])})"]
 
 
 class TestExpressions:
