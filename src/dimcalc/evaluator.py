@@ -1,11 +1,12 @@
 """Whole-model evaluation of a checked model.
 
 Variables are computed in the checker's topological order, one dense
-tensor per variable (row-major over the declared dimension set), each as
-a Python list. A formula runs whole-tensor: every node, in post-order,
-is one list operation over all cells of the target. A reference to a
-smaller-dimensioned operand broadcasts: its values repeat along the
-target dimensions it lacks. SUM adds the source cells over the
+tensor per variable (row-major over the declared dimension set), each a
+tuple made once, when its variable is computed. A formula runs
+whole-tensor: every node, in post-order, is one list operation over all
+cells of the target, reading its operands from their tensors. A
+reference to a smaller-dimensioned operand broadcasts: its values repeat
+along the target dimensions it lacks. SUM adds the source cells over the
 eliminated dimensions in declaration order, as a left fold from 0.0,
 which keeps results bit-identical across runs and Python versions.
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-import time
 from itertools import chain
 
 from .checker import CheckedModel
@@ -70,17 +70,17 @@ class EvalError(Exception):
 
 
 class EvaluationResult(Record):
-    """One Tensor per variable, plus the order used and the time taken."""
+    """One Tensor per variable, in declaration order, and the order used;
+    an input or data variable that no override sets shares its table."""
 
-    __slots__ = _fields = ("tensors", "order", "elapsed")
+    __slots__ = _fields = ("tensors", "order")
 
-    def __init__(self, tensors: dict, order: tuple[str, ...], elapsed: float):
+    def __init__(self, tensors: dict, order: tuple[str, ...]):
         object.__setattr__(self, "tensors", tensors)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "elapsed", elapsed)
 
     def __repr__(self) -> str:  # without the tensors, which may be large
-        return f"EvaluationResult(order={self.order!r}, elapsed={self.elapsed!r})"
+        return f"EvaluationResult(order={self.order!r})"
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -131,8 +131,8 @@ class _Shapes:
                                 self._project(gone, source))
         return self._terms[key]
 
-    def broadcast(self, vals: list, source: DimensionSet,
-                  dims: DimensionSet) -> list:
+    def broadcast(self, vals: tuple, source: DimensionSet,
+                  dims: DimensionSet) -> list | tuple:
         """`vals` over `source`, repeated along the dimensions of `dims`
         that `source` lacks, as one row-major list over `dims`.
 
@@ -167,7 +167,7 @@ class _Shapes:
                       for name, count in reversed(names)]
 
 
-def _sum(vals: list, bases: list, offsets: list) -> list:
+def _sum(vals: tuple, bases: list, offsets: list) -> list:
     """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right.
 
     The loop over the longer of the two lists is the inner one; either
@@ -204,8 +204,8 @@ _OVERFLOWS = {"+": "addition overflows", "-": "subtraction overflows",
               "*": "multiplication overflows", "/": "division overflows"}
 
 
-def _run(var, lo: int, hi: int, model: Model, values: dict[str, list],
-         shapes: _Shapes) -> list:
+def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
+         shapes: _Shapes) -> list | tuple:
     """`var`'s formula over its cells lo .. hi-1: each node once, in
     post-order, as one list operation.
 
@@ -234,8 +234,8 @@ def _run(var, lo: int, hi: int, model: Model, values: dict[str, list],
             if node.op != "^" and not _finite(result):
                 raise _CellError("NON-FINITE", _OVERFLOWS[node.op])
         elif isinstance(node, Ref):
-            result = shapes.broadcast(
-                values[node.name], model.variable(node.name).dims, dims)
+            source = tensors[node.name]
+            result = shapes.broadcast(source.values, source.dims, dims)
             if len(result) != count:
                 result = result[lo:hi]
         elif isinstance(node, Literal):
@@ -246,9 +246,9 @@ def _run(var, lo: int, hi: int, model: Model, values: dict[str, list],
         elif isinstance(node, Unary):
             result = [-a for a in stack.pop()]
         elif isinstance(node, Aggregate):
-            bases, offsets = shapes.sum_terms(
-                dims, model.variable(node.source).dims)
-            result = _sum(values[node.source], bases[lo:hi], offsets)
+            source = tensors[node.source]
+            bases, offsets = shapes.sum_terms(dims, source.dims)
+            result = _sum(source.values, bases[lo:hi], offsets)
             if not _finite(result):
                 raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
         else:
@@ -257,8 +257,8 @@ def _run(var, lo: int, hi: int, model: Model, values: dict[str, list],
     return stack.pop()
 
 
-def _evaluate_formula(var, model: Model, values: dict[str, list],
-                      shapes: _Shapes) -> list:
+def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
+                      shapes: _Shapes) -> tuple:
     """One formula variable's tensor; EvalError names the first bad cell.
 
     Each node runs once over the whole tensor. If one fails, the formula
@@ -268,7 +268,7 @@ def _evaluate_formula(var, model: Model, values: dict[str, list],
     """
     lo, hi = 0, model.tensor_size(var.dims)
     try:
-        return _run(var, lo, hi, model, values, shapes)
+        return tuple(_run(var, lo, hi, tensors, shapes))
     except _CellError:
         pass
     # cells are computed independently, so a range fails exactly when one
@@ -276,31 +276,31 @@ def _evaluate_formula(var, model: Model, values: dict[str, list],
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _run(var, lo, mid, model, values, shapes)
+            _run(var, lo, mid, tensors, shapes)
         except _CellError:
             hi = mid
         else:
             lo = mid
     try:
-        _run(var, lo, hi, model, values, shapes)
+        _run(var, lo, hi, tensors, shapes)
     except _CellError as e:
         raise EvalError(e.kind, var.name, model.tensor_coords(var.dims, lo),
                         e.detail) from None
     raise AssertionError(f"{var.name} failed as a whole but in no one cell")
 
 
-def _value_tensor(var, model: Model, patch: dict[int, float]) -> list:
-    """Dense values for an input or data variable, with the overrides in
-    `patch` (by flat index) written over them."""
+def _value_tensor(var, model: Model, patch: dict[int, float]) -> tuple:
+    """Dense values for an input or data variable: its table's own tuple,
+    or a copy with the overrides in `patch` (by flat index) written in."""
     if var.payload is None:
         # the values up to the first cell no override sets, which is at
         # most len(patch), so a missing cell costs no list of every cell
         known = next(i for i in range(len(patch) + 1) if i not in patch)
         out = [patch[i] for i in range(known)]
     else:
-        out = list(var.payload.values)
-        for index, value in patch.items():
-            out[index] = value
+        out = var.payload.values
+        if patch:
+            out = [patch.get(i, value) for i, value in enumerate(out)]
     for index, value in enumerate(out):
         if not math.isfinite(value):
             raise EvalError(
@@ -310,7 +310,7 @@ def _value_tensor(var, model: Model, patch: dict[int, float]) -> list:
         raise EvalError(
             "MISSING-INPUT", var.name, model.tensor_coords(var.dims, len(out)),
             "no declared value and no override for this cell")
-    return out
+    return tuple(out)
 
 
 def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
@@ -319,7 +319,6 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
     Overrides may only name input variables (ValueError otherwise) and
     address one cell each. Results are bit-identical across runs.
     """
-    start = time.perf_counter()
     model = checked.model
     patches: dict[str, dict[int, float]] = {}
     for ov in overrides:
@@ -338,17 +337,16 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
         patches.setdefault(ov.name, {})[index] = float(ov.value)
 
     shapes = _Shapes(model)
-    values: dict[str, list] = {}
+    tensors: dict[str, Tensor] = {}
     for name in checked.order:
         var = model.variable(name)
         if var.kind.carries_formula:
-            values[name] = _evaluate_formula(var, model, values, shapes)
+            values = _evaluate_formula(var, model, tensors, shapes)
         else:
-            values[name] = _value_tensor(var, model, patches.get(name, {}))
-
-    tensors = {v.name: Tensor(v.dims, tuple(values[v.name]))
-               for v in model.variables}
-    return EvaluationResult(tensors, checked.order, time.perf_counter() - start)
+            values = _value_tensor(var, model, patches.get(name, {}))
+        tensors[name] = Tensor(var.dims, values)
+    return EvaluationResult({v.name: tensors[v.name] for v in model.variables},
+                            checked.order)
 
 
 def tensor_to_rows(tensor: Tensor, model: Model):

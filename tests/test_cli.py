@@ -366,6 +366,20 @@ class TestEval:
                    "--out-dir", str(tmp_path)) == (2, "", err)
         assert [p.name for p in tmp_path.iterdir()] == ["inputs.dml"]
 
+    # --set reads its value with float(): Python's number forms pass, though
+    # the DSL refuses 1_000, and nan reaches evaluation as inf does
+    @pytest.mark.parametrize("value,code,out,err", [
+        ("nan", 2, "", "error[NON-FINITE]: X: value nan is not finite\n"),
+        ("1_000", 0, "Y = 10000\n", ""),
+        ("0x10", 3, "", "error: --set X: '0x10' is not a number\n"),
+    ])
+    def test_set_value_is_read_by_float(self, capsys, tmp_path, value, code,
+                                        out, err):
+        model = tmp_path / "scalar.dml"
+        model.write_text("input X\noutput Y = X * 10\n")
+        assert run(capsys, "eval", str(model), "--set", f"X={value}",
+                   "--out-dir", str(tmp_path)) == (code, out, err)
+
     def test_error_address_reads_back_as_set(self, capsys, tmp_path):
         # the address is written as --set takes it: a name or label that is
         # not a plain name is quoted, so a comma inside a label is no split

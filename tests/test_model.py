@@ -385,7 +385,7 @@ VALUES = {
     "InputOverride": ("value", lambda: InputOverride("X", labels=("a",),
                                                      value=3.0)),
     "EvaluationResult": ("tensors", lambda: EvaluationResult(
-        {"X": Tensor(EMPTY_DIMS, (1.0,))}, ("X",), elapsed=0.5)),
+        {"X": Tensor(EMPTY_DIMS, (1.0,))}, ("X",))),
     "DiagramConfig": ("include_data_values",
                       lambda: DiagramConfig(include_data_values=True)),
 }
@@ -486,7 +486,7 @@ def test_reprs():
     assert repr(Tensor(DimensionSet(("M",)), (1.0, 2.0))) == (
         "Tensor(dims=DimensionSet(names=('M',)), values=(1.0, 2.0))")
     assert repr(VALUES["EvaluationResult"][1]()) == (
-        "EvaluationResult(order=('X',), elapsed=0.5)")
+        "EvaluationResult(order=('X',))")
 
 
 @st.composite
