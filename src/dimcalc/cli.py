@@ -84,7 +84,7 @@ def _parse_cell(head: str) -> tuple[str, tuple[str, ...] | None]:
     separated by commas. Each is written as in the model source: a name,
     a quoted name, or (for a label) a number."""
     diags = []
-    tokens = _tokenize(head, _spans_of(head, "--set"), diags)
+    tokens = list(_tokenize(head, _spans_of(head, "--set"), diags))
     name, address = tokens[0], tokens[1:-1]  # the last token is eof
     inner = address[1:-1]
     labels, commas = inner[::2], inner[1::2]

@@ -5,12 +5,13 @@ that runs to end of line. Newlines inside (), [], {} groups do not end the
 statement, so large value tables can be written one entry per line. The
 full grammar is documented in README.md.
 
-A token is a plain tuple `(kind, text, value, start, end)`. The kind is
-name, qname, number, newline or eof, or for punctuation the mark itself
-("(" or "+"); `value` is a number's float, and `start` and `end` are
-character offsets into the text. The spans a parse keeps (a Ref, an
-Aggregate, a statement, or a diagnostic) hold offsets too, and work out
-their lines and columns only when one is read.
+A token is a plain tuple `(kind, text, value, start, end)`, made as the
+parser reads it, one ahead; the blanks and comment before a token belong
+to its match. The kind is name, qname, number, newline or eof, or for
+punctuation the mark itself ("(" or "+"); `value` is a number's float, and
+`start` and `end` are character offsets into the text. The spans a parse
+keeps (a Ref, an Aggregate, a statement, or a diagnostic) hold offsets
+too, and work out their lines and columns only when one is read.
 
 Parsing is total: any input text yields either a Model or a list of
 ParseDiagnostic values carried by ParseFailure, never an exception from
@@ -49,21 +50,21 @@ KEYWORDS = frozenset({"dimension", "input", "data", "calc", "output", "over", "S
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-# One alternative per token class. Every offset of any text starts a match
-# of exactly one alternative, so successive matches tile the text. Blanks
-# and comments have no group; each other alternative is one outer group,
-# which is what `lastgroup` names.
-_TOKEN_RE = re.compile("|".join([
-    r"(?P<newline>\n)",
-    r"[ \t\r]+|#[^\n]*",
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)",
-    # a number glued to '%' or to more word characters is one bad literal
-    rf"(?P<number>(?P<digits>{_NUMBER})(?:(?P<percent>%)|[\w.]+)?)",
-    r"(?P<punct>[=,:()\[\]{}+\-*/^])",
-    r'(?P<qname>"(?P<body>(?:[^"\\\n]|\\[^\n]?)*)(?P<closed>")?)',
-    # a run of characters that start no token; '.' starts one before a digit
-    r'(?P<bad>(?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
-]))
+# Each match is the blanks and comment before a token, then the token in one
+# group per class, which `lastindex` names. The prefix reads only one way and
+# whatever follows it, even the end of text, starts exactly one class: so no
+# match backtracks, and successive matches tile the text.
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:#[^\n]*)?(?:" + "|".join([
+    r"(\n)",  # 1: newline
+    r"([A-Za-z_][A-Za-z0-9_]*)",  # 2: name
+    # 3: number, 4 its digits; glued to '%' (5) or to word characters, bad
+    rf"(({_NUMBER})(?:(%)|[\w.]+)?)",
+    r"([=,:()\[\]{}+\-*/^])",  # 6: punctuation
+    r'("((?:[^"\\\n]|\\[^\n]?)*)(")?)',  # 7: quoted name, 8 body, 9 closed
+    # 10: a run of characters that start no token; '.' starts one before a digit
+    r'((?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
+    r"(\Z)",  # 11: end of text
+]) + ")")
 _ESCAPE_RE = re.compile(r"\\(.?)")
 _NEWLINE_RE = re.compile(r"\n")
 
@@ -91,35 +92,30 @@ def _spans_of(text: str, file: str):
     return partial(SourceSpan.at_offsets, source)
 
 
-def _tokenize(text: str, span, diags: list[ParseDiagnostic]) -> list[tuple]:
-    tokens: list[tuple] = []
-    append = tokens.append
+def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
+    """Yield the tokens of `text` through eof, reporting bad ones as made."""
     depth = 0  # bracket depth; newlines inside groups are plain whitespace
 
     def err(code, msg, start, end):
         _report(diags, code, msg, span(start, end))
 
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        start, end = m.span()
-        word = m.group()
-        if kind == "name":
-            append(("name", word, None, start, end))
-        elif kind == "punct":
+        kind = m.lastindex
+        word = m.group(kind)
+        end = m.end()
+        start = end - len(word)
+        if kind == 6:  # punctuation
             if word in "([{":
                 depth += 1
             elif word in ")]}" and depth:
                 depth -= 1
-            append((word, word, None, start, end))
-        elif kind == "newline":
-            if depth == 0:
-                append(("newline", word, None, start, end))
-        elif kind == "number":
-            digits = m.group("digits")
+            yield (word, word, None, start, end)
+        elif kind == 2:  # name
+            yield ("name", word, None, start, end)
+        elif kind == 3:  # number
+            digits = m.group(4)
             value = float(digits)
-            if m.group("percent"):
+            if m.group(5):
                 err("P-NUMBER", f"percent literals are not supported; write the "
                     f"fraction instead ({digits}% is {value / 100})", start, end)
             elif len(digits) < len(word):
@@ -127,25 +123,29 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]) -> list[tuple]:
                 continue
             elif not math.isfinite(value):
                 err("P-NUMBER", f"number {digits} is out of range", start, end)
-            append(("number", digits, value, start, end))
-        elif kind == "qname":
-            body = m.group("body")
+            yield ("number", digits, value, start, end)
+        elif kind == 1:  # newline
+            if depth == 0:
+                yield ("newline", word, None, start, end)
+        elif kind == 7:  # quoted name
+            body = m.group(8)
             for esc in _ESCAPE_RE.finditer(body):
                 if esc.group(1) not in ('"', "\\"):
                     err("P-TOKEN", "unsupported escape in quoted identifier "
                         "(only \\\" and \\\\ are recognized)",
                         start, start + 1 + esc.start())
             name = _ESCAPE_RE.sub(r"\1", body)
-            if not m.group("closed"):
+            if not m.group(9):
                 err("P-TOKEN", "unterminated quoted identifier", start, end)
             elif not name:
                 err("P-TOKEN", "empty quoted identifier", start, end)
-            append(("qname", name, None, start, end))
-        else:
+            yield ("qname", name, None, start, end)
+        elif kind == 10:  # characters that start no token
             err("P-TOKEN", f"unexpected character{'s' if len(word) > 1 else ''} "
                 f"{word!r}", start, end)
-    append(("eof", "", None, len(text), len(text)))
-    return tokens
+        else:  # end of text
+            yield ("eof", "", None, end, end)
+            return
 
 
 class _StatementError(Exception):
@@ -153,11 +153,12 @@ class _StatementError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple], span, diags: list[ParseDiagnostic]):
-        self.tokens = tokens
+    def __init__(self, tokens, span, diags: list[ParseDiagnostic]):
+        # the token stream, read one ahead: `tok` is the next token to use
+        self.next = tokens.__next__
+        self.tok = self.next()
         self.span = span
         self.diags = diags
-        self.pos = 0
         # names of variables whose declarations failed after the name was
         # read; kept so references to them do not cascade into P-UNDECLARED
         self.failed_names: set[str] = set()
@@ -170,8 +171,8 @@ class _Parser:
 
     def _accept(self, mark: str) -> bool:
         """Step over the next token if its kind is `mark`."""
-        if self.tokens[self.pos][0] == mark:
-            self.pos += 1
+        if self.tok[0] == mark:
+            self.tok = self.next()
             return True
         return False
 
@@ -180,43 +181,42 @@ class _Parser:
         raise _StatementError
 
     def _expect(self, mark: str) -> tuple:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] == mark:
-            self.pos += 1
+            self.tok = self.next()
             return tok
         self._fail("P-SYNTAX", f"expected {mark!r}, got {_describe(tok)}", tok)
 
     def _expect_name(self, what: str) -> tuple:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] == "name" and tok[1] in KEYWORDS:
             self._fail("P-SYNTAX", f"{tok[1]!r} is a reserved keyword and "
                        f"cannot be used as {what}", tok)
         if tok[0] != "name" and tok[0] != "qname":
             self._fail("P-SYNTAX", f"expected {what}, got {_describe(tok)}", tok)
-        self.pos += 1
+        self.tok = self.next()
         return tok
 
     def _end_statement(self):
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] not in ("newline", "eof"):
             self._fail("P-SYNTAX",
                        f"unexpected {_describe(tok)} after declaration", tok)
 
     def parse_statements(self) -> None:
-        tokens = self.tokens
         while True:
-            while tokens[self.pos][0] == "newline":
-                self.pos += 1
-            if tokens[self.pos][0] == "eof":
+            while self.tok[0] == "newline":
+                self.tok = self.next()
+            if self.tok[0] == "eof":
                 return
             try:
                 self._parse_statement()
             except _StatementError:
-                while tokens[self.pos][0] not in ("newline", "eof"):
-                    self.pos += 1
+                while self.tok[0] not in ("newline", "eof"):
+                    self.tok = self.next()
 
     def _parse_statement(self):
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] == "name" and tok[1] == "dimension":
             return self._parse_dimension()
         if tok[0] == "name" and tok[1] in ("input", "data", "calc", "output"):
@@ -226,12 +226,12 @@ class _Parser:
                    f"output), got {_describe(tok)}", tok)
 
     def _parse_dimension(self) -> None:
-        self.pos += 1
+        self.tok = self.next()
         name = self._expect_name("a dimension name")
         self._expect("=")
         self._expect("[")
         labels = [self._expect_name("an instance label")]
-        while self._accept(",") and self.tokens[self.pos][0] != "]":
+        while self._accept(",") and self.tok[0] != "]":
             labels.append(self._expect_name("an instance label"))
         self._expect("]")
         self._end_statement()
@@ -248,13 +248,13 @@ class _Parser:
 
     def _parse_variable(self, first: tuple) -> None:
         kind = VariableKind(first[1])
-        self.pos += 1
+        self.tok = self.next()
         name = self._expect_name("a variable name")
         try:
             over = None
-            tok = self.tokens[self.pos]
+            tok = self.tok
             if tok[0] == "name" and tok[1] == "over":
-                self.pos += 1
+                self.tok = self.next()
                 self._expect("(")
                 over = [self._expect_name("a dimension name")]
                 while self._accept(","):
@@ -262,19 +262,19 @@ class _Parser:
                 self._expect(")")
             rhs_kind, rhs, last = "none", None, name
             if self._accept("="):
-                mark = self.tokens[self.pos][0]
+                mark = self.tok[0]
+                # each right-hand side returns its value and last token
                 if mark == "{":
-                    rhs_kind, rhs = "table", self._parse_keyed_table()
+                    rhs_kind, (rhs, last) = "table", self._parse_keyed_table()
                 elif mark == "[":
-                    rhs_kind, rhs = "list", self._parse_positional_list()
+                    rhs_kind, (rhs, last) = "list", self._parse_positional_list()
                 else:
-                    rhs_kind, rhs = "expr", self._parse_expr()
-                last = self.tokens[self.pos - 1]
+                    rhs_kind, (rhs, last) = "expr", self._parse_expr()
             elif kind is not VariableKind.INPUT:
                 self._fail("P-SYNTAX",
                            f"{kind.value} {name[1]} needs '=' and a "
                            f"{'formula' if kind.carries_formula else 'value'}",
-                           self.tokens[self.pos])
+                           self.tok)
             self._end_statement()
             self.variables.append((kind, name, over, rhs_kind, rhs,
                                    self.span(first[3], last[4])))
@@ -286,17 +286,16 @@ class _Parser:
         negate = False
         while self._accept("-"):
             negate = not negate
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] != "number":
             self._fail("P-SYNTAX", f"expected a number, got {_describe(tok)}", tok)
-        self.pos += 1
+        self.tok = self.next()
         return -tok[2] if negate else tok[2]
 
     def _parse_keyed_table(self):
         self._expect("{")
-        tok = self.tokens[self.pos]
-        if tok[0] == "}":
-            self._fail("P-TABLE", "value table has no entries", tok)
+        if self.tok[0] == "}":
+            self._fail("P-TABLE", "value table has no entries", self.tok)
         entries = []
         while True:
             key = [self._expect_name("an instance label")]
@@ -304,27 +303,27 @@ class _Parser:
                 key.append(self._expect_name("an instance label"))
             self._expect(":")
             entries.append((key, self._parse_signed_number()))
-            if not self._accept(",") or self.tokens[self.pos][0] == "}":
-                self._expect("}")
-                return entries
+            if not self._accept(",") or self.tok[0] == "}":
+                return entries, self._expect("}")
 
     def _parse_positional_list(self):
         self._expect("[")
         values = [self._parse_signed_number()]
-        while self._accept(",") and self.tokens[self.pos][0] != "]":
+        while self._accept(",") and self.tok[0] != "]":
             values.append(self._parse_signed_number())
-        self._expect("]")
-        return values
+        return values, self._expect("]")
 
-    def _parse_expr(self) -> Expr:
-        """One formula, by operator precedence over explicit stacks.
+    def _parse_expr(self):
+        """One formula, by operator precedence over explicit stacks, and the
+        last token it takes.
 
         Loosest to tightest: `+ -`, `* /`, prefix `-`, `^` (left-associative),
         and a `-` right after `^`, which negates the exponent's atom alone:
         `-a ^ b` is -(a ^ b) and `a ^ -b ^ c` is (a ^ (-b)) ^ c. Operands are
         numbers, names, `SUM(name)` and parenthesized formulas.
         """
-        tokens = self.tokens
+        # `tok` is the cursor; it goes back to self.tok before a call that reads
+        next_tok, tok = self.next, self.tok
         operands: list[Expr] = []
         # (precedence, operator, token); "neg" is a prefix minus and "(" an
         # open group, which no operator reduces past
@@ -333,7 +332,6 @@ class _Parser:
         neg_prec = _NEG_PREC
         while True:
             # operand position: prefix minuses and open groups, then an atom
-            tok = tokens[self.pos]
             while tok[0] == "-" or tok[0] == "(":
                 if tok[0] == "-":
                     ops.append((neg_prec, "neg", tok))
@@ -341,33 +339,39 @@ class _Parser:
                     ops.append((0, "(", tok))
                     open_groups += 1
                     neg_prec = _NEG_PREC
-                self.pos += 1
-                tok = tokens[self.pos]
-            operands.append(self._parse_atom(tok))
+                tok = next_tok()
+            if tok[0] == "number":
+                operands.append(Literal(tok[2]))
+            elif tok[0] == "qname" or tok[0] == "name" and tok[1] not in KEYWORDS:
+                operands.append(Ref(tok[1], span=self.span(tok[3], tok[4])))
+            else:
+                self.tok = tok
+                operands.append(self._parse_atom(tok))
+                tok = self.tok
+            last, tok = tok, next_tok()
             # operator position: close groups, then a binary operator or the end
-            while True:
-                tok = tokens[self.pos]
-                if tok[0] in _BINARY_PREC:
-                    break
+            while tok[0] not in _BINARY_PREC:
+                self.tok = tok
                 if not open_groups:
                     self._reduce(operands, ops, 1)
-                    return operands[0]
-                close = self._expect(")")
+                    return operands[0], last
+                last = self._expect(")")
+                tok = self.tok
                 self._reduce(operands, ops, 1)
                 opening = ops.pop()[2]
                 open_groups -= 1
                 # a diagnostic on a grouped reference covers the parentheses
                 node = operands[-1]
                 if isinstance(node, Ref):
-                    operands[-1] = Ref(node.name, self.span(opening[3], close[4]))
+                    operands[-1] = Ref(node.name, self.span(opening[3], last[4]))
                 elif isinstance(node, Aggregate):
                     operands[-1] = Aggregate(
-                        node.source, span=self.span(opening[3], close[4]))
+                        node.source, span=self.span(opening[3], last[4]))
             prec = _BINARY_PREC[tok[0]]
             self._reduce(operands, ops, prec)
             ops.append((prec, tok[0], tok))
             neg_prec = _EXPONENT_NEG_PREC if tok[0] == "^" else _NEG_PREC
-            self.pos += 1
+            tok = next_tok()
 
     def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
         """Apply the stacked operators that bind at least as tightly as prec."""
@@ -380,28 +384,24 @@ class _Parser:
                 left = operands.pop()
                 operands.append(Binary(op, left, right))
 
-    def _parse_atom(self, tok: tuple) -> Expr:
-        if tok[0] == "number":
-            self.pos += 1
-            return Literal(tok[2])
-        if tok[0] == "name" and tok[1] == "SUM":
-            self.pos += 1
-            self._expect("(")
-            arg = self.tokens[self.pos]
-            if arg[0] == "name" and arg[1] == "SUM":
-                self._fail("P-SYNTAX", "SUM cannot be nested; aggregate the "
-                           "inner variable in its own declaration", arg)
-            source = self._expect_name("a variable name inside SUM(...)")
-            last = self.tokens[self.pos]
-            if last[0] != ")":
-                self._fail("P-SYNTAX", "SUM takes a single variable name", last)
-            self.pos += 1
-            return Aggregate(source[1], span=self.span(tok[3], last[4]))
-        if tok[0] in ("name", "qname"):
-            name = self._expect_name("a variable name")
-            return Ref(name[1], span=self.span(name[3], name[4]))
-        self._fail("P-SYNTAX", "expected a number, variable, or '(', "
-                   f"got {_describe(tok)}", tok)
+    def _parse_atom(self, tok: tuple):
+        """`SUM(name)`, leaving self.tok on its ')'; any other token fails."""
+        if tok[0] != "name" or tok[1] != "SUM":
+            if tok[0] == "name":
+                self._expect_name("a variable name")  # a reserved keyword
+            self._fail("P-SYNTAX", "expected a number, variable, or '(', "
+                       f"got {_describe(tok)}", tok)
+        self.tok = self.next()
+        self._expect("(")
+        arg = self.tok
+        if arg[0] == "name" and arg[1] == "SUM":
+            self._fail("P-SYNTAX", "SUM cannot be nested; aggregate the "
+                       "inner variable in its own declaration", arg)
+        source = self._expect_name("a variable name inside SUM(...)")
+        last = self.tok
+        if last[0] != ")":
+            self._fail("P-SYNTAX", "SUM takes a single variable name", last)
+        return Aggregate(source[1], span=self.span(tok[3], last[4]))
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
