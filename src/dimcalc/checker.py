@@ -33,8 +33,6 @@ from .model import (
     ValueTable,
     Variable,
     difference,
-    intersect,
-    is_subset,
     iter_dependencies,
 )
 
@@ -86,18 +84,19 @@ def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:
     set; SUM keeps only the source dimensions the target also has (the
     rest are summed away).
     """
-    return _union_dims(iter_dependencies(expr), target, model)
+    return model.dim_set(_spanned(iter_dependencies(expr), target.dims, model))
 
 
-def _union_dims(uses, target: Variable, model: Model) -> DimensionSet:
-    """infer_dims over the formula's (name, node) dependency pairs."""
+def _spanned(uses, target: DimensionSet, model: Model) -> set[str]:
+    """The names of infer_dims over the formula's (name, node) dependency
+    pairs, unordered: the union of the operands' member sets, each SUM's
+    cut to `target`."""
     names = set()
     for name, node in uses:
-        dims = model.variable(name).dims
-        if isinstance(node, Aggregate):
-            dims = intersect(dims, target.dims)
-        names.update(dims.names)
-    return model.dim_set(names)
+        members = model.variable(name).dims.members
+        names |= (members & target.members if isinstance(node, Aggregate)
+                  else members)
+    return names
 
 
 def _check_kind(var: Variable) -> CheckDiagnostic | None:
@@ -127,7 +126,7 @@ def _check_operand(node: Expr, var: Variable, model: Model):
     """Rule 2 or Rule 3 for one operand; (error, warning) pair."""
     if isinstance(node, Ref):
         dims = model.variable(node.name).dims
-        if not is_subset(dims, var.dims):
+        if not dims.members <= var.dims.members:
             extra = difference(dims, var.dims)
             return CheckDiagnostic(
                 "error", "R2-NOT-SUBSET",
@@ -137,20 +136,20 @@ def _check_operand(node: Expr, var: Variable, model: Model):
                 node.span or var.span, (var.name, node.name),
                 (dims, var.dims)), None
         return None, None
-    source = model.variable(node.source)
-    if not is_subset(var.dims, source.dims):
+    source = model.variable(node.source).dims
+    if not var.dims.members <= source.members:
         return CheckDiagnostic(
             "error", "R3-NOT-SUPERSET",
-            f"SUM source {node.source} spans {source.dims}, which is not a "
+            f"SUM source {node.source} spans {source}, which is not a "
             f"superset of {var.name}'s declared set {var.dims}",
             node.span or var.span, (var.name, node.source),
-            (source.dims, var.dims)), None
-    if source.dims == var.dims:
+            (source, var.dims)), None
+    if source.members == var.dims.members:
         return None, CheckDiagnostic(
             "warning", "R3-DEGENERATE",
             f"SUM({node.source}) eliminates nothing: source and target are "
             f"both over {var.dims}", node.span or var.span,
-            (var.name, node.source), (source.dims, var.dims))
+            (var.name, node.source), (source, var.dims))
     return None, None
 
 
@@ -182,8 +181,9 @@ def check_model(model: Model) -> CheckedModel:
                 errors.append(error)
                 break
         else:
-            inferred = _union_dims(var.uses, var, model)
-            if inferred != var.dims:
+            spanned = _spanned(var.uses, var.dims, model)
+            if spanned != var.dims.members:
+                inferred = model.dim_set(spanned)
                 missing = difference(var.dims, inferred)
                 extra = difference(inferred, var.dims)
                 if extra and not missing:

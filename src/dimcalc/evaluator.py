@@ -122,13 +122,21 @@ class _Shapes:
         return index
 
     def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
-        """(bases, offsets): cell k of SUM(source) over `dims` adds
-        source[bases[k] + offset] for each offset, in declaration order."""
+        """(bases, offsets), lists or ranges: cell k of SUM(source) over
+        `dims` adds source[bases[k] + offset] for each offset, in
+        declaration order."""
         key = (dims.names, source.names)
         if key not in self._terms:
             gone = difference(source, dims)
-            self._terms[key] = (self._project(dims, source),
-                                self._project(gone, source))
+            if source.names == dims.names + gone.names:
+                # the summed dimensions are the trailing ones: each cell adds
+                # one contiguous run, and no list of indexes need exist
+                count = self._model.tensor_size(gone)
+                self._terms[key] = (
+                    range(0, self._model.tensor_size(source), count), range(count))
+            else:
+                self._terms[key] = (self._project(dims, source),
+                                    self._project(gone, source))
         return self._terms[key]
 
     def broadcast(self, vals: tuple, source: DimensionSet,
@@ -167,7 +175,7 @@ class _Shapes:
                       for name, count in reversed(names)]
 
 
-def _sum(vals: tuple, bases: list, offsets: list) -> list:
+def _sum(vals: tuple, bases: list | range, offsets: list | range) -> list:
     """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right.
 
     The loop over the longer of the two lists is the inner one; either

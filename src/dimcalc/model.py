@@ -184,15 +184,20 @@ class DimensionSet(Record):
 
     `Model` refuses a set whose names are undeclared or out of that order;
     `Model.dim_set` builds one from names in any order. The empty set is
-    valid and marks a dimensionless (scalar) variable.
+    valid and marks a dimensionless (scalar) variable. `members` holds the
+    names as a frozenset, for subset tests; derived from them, it takes no
+    part in equality or repr.
     """
 
-    __slots__ = _fields = ("names",)
+    _fields = ("names",)
+    __slots__ = (*_fields, "members")
 
     def __init__(self, names: tuple[str, ...]):
-        if len(set(names)) != len(names):
+        members = frozenset(names)
+        if len(members) != len(names):
             raise ModelError("dimension set repeats a name")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "members", members)
 
     # direct: the checker and the diagram compare and hash these in loops
     def __eq__(self, other):
@@ -210,7 +215,7 @@ class DimensionSet(Record):
         return len(self.names)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.names
+        return name in self.members
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.names) + ")"
@@ -221,17 +226,17 @@ EMPTY_DIMS = DimensionSet(())
 
 def intersect(a: DimensionSet, b: DimensionSet) -> DimensionSet:
     """Names of `a` that are in `b`, in `a`'s order."""
-    return DimensionSet(tuple(n for n in a.names if n in b.names))
+    return DimensionSet(tuple(n for n in a.names if n in b.members))
 
 
 def difference(a: DimensionSet, b: DimensionSet) -> DimensionSet:
     """Names of `a` that are not in `b`, in `a`'s order."""
-    return DimensionSet(tuple(n for n in a.names if n not in b.names))
+    return DimensionSet(tuple(n for n in a.names if n not in b.members))
 
 
 def is_subset(a: DimensionSet, b: DimensionSet) -> bool:
     """True iff every name of `a` is in `b` (improper subsets included)."""
-    return set(a.names) <= set(b.names)
+    return a.members <= b.members
 
 
 class VariableKind(Enum):
@@ -365,16 +370,18 @@ def iter_nodes(expr: Expr) -> list[Expr]:
     return nodes
 
 
-def iter_dependencies(expr: Expr) -> Iterator[tuple[str, Expr]]:
-    """Yield (variable name, node) for every Ref and Aggregate, left to right.
+def iter_dependencies(expr: Expr) -> list[tuple[str, Expr]]:
+    """(variable name, node) for every Ref and Aggregate, left to right.
 
     Duplicates are kept; an Aggregate node marks a use through SUM.
     """
+    uses = []
     for node in iter_nodes(expr):
         if isinstance(node, Ref):
-            yield node.name, node
+            uses.append((node.name, node))
         elif isinstance(node, Aggregate):
-            yield node.source, node
+            uses.append((node.source, node))
+    return uses
 
 
 class ValueTable(Record):
@@ -412,12 +419,12 @@ class Variable(Record):
 
     def __init__(self, name: str, kind: VariableKind, dims: DimensionSet,
                  payload: ValueTable | Expr | None, span: SourceSpan | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "uses", tuple(iter_dependencies(payload))
+        _SET_VARIABLE_NAME(self, name)
+        _SET_VARIABLE_KIND(self, kind)
+        _SET_VARIABLE_DIMS(self, dims)
+        _SET_VARIABLE_PAYLOAD(self, payload)
+        _SET_VARIABLE_SPAN(self, span)
+        _SET_VARIABLE_USES(self, tuple(iter_dependencies(payload))
                            if isinstance(payload, Expr) else ())
 
     def __reduce__(self):
@@ -426,7 +433,13 @@ class Variable(Record):
     @property
     def dependencies(self) -> tuple[str, ...]:
         """Distinct names the formula references, in first-use order."""
-        return tuple(dict.fromkeys(name for name, _ in self.uses))
+        return tuple(dict.fromkeys([name for name, _ in self.uses]))
+
+
+_SET_VARIABLE_NAME, _SET_VARIABLE_KIND = Variable.name.__set__, Variable.kind.__set__
+_SET_VARIABLE_DIMS = Variable.dims.__set__
+_SET_VARIABLE_PAYLOAD = Variable.payload.__set__
+_SET_VARIABLE_SPAN, _SET_VARIABLE_USES = Variable.span.__set__, Variable.uses.__set__
 
 
 class Model(Record):

@@ -52,14 +52,16 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # Each match is the blanks and comment before a token, then the token in one
 # group per class, which `lastindex` names. The prefix reads only one way and
-# whatever follows it, even the end of text, starts exactly one class: so no
-# match backtracks, and successive matches tile the text.
+# whatever follows it, even the end of text, starts exactly one class: the
+# classes' first characters are disjoint, so no match backtracks, successive
+# matches tile the text, and the order of the alternatives changes no match.
+# Punctuation, the commonest token, is tried first.
 _TOKEN_RE = re.compile(r"[ \t\r]*(?:#[^\n]*)?(?:" + "|".join([
-    r"(\n)",  # 1: newline
-    r"([A-Za-z_][A-Za-z0-9_]*)",  # 2: name
-    # 3: number, 4 its digits; glued to '%' (5) or to word characters, bad
+    r"([=,:()\[\]{}+\-*/^])",  # 1: punctuation
+    r"(\n)",  # 2: newline
+    r"([A-Za-z_][A-Za-z0-9_]*)",  # 3: name
+    # 4: number, 5 its digits; glued to '%' (6) or to word characters, bad
     rf"(({_NUMBER})(?:(%)|[\w.]+)?)",
-    r"([=,:()\[\]{}+\-*/^])",  # 6: punctuation
     r'("((?:[^"\\\n]|\\[^\n]?)*)(")?)',  # 7: quoted name, 8 body, 9 closed
     # 10: a run of characters that start no token; '.' starts one before a digit
     r'((?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
@@ -101,21 +103,23 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
-        word = m.group(kind)
-        end = m.end()
-        start = end - len(word)
-        if kind == 6:  # punctuation
-            if word in "([{":
+        if kind == 1:  # punctuation: one mark, the match's last character
+            end = m.end()
+            mark = text[end - 1]
+            if mark in "([{":
                 depth += 1
-            elif word in ")]}" and depth:
+            elif mark in ")]}" and depth:
                 depth -= 1
-            yield (word, word, None, start, end)
-        elif kind == 2:  # name
+            yield (mark, mark, None, end - 1, end)
+            continue
+        start, end = m.span(kind)
+        word = text[start:end]
+        if kind == 3:  # name
             yield ("name", word, None, start, end)
-        elif kind == 3:  # number
-            digits = m.group(4)
+        elif kind == 4:  # number
+            digits = m.group(5)
             value = float(digits)
-            if m.group(5):
+            if m.group(6):
                 err("P-NUMBER", f"percent literals are not supported; write the "
                     f"fraction instead ({digits}% is {value / 100})", start, end)
             elif len(digits) < len(word):
@@ -124,7 +128,7 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
             elif not math.isfinite(value):
                 err("P-NUMBER", f"number {digits} is out of range", start, end)
             yield ("number", digits, value, start, end)
-        elif kind == 1:  # newline
+        elif kind == 2:  # newline
             if depth == 0:
                 yield ("newline", word, None, start, end)
         elif kind == 7:  # quoted name
@@ -323,7 +327,7 @@ class _Parser:
         numbers, names, `SUM(name)` and parenthesized formulas.
         """
         # `tok` is the cursor; it goes back to self.tok before a call that reads
-        next_tok, tok = self.next, self.tok
+        next_tok, tok, span = self.next, self.tok, self.span
         operands: list[Expr] = []
         # (precedence, operator, token); "neg" is a prefix minus and "(" an
         # open group, which no operator reduces past
@@ -332,25 +336,25 @@ class _Parser:
         neg_prec = _NEG_PREC
         while True:
             # operand position: prefix minuses and open groups, then an atom
-            while tok[0] == "-" or tok[0] == "(":
-                if tok[0] == "-":
+            while (kind := tok[0]) == "-" or kind == "(":
+                if kind == "-":
                     ops.append((neg_prec, "neg", tok))
                 else:
                     ops.append((0, "(", tok))
                     open_groups += 1
                     neg_prec = _NEG_PREC
                 tok = next_tok()
-            if tok[0] == "number":
+            if kind == "number":
                 operands.append(Literal(tok[2]))
-            elif tok[0] == "qname" or tok[0] == "name" and tok[1] not in KEYWORDS:
-                operands.append(Ref(tok[1], span=self.span(tok[3], tok[4])))
+            elif kind == "qname" or kind == "name" and tok[1] not in KEYWORDS:
+                operands.append(Ref(tok[1], span(tok[3], tok[4])))
             else:
                 self.tok = tok
                 operands.append(self._parse_atom(tok))
                 tok = self.tok
             last, tok = tok, next_tok()
             # operator position: close groups, then a binary operator or the end
-            while tok[0] not in _BINARY_PREC:
+            while (kind := tok[0]) not in _BINARY_PREC:
                 self.tok = tok
                 if not open_groups:
                     self._reduce(operands, ops, 1)
@@ -363,14 +367,14 @@ class _Parser:
                 # a diagnostic on a grouped reference covers the parentheses
                 node = operands[-1]
                 if isinstance(node, Ref):
-                    operands[-1] = Ref(node.name, self.span(opening[3], last[4]))
+                    operands[-1] = Ref(node.name, span(opening[3], last[4]))
                 elif isinstance(node, Aggregate):
                     operands[-1] = Aggregate(
-                        node.source, span=self.span(opening[3], last[4]))
-            prec = _BINARY_PREC[tok[0]]
+                        node.source, span=span(opening[3], last[4]))
+            prec = _BINARY_PREC[kind]
             self._reduce(operands, ops, prec)
-            ops.append((prec, tok[0], tok))
-            neg_prec = _EXPONENT_NEG_PREC if tok[0] == "^" else _NEG_PREC
+            ops.append((prec, kind, tok))
+            neg_prec = _EXPONENT_NEG_PREC if kind == "^" else _NEG_PREC
             tok = next_tok()
 
     def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
@@ -429,7 +433,8 @@ def parse_model(text: str, file: str = "<input>") -> Model:
 
     Raises ParseFailure carrying every diagnostic found; the parser
     recovers at statement boundaries so one bad line does not hide errors
-    in the rest of the file.
+    in the rest of the file. Variables over the same set of dimensions
+    share one DimensionSet.
     """
     diags: list[ParseDiagnostic] = []
     span = _spans_of(text, file)
@@ -437,6 +442,8 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     parser.parse_statements()
     dimensions = parser.dimensions
     dim_index = {name: i for i, name in enumerate(dimensions)}
+    # one DimensionSet per distinct set, by its names in declaration order
+    dim_sets: dict[tuple[str, ...], DimensionSet] = {}
 
     known_names = {stmt[1][1] for stmt in parser.variables
                    if stmt[1][1] not in dimensions} | parser.failed_names
@@ -453,7 +460,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
                     f"{name} is already declared as a dimension", span(start, end))
             continue
         var_names.add(name)
-        dims = _resolve_dims(over, dim_index, span, diags)
+        dims = _resolve_dims(over, dim_index, dim_sets, span, diags)
         if dims is None and rhs_kind != "expr":
             continue  # the over clause failed; values would only add noise
         dims = dims or EMPTY_DIMS
@@ -472,9 +479,9 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     return Model(tuple(dimensions.values()), tuple(variables))
 
 
-def _resolve_dims(over, dim_index, span, diags) -> DimensionSet | None:
-    """The over clause's dimension set; None if it names an undeclared
-    dimension."""
+def _resolve_dims(over, dim_index, dim_sets, span, diags) -> DimensionSet | None:
+    """The over clause's dimension set, from `dim_sets` or added to it; None
+    if it names an undeclared dimension."""
     if over is None:
         return EMPTY_DIMS
     names, failed = [], False
@@ -488,8 +495,12 @@ def _resolve_dims(over, dim_index, span, diags) -> DimensionSet | None:
                     f"the over clause", span(start, end))
         else:
             names.append(name)
-    return None if failed else DimensionSet(
-        tuple(sorted(names, key=dim_index.__getitem__)))
+    if failed:
+        return None
+    names = tuple(sorted(names, key=dim_index.__getitem__))
+    if names not in dim_sets:
+        dim_sets[names] = DimensionSet(names)
+    return dim_sets[names]
 
 
 def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):

@@ -1,12 +1,22 @@
+import contextlib
+import copy
+import io
 import itertools
+import json
+import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_checked, load_model
 from dimcalc.checker import (CheckFailure, check_model, infer_dims)
-from dimcalc.model import (Aggregate, Binary, EMPTY_DIMS, Literal, Model, Ref,
-                           Variable, VariableKind)
+from dimcalc.cli import main
+from dimcalc.model import (Aggregate, Binary, DimensionSet, EMPTY_DIMS,
+                           Literal, Model, Ref, Variable, VariableKind)
 from dimcalc.parser import parse_model
+from test_evaluator import assert_matches_reference
 
 DIMS = ("A", "B", "C", "D")
 SUBSETS = [tuple(DIMS[i] for i in combo)
@@ -275,3 +285,133 @@ def test_diagnostics_sorted_by_position():
     assert codes == ["R1-MISMATCH", "K-KIND"]
     lines = [d.span.start_line for d in info.value.diagnostics]
     assert lines == sorted(lines)
+
+
+@st.composite
+def rule_models(draw):
+    """(text, dimension names, each variable's dimensions, formulas): 0-4
+    dimensions of 1-3 labels, a data table over every subset of them, and
+    1-4 formulas over any set. Operands are any earlier variable, bare or
+    summed (an earlier SUM too), so every rule can fail, and one formula in
+    five is a bare reference. A formula is (name, target, operands, bare),
+    an operand (name, summed)."""
+    names = "ABCD"[:draw(st.integers(0, 4))]
+    labels = {d: [f"{d.lower()}{i}" for i in range(draw(st.integers(1, 3)))]
+              for d in names}
+    lines = [f"dimension {d} = [{', '.join(ls)}]" for d, ls in labels.items()]
+    spans = {}  # variable -> its dimensions
+    for k in range(2 ** len(names)):
+        dims = "".join(d for i, d in enumerate(names) if k >> i & 1)
+        cells = itertools.product(*(labels[d] for d in dims))
+        table = ", ".join(f"{','.join(cell)}: 1" for cell in cells)
+        lines.append(f"data X{dims}{over_clause(dims)} = "
+                     + (f"{{{table}}}" if dims else "1"))
+        spans[f"X{dims}"] = dims
+    formulas = []
+
+    def operand():
+        # a formula half the time when there is one, so SUMs nest
+        pool = [f[0] for f in formulas]
+        if not pool or draw(st.booleans()):
+            pool = [n for n in spans if n.startswith("X")]
+        return draw(st.sampled_from(pool)), draw(st.booleans())
+
+    for k in range(draw(st.integers(1, 4))):
+        target = "".join(d for d in names if draw(st.booleans()))
+        bare = draw(st.integers(0, 4)) == 0
+        operands = ([(operand()[0], False)] if bare else
+                    [operand() for _ in range(draw(st.integers(1, 3)))])
+        text = " ".join(
+            (f"{draw(st.sampled_from('+-*/^'))} " if i else "")
+            + (f"SUM({n})" if summed else n)
+            for i, (n, summed) in enumerate(operands))
+        if not bare and text.isidentifier():
+            text = f"-{text}"  # a lone operand under an operator
+        lines.append(f"calc F{k}{over_clause(target)} = {text}")
+        spans[f"F{k}"] = target
+        formulas.append((f"F{k}", target, operands, bare))
+    return "\n".join(lines) + "\n", names, spans, formulas
+
+
+def rule_oracle(names, spans, formulas):
+    """The diagnostics the three rules give, worked out on plain sets, as
+    (severity, code, variables, dimension sets), in source order: each
+    formula on its line, Rule 1 at its start, then its operands."""
+    def ordered(members):
+        return tuple(d for d in names if d in members)
+
+    out = []
+    for name, target, operands, bare in formulas:
+        target = set(target)
+        found = []  # (place on the line, diagnostic)
+        spanned = set()
+        for place, (source, summed) in enumerate(operands, 1):
+            dims = set(spans[source])
+            sets = (ordered(dims), ordered(target))
+            if bare:
+                pass
+            elif summed and not target <= dims:
+                found.append((place, ("error", "R3-NOT-SUPERSET",
+                                      (name, source), sets)))
+                break
+            elif summed and dims == target:
+                found.append((place, ("warning", "R3-DEGENERATE",
+                                      (name, source), sets)))
+            elif not summed and not dims <= target:
+                found.append((place, ("error", "R2-NOT-SUBSET",
+                                      (name, source), sets)))
+                break
+            spanned |= dims & target if summed else dims
+        else:
+            if spanned != target:
+                found.append((0, ("error", "R1-MISMATCH", (name,),
+                                  (ordered(target), ordered(spanned)))))
+        out += [diagnostic for _, diagnostic in sorted(found)]
+    return out
+
+
+def check_view(model):
+    """check_model's diagnostics as JSON, and its order if it passes."""
+    try:
+        checked = check_model(model)
+    except CheckFailure as failure:
+        return [d.as_json() for d in failure.diagnostics], None
+    return [w.as_json() for w in checked.warnings], checked.order
+
+
+@given(rule_models())
+@settings(max_examples=300, deadline=None)
+def test_rules_match_a_set_oracle(case):
+    text, names, spans, formulas = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "rules.dml")
+        Path(path).write_text(text, encoding="utf-8")
+        model = parse_model(text, path)
+        try:
+            diagnostics = check_model(model).warnings
+        except CheckFailure as failure:
+            diagnostics = failure.diagnostics
+        assert [(d.severity, d.code, d.variables,
+                 tuple(s.names for s in d.dimension_sets))
+                for d in diagnostics] == rule_oracle(names, spans, formulas)
+        # the CLI prints the same diagnostics
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            main(["check", path, "--json"])
+        printed = err.getvalue()
+        assert (json.loads(printed) if printed else []) == [
+            d.as_json() for d in diagnostics]
+    view = check_view(model)
+    if view[1] is not None:  # a clean model evaluates as the reference does
+        assert_matches_reference(check_model(model))
+    # variables over one set share its DimensionSet; a model with a fresh,
+    # equal set per variable, and a copy made by pickle or deepcopy, check
+    # the same
+    fresh = Model(model.dimensions, tuple(
+        Variable(v.name, v.kind, DimensionSet(tuple(list(v.dims.names))),
+                 v.payload, v.span) for v in model.variables))
+    for other in (fresh, pickle.loads(pickle.dumps(model)),
+                  copy.deepcopy(model)):
+        assert other == model
+        assert check_view(other) == view

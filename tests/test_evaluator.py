@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -360,6 +361,33 @@ def test_evaluate_holds_each_tensor_once():
     assert peak / cells < 54.0
 
 
+def test_sum_over_trailing_dimensions_keeps_no_index_list():
+    # a SUM over its source's trailing dimensions adds contiguous runs of
+    # cells, so it needs no list of one index per source cell: with such a
+    # list of 48,000 ints the peak read 1.83-2.02 MB on Python 3.10-3.13,
+    # without it 0.002-0.008 MB
+    counts = {"M": 12, "S": 10, "P": 20, "R": 20}
+    dims = tuple(Dimension(n, tuple(f"{n.lower()}{i}" for i in range(c)))
+                 for n, c in counts.items())
+    rng = random.Random(1)
+    table = ValueTable(tuple(rng.uniform(-1e3, 1e3) for _ in range(48_000)))
+    checked = check_model(Model(dims, (
+        Variable("X", VariableKind.DATA, DimensionSet(("M", "S", "P", "R")),
+                 table),
+        Variable("Total", VariableKind.OUTPUT, DimensionSet(()),
+                 Aggregate("X")))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = evaluate(checked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["Total"].values[0].hex() == (
+        reference_evaluate(checked)["Total"][0].hex())
+    assert peak < 1_000_000
+
+
 def test_tensor_to_rows_row_major(acme_checked):
     result = evaluate(acme_checked)
     model = acme_checked.model
@@ -474,6 +502,20 @@ def reference_evaluate(checked):
     return values
 
 
+def assert_matches_reference(checked):
+    """evaluate gives reference_evaluate's bits, or its first bad cell."""
+    want = reference_evaluate(checked)
+    try:
+        result = evaluate(checked)
+    except EvalError as e:
+        assert (e.kind, e.variable, e.labels, e.detail) == want
+        return
+    assert isinstance(want, dict), want
+    for name, vals in want.items():
+        assert [v.hex() for v in result[name].values] == [
+            float(v).hex() for v in vals]
+
+
 RISKY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-300,
                          1e300, -1e300, 1e16, 7.25])
 # the operands a formula over each target may use (Rule 2), and one that
@@ -521,17 +563,7 @@ def risky_models(draw):
 @given(risky_models())
 @settings(max_examples=300, deadline=None)
 def test_matches_per_cell_reference(source):
-    checked = check_model(parse_model(source))
-    want = reference_evaluate(checked)
-    try:
-        result = evaluate(checked)
-    except EvalError as e:
-        assert (e.kind, e.variable, e.labels, e.detail) == want
-        return
-    assert isinstance(want, dict), want
-    for name, vals in want.items():
-        assert [v.hex() for v in result[name].values] == [
-            float(v).hex() for v in vals]
+    assert_matches_reference(check_model(parse_model(source)))
 
 
 @st.composite
@@ -595,14 +627,4 @@ def layered_models(draw):
          " a3,b1: 0, a3,b2: 0}\ncalc F0 over (A) = SUM(X)\n")
 @settings(max_examples=300, deadline=None)
 def test_random_layouts_match_per_cell_reference(source):
-    checked = check_model(parse_model(source))
-    want = reference_evaluate(checked)
-    try:
-        result = evaluate(checked)
-    except EvalError as e:
-        assert (e.kind, e.variable, e.labels, e.detail) == want
-        return
-    assert isinstance(want, dict), want
-    for name, vals in want.items():
-        assert [v.hex() for v in result[name].values] == [
-            float(v).hex() for v in vals]
+    assert_matches_reference(check_model(parse_model(source)))

@@ -50,6 +50,20 @@ class TestDimensionSet:
         with pytest.raises(ModelError):
             DimensionSet(("Month", "Month"))
 
+    def test_members_are_derived(self):
+        # the member set takes no part in ==, hash, repr or pickling
+        ds = DimensionSet(("Month", "Sector"))
+        assert ds.members == frozenset(("Month", "Sector"))
+        swapped = DimensionSet(("Sector", "Month"))
+        assert swapped.members == ds.members and swapped != ds
+        assert hash(ds) == hash(("Month", "Sector"))
+        assert repr(ds) == "DimensionSet(names=('Month', 'Sector'))"
+        assert ds.__reduce__() == (DimensionSet, (("Month", "Sector"),))
+        for twin in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+            assert twin == ds and twin.members == ds.members
+        with pytest.raises(FrozenInstanceError):
+            ds.members = frozenset()
+
     @given(subsets, subsets)
     def test_union_commutes_and_orders(self, a, b):
         u = union(ACME_DIM_NAMES, a, b)

@@ -60,6 +60,16 @@ class TestStatements:
         model = parse_one("input Price\n")
         assert model.variable("Price").payload is None
 
+    def test_variables_over_one_set_share_it(self):
+        model = parse_one("dimension A = [a]\ndimension B = [b]\n"
+                          "input X over (B, A)\ninput Y over (A, B)\n"
+                          "input Z over (A)\ninput S\n")
+        x, y, z, scalar = model.variables
+        assert x.dims is y.dims
+        assert x.dims.names == ("A", "B")
+        assert z.dims is not x.dims and z.dims.names == ("A",)
+        assert scalar.dims is EMPTY_DIMS
+
     def test_data_requires_value(self):
         err = parse_fail("data Fixed_Cost\n")
         assert codes_of(err) == ["P-SYNTAX"]
