@@ -10,10 +10,11 @@ acyclicity, then fixes a deterministic evaluation order:
 - Rule 3: a SUM source's set must be a superset of the declared set
   (R3-NOT-SUPERSET; equality is the R3-DEGENERATE warning).
 
-Each variable reports at most one error: kind problems first, then the
-operands in reading order, then the whole-formula Rule 1 comparison. A
-formula that is a single bare reference has no operator applications, so
-a mismatch there is the Rule 1 kind, not Rule 2.
+Each variable reports at most one error: kind problems first, then, in one
+function per formula, the operands in reading order and Rule 1. A formula
+that is a single bare reference applies no operator, so a mismatch there
+is the Rule 1 kind, not Rule 2. The order and the cycle walk run over
+declaration positions.
 """
 
 from __future__ import annotations
@@ -122,35 +123,53 @@ def _check_kind(var: Variable) -> CheckDiagnostic | None:
                            var.span, (var.name,))
 
 
-def _check_operand(node: Expr, var: Variable, model: Model):
-    """Rule 2 or Rule 3 for one operand; (error, warning) pair."""
-    if isinstance(node, Ref):
-        dims = model.variable(node.name).dims
-        if not dims.members <= var.dims.members:
-            extra = difference(dims, var.dims)
+def _check_formula(var: Variable, model: Model,
+                   warnings: list[CheckDiagnostic]) -> CheckDiagnostic | None:
+    """The first error of a formula variable, or None: Rule 3 for each SUM
+    and Rule 2 for each plain operand, in reading order, then Rule 1. A
+    degenerate SUM appends its warning to `warnings` on the way."""
+    target = var.dims
+    # a bare reference applies no operator, so it has no operand to
+    # hold against Rule 2; Rule 1 judges the whole formula instead
+    for name, node in () if isinstance(var.payload, Ref) else var.uses:
+        dims = model.variable(name).dims
+        if isinstance(node, Aggregate):
+            if not target.members <= dims.members:
+                return CheckDiagnostic(
+                    "error", "R3-NOT-SUPERSET",
+                    f"SUM source {name} spans {dims}, which is not a "
+                    f"superset of {var.name}'s declared set {target}",
+                    node.span or var.span, (var.name, name), (dims, target))
+            if dims.members == target.members:
+                warnings.append(CheckDiagnostic(
+                    "warning", "R3-DEGENERATE",
+                    f"SUM({name}) eliminates nothing: source and target are "
+                    f"both over {target}", node.span or var.span,
+                    (var.name, name), (dims, target)))
+        elif not dims.members <= target.members:
+            extra = difference(dims, target)
             return CheckDiagnostic(
                 "error", "R2-NOT-SUBSET",
-                f"operand {node.name} spans {dims}, which is not a subset of "
-                f"{var.name}'s declared set {var.dims}: {extra} "
+                f"operand {name} spans {dims}, which is not a subset of "
+                f"{var.name}'s declared set {target}: {extra} "
                 f"{'is' if len(extra) == 1 else 'are'} not available here",
-                node.span or var.span, (var.name, node.name),
-                (dims, var.dims)), None
-        return None, None
-    source = model.variable(node.source).dims
-    if not var.dims.members <= source.members:
-        return CheckDiagnostic(
-            "error", "R3-NOT-SUPERSET",
-            f"SUM source {node.source} spans {source}, which is not a "
-            f"superset of {var.name}'s declared set {var.dims}",
-            node.span or var.span, (var.name, node.source),
-            (source, var.dims)), None
-    if source.members == var.dims.members:
-        return None, CheckDiagnostic(
-            "warning", "R3-DEGENERATE",
-            f"SUM({node.source}) eliminates nothing: source and target are "
-            f"both over {var.dims}", node.span or var.span,
-            (var.name, node.source), (source, var.dims))
-    return None, None
+                node.span or var.span, (var.name, name), (dims, target))
+    spanned = _spanned(var.uses, target, model)
+    if spanned == target.members:
+        return None
+    inferred = model.dim_set(spanned)
+    missing = difference(target, inferred)
+    extra = difference(inferred, target)
+    if extra and not missing:
+        detail = f"the formula over-spans the declaration (extra {extra})"
+    elif missing and not extra:
+        detail = f"the formula under-spans the declaration (missing {missing})"
+    else:
+        detail = f"missing {missing}, extra {extra}"
+    return CheckDiagnostic(
+        "error", "R1-MISMATCH", f"{var.name} is declared over {target} but "
+        f"its formula spans {inferred}: {detail}", var.span, (var.name,),
+        (target, inferred))
 
 
 def check_model(model: Model) -> CheckedModel:
@@ -161,103 +180,59 @@ def check_model(model: Model) -> CheckedModel:
     """
     errors: list[CheckDiagnostic] = []
     warnings: list[CheckDiagnostic] = []
-    deps: dict[str, tuple[str, ...]] = {}
-
     for var in model.variables:
-        deps[var.name] = var.dependencies
-        kind_diag = _check_kind(var)
-        if kind_diag:
-            errors.append(kind_diag)
-            continue
-        if not var.kind.carries_formula:
-            continue
-        # a bare reference applies no operator, so it has no operand to
-        # hold against Rule 2; Rule 1 judges the whole formula instead
-        for _, node in () if isinstance(var.payload, Ref) else var.uses:
-            error, warning = _check_operand(node, var, model)
-            if warning:
-                warnings.append(warning)
-            if error:
-                errors.append(error)
-                break
-        else:
-            spanned = _spanned(var.uses, var.dims, model)
-            if spanned != var.dims.members:
-                inferred = model.dim_set(spanned)
-                missing = difference(var.dims, inferred)
-                extra = difference(inferred, var.dims)
-                if extra and not missing:
-                    detail = (f"the formula over-spans the declaration "
-                              f"(extra {extra})")
-                elif missing and not extra:
-                    detail = (f"the formula under-spans the declaration "
-                              f"(missing {missing})")
-                else:
-                    detail = f"missing {missing}, extra {extra}"
-                errors.append(CheckDiagnostic(
-                    "error", "R1-MISMATCH",
-                    f"{var.name} is declared over {var.dims} but its formula "
-                    f"spans {inferred}: {detail}", var.span, (var.name,),
-                    (var.dims, inferred)))
-
-    order, cycle_diags = _topological_order(model, deps)
-    errors.extend(cycle_diags)
-
+        error = _check_kind(var)
+        if error is None and var.kind.carries_formula:
+            error = _check_formula(var, model, warnings)
+        if error:
+            errors.append(error)
+    order = _topological_order(model, errors)
     if errors:
         raise CheckFailure(errors + warnings)
-    return CheckedModel(model, tuple(order), tuple(warnings))
+    return CheckedModel(model, order, tuple(warnings))
 
 
-def _topological_order(model: Model, deps: dict[str, tuple[str, ...]]):
-    """Kahn's algorithm; ready variables are taken in declaration order.
+def _topological_order(model: Model, errors: list) -> tuple[str, ...]:
+    """Kahn's algorithm over declaration positions; ready variables are
+    taken in declaration order.
 
-    `deps` holds each variable's distinct references in first-use order.
+    Adds to `errors` one C-CYCLE per cycle among the variables it cannot
+    place. A walk from each follows its first unplaced reference, which
+    every unplaced variable has, until a position repeats. It stops early
+    at a variable an earlier walk passed: that walk found the cycle there.
     """
-    decl_index = {v.name: i for i, v in enumerate(model.variables)}
-    dependents: dict[str, list[str]] = {v.name: [] for v in model.variables}
-    indegree = {}
-    for name, needed in deps.items():
-        indegree[name] = len(needed)
+    variables = model.variables
+    position = {v.name: i for i, v in enumerate(variables)}
+    # each variable's distinct references, in first-use order
+    deps = [[position[name] for name in v.dependencies] for v in variables]
+    indegree = [len(needed) for needed in deps]
+    dependents: list[list[int]] = [[] for _ in variables]
+    for i, needed in enumerate(deps):
         for d in needed:
-            dependents[d].append(name)
-    ready = [decl_index[n] for n, k in indegree.items() if k == 0]
-    heapq.heapify(ready)
-    names = [v.name for v in model.variables]
+            dependents[d].append(i)
+    # ascending, so already a heap
+    ready = [i for i, k in enumerate(indegree) if not k]
     order = []
     while ready:
-        name = names[heapq.heappop(ready)]
-        order.append(name)
-        for dep in dependents[name]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                heapq.heappush(ready, decl_index[dep])
-    if len(order) == len(names):
-        return order, []
-    remaining = [n for n in names if indegree[n] > 0]
-    return order, _cycle_diagnostics(model, deps, set(remaining))
-
-
-def _cycle_diagnostics(model: Model, deps, remaining: set) -> list[CheckDiagnostic]:
-    """One C-CYCLE diagnostic per cycle among the unordered variables.
-
-    A walk from each follows its first unordered dependency, which every
-    unordered variable has, until a name repeats. It stops early at a
-    variable an earlier walk passed: that walk found the cycle there.
-    """
-    diags = []
-    passed: set[str] = set()
-    for var in model.variables:
-        if var.name not in remaining:
+        i = heapq.heappop(ready)
+        order.append(variables[i].name)
+        for j in dependents[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                heapq.heappush(ready, j)
+    walk_of = [-1] * len(variables)  # the start of the walk through each
+    for start, k in enumerate(indegree):
+        if not k:  # placed
             continue
-        path: dict[str, int] = {}  # each name of this walk: its position
-        name = var.name
-        while name not in path and name not in passed:
-            path[name] = len(path)
-            name = next(d for d in deps[name] if d in remaining)
-        passed.update(path)
-        if name in path:
-            cycle = list(path)[path[name]:]
-            diags.append(CheckDiagnostic(
+        path = []
+        i = start
+        while walk_of[i] < 0:
+            walk_of[i] = start
+            path.append(i)
+            i = next(d for d in deps[i] if indegree[d])
+        if walk_of[i] == start:
+            cycle = tuple(variables[j].name for j in path[path.index(i):])
+            errors.append(CheckDiagnostic(
                 "error", "C-CYCLE", f"dependency cycle: {' -> '.join(cycle)} "
-                f"-> {name}", model.variable(name).span, tuple(cycle)))
-    return diags
+                f"-> {cycle[0]}", variables[i].span, cycle))
+    return tuple(order)

@@ -22,7 +22,6 @@ from itertools import chain
 
 from .checker import CheckedModel
 from .model import (
-    Aggregate,
     Binary,
     DimensionSet,
     Literal,
@@ -253,14 +252,12 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             result = [node.value] * count
         elif isinstance(node, Unary):
             result = [-a for a in stack.pop()]
-        elif isinstance(node, Aggregate):
+        else:  # an Aggregate
             source = tensors[node.source]
             bases, offsets = shapes.sum_terms(dims, source.dims)
             result = _sum(source.values, bases[lo:hi], offsets)
             if not _finite(result):
                 raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
-        else:
-            raise TypeError(f"not an expression: {node!r}")
         stack.append(result)
     return stack.pop()
 

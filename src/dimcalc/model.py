@@ -309,6 +309,8 @@ class Unary(Expr):
     __slots__ = _operands = ("operand",)
 
     def __init__(self, operand: Expr):
+        if not isinstance(operand, _NODES):
+            raise ModelError(f"operand {operand!r} is not a formula node")
         _SET_UNARY_OPERAND(self, operand)
 
 
@@ -320,6 +322,9 @@ class Binary(Expr):
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in ("+", "-", "*", "/", "^"):
             raise ModelError(f"unknown binary operator {op!r}")
+        if not (isinstance(left, _NODES) and isinstance(right, _NODES)):
+            bad = right if isinstance(left, _NODES) else left
+            raise ModelError(f"operand {bad!r} is not a formula node")
         _SET_BINARY_OP(self, op)
         _SET_BINARY_LEFT(self, left)
         _SET_BINARY_RIGHT(self, right)
@@ -339,6 +344,9 @@ class Aggregate(Expr):
         _SET_AGGREGATE_SOURCE(self, source)
         _SET_AGGREGATE_SPAN(self, span)
 
+
+# the node classes the walkers know; the bare `Expr` base is none of them
+_NODES = (Ref, Binary, Literal, Unary, Aggregate)
 
 # the slots' setters, faster than object.__setattr__ for the many nodes
 _SET_LITERAL_VALUE, _SET_UNARY_OPERAND = Literal.value.__set__, Unary.operand.__set__

@@ -617,14 +617,12 @@ def format_expr(expr: Expr) -> str:
             operand = done.pop()
             done.append(("-" + _wrap(operand, _NEG_PREC), _NEG_PREC,
                          "-" + _as_exponent(operand)))
-        elif isinstance(node, Binary):
+        else:  # a Binary
             right, left = done.pop(), done.pop()
             prec = _BINARY_PREC[node.op]
             right_text = (_as_exponent(right) if node.op == "^"
                           else _wrap(right, prec + 1))
             done.append((f"{_wrap(left, prec)} {node.op} {right_text}", prec, None))
-        else:
-            raise TypeError(f"not an expression: {node!r}")
     return done[0][0]
 
 

@@ -1,9 +1,12 @@
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import json
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_checked, load_model
+from dimcalc import checker as checker_module
 from dimcalc.checker import (CheckFailure, check_model, infer_dims)
 from dimcalc.cli import main
 from dimcalc.model import (Aggregate, Binary, DimensionSet, EMPTY_DIMS,
-                           Literal, Model, Ref, Variable, VariableKind)
+                           Literal, Model, Ref, ValueTable, Variable,
+                           VariableKind)
 from dimcalc.parser import parse_model
 from test_evaluator import assert_matches_reference
 
@@ -415,3 +420,109 @@ def test_rules_match_a_set_oracle(case):
                   copy.deepcopy(model)):
         assert other == model
         assert check_view(other) == view
+
+
+@st.composite
+def graph_models(draw):
+    """(model, each variable's references in reading order): 1-9 scalar
+    variables, each an input or a sum of 1-3 references to any of them,
+    self-references and repeats included, plain or through SUM. The model
+    is parsed from text, or built in Python without spans."""
+    names = [f"V{i}" for i in range(draw(st.integers(1, 9)))]
+    refs = {}
+    lines = []
+    variables = []
+    for name in names:
+        uses = draw(st.lists(st.tuples(st.sampled_from(names), st.booleans()),
+                             max_size=3))
+        refs[name] = [ref for ref, _ in uses]
+        if not uses:
+            lines.append(f"input {name} = 1")
+            variables.append(Variable(name, VariableKind.INPUT, EMPTY_DIMS,
+                                      ValueTable((1.0,))))
+            continue
+        lines.append(f"calc {name} = " + " + ".join(
+            f"SUM({ref})" if summed else ref for ref, summed in uses))
+        formula = functools.reduce(
+            functools.partial(Binary, "+"),
+            [Aggregate(ref) if summed else Ref(ref) for ref, summed in uses])
+        variables.append(Variable(name, VariableKind.CALCULATED, EMPTY_DIMS,
+                                  formula))
+    if draw(st.booleans()):
+        return parse_model("\n".join(lines) + "\n"), refs
+    return Model((), tuple(variables)), refs
+
+
+def order_and_cycles_oracle(refs):
+    """The evaluation order, or the C-CYCLE paths, of variables with these
+    references (in declaration order), on plain lists."""
+    order = []
+    while True:
+        ready = [name for name in refs if name not in order
+                 and all(ref in order for ref in refs[name])]
+        if not ready:
+            break
+        order.append(ready[0])
+    cycles = []
+    passed = set()
+    for name in refs:
+        path = []
+        while name not in order and name not in path and name not in passed:
+            path.append(name)
+            name = next(ref for ref in refs[name] if ref not in order)
+        passed.update(path)
+        if name in path:
+            cycles.append(path[path.index(name):])
+    return order, cycles
+
+
+@given(graph_models())
+@settings(max_examples=300, deadline=None)
+def test_order_and_cycles_match_an_oracle(case):
+    model, refs = case
+    order, cycles = order_and_cycles_oracle(refs)
+    try:
+        checked = check_model(model)
+    except CheckFailure as failure:
+        found = [d for d in failure.diagnostics if d.severity == "error"]
+    else:
+        assert checked.order == tuple(order)
+        found = []
+    assert (len(order) == len(refs)) == (not cycles)
+    expected = [("C-CYCLE", f"dependency cycle: {' -> '.join(cycle)} -> "
+                 f"{cycle[0]}", tuple(cycle), model.variable(cycle[0]).span)
+                for cycle in cycles]
+    # diagnostics with spans are sorted by where they start; those without
+    # keep the order the walks found them in
+    expected.sort(key=lambda d: d[3].start_line if d[3] else 0)
+    assert [(d.code, d.message, d.variables, d.span)
+            for d in found] == expected
+
+
+def test_cycle_report_is_linear():
+    # a ring of 20,000 variables and 2,000 tails declared before it, each
+    # leading into it: the first walk goes round the ring, and every later
+    # one stops where it reaches the ring. In a fresh interpreter, so that a
+    # quadratic walk fails the test by the timeout rather than hanging it
+    source = (
+        "import json, sys, time; sys.path.insert(0, sys.argv[1]); "
+        "from dimcalc.checker import CheckFailure, check_model; "
+        "from dimcalc.model import EMPTY_DIMS, Model, Ref, Variable, "
+        "VariableKind; "
+        "calc = lambda name, ref: Variable(name, VariableKind.CALCULATED, "
+        "EMPTY_DIMS, Ref(ref)); "
+        "tails = [calc(f'T{j}', f'R{j * 10}') for j in range(2000)]; "
+        "ring = [calc(f'R{i}', f'R{(i + 1) % 20000}') for i in range(20000)]; "
+        "model = Model((), tuple(tails + ring)); start = time.perf_counter()\n"
+        "try: check_model(model)\n"
+        "except CheckFailure as failure: diags = failure.diagnostics\n"
+        "print(json.dumps([time.perf_counter() - start, "
+        "[(d.code, len(d.variables), d.variables[0]) for d in diags]]))")
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", source,
+         str(Path(checker_module.__file__).parents[1])],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    elapsed, found = json.loads(result.stdout)
+    assert found == [["C-CYCLE", 20000, "R0"]]
+    assert elapsed < 5.0  # linear: about 0.2 s

@@ -354,6 +354,21 @@ def test_binary_rejects_unknown_operator():
         Binary("%", Ref("X"), Literal(2))
 
 
+@pytest.mark.parametrize("build,operand", [
+    (lambda: Binary("+", Ref("X"), 2.0), "2.0"),
+    (lambda: Binary("*", "X", Literal(2)), "'X'"),
+    (lambda: Unary(None), "None"),
+    (lambda: Unary(Binary("-", Ref("X"), Unary(1))), "1"),
+    (lambda: Binary("-", Ref("X"), Expr()), r"Expr\(\)"),
+], ids=["binary-right", "binary-left", "unary", "nested", "base-class"])
+def test_nodes_refuse_operands_that_are_not_formula_nodes(build, operand):
+    # a tree that held one would fail only later, when evaluated, printed,
+    # compared, hashed or pickled
+    with pytest.raises(ModelError,
+                       match=rf"^operand {operand} is not a formula node$"):
+        build()
+
+
 def test_nodes_hold_no_operator_name():
     # negation and SUM are the only unary and aggregate operations
     with pytest.raises(TypeError):
