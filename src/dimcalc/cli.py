@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import os
@@ -249,7 +250,11 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    """Run one invocation; the only place a failure becomes an exit code."""
+    """Run one invocation; the only place a failure becomes an exit code.
+    The cyclic collector is paused meanwhile, as `timeit` pauses it: what
+    an invocation builds forms no cycle, so reference counting frees it."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _PARSER.parse_args(argv)
         args.func(args, _load_checked(args.model, args.json))
@@ -262,6 +267,9 @@ def main(argv=None) -> int:
     except EvalError as e:
         print(e, file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -411,15 +411,20 @@ class ValueTable(Record):
         return self.values[0]
 
 
+# what a variable may carry; anything else would fail only when evaluated
+_PAYLOADS = (ValueTable, *_NODES, type(None))
+
+
 class Variable(Record):
     """One row of a model: a named value with a kind and a dimension set.
 
     Input and data variables carry a value table (inputs may carry none and
     be supplied at evaluation time); calculated and output variables carry
-    a formula. Kind/payload agreement is the checker's job, not enforced
-    here. `uses` holds the formula's `iter_dependencies` pairs, found once
-    here (empty without a formula); derived from the payload, it takes no
-    part in equality or repr.
+    a formula. A payload that is none of these raises `ModelError`;
+    kind/payload agreement is the checker's job, not enforced here. `uses`
+    holds the formula's `iter_dependencies` pairs, found once here (empty
+    without a formula); derived from the payload, it takes no part in
+    equality or repr.
     """
 
     __slots__ = ("name", "kind", "dims", "payload", "span", "uses")
@@ -427,6 +432,9 @@ class Variable(Record):
 
     def __init__(self, name: str, kind: VariableKind, dims: DimensionSet,
                  payload: ValueTable | Expr | None, span: SourceSpan | None = None):
+        if not isinstance(payload, _PAYLOADS):
+            raise ModelError(f"variable {name}: payload {payload!r} is not a "
+                             f"value table, a formula node or None")
         _SET_VARIABLE_NAME(self, name)
         _SET_VARIABLE_KIND(self, kind)
         _SET_VARIABLE_DIMS(self, dims)

@@ -1,6 +1,7 @@
 import argparse
 import codecs
 import csv
+import gc
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from dimcalc.cli import _parse_cell, _write_csv, main
 from dimcalc.evaluator import EvalError
 from dimcalc.model import Dimension, Model, Tensor
 from dimcalc.parser import format_number
+from synth import dense_model
 
 ACME = str(FIXTURES / "acme.dml")
 PRICING = str(FIXTURES / "pricing.dml")
@@ -856,3 +858,132 @@ def test_error_address_reads_back_through_set(name, labels):
     assert text.startswith(head) and text.endswith(tail)
     address = text[len(head):-len(tail)]
     assert _parse_cell(address) == (name, tuple(labels) or None)
+
+
+@pytest.fixture(params=[True, False], ids=["caller-collecting", "caller-paused"])
+def collecting(request):
+    """The caller's collector setting for one test, put back afterwards."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def _percent_model(tmp_path):
+    path = tmp_path / "percent.dml"
+    path.write_text("input X = 40%\n")
+    return str(path)
+
+
+# every way out of main(): each exit code, and the failure behind it
+_EXITS = {
+    "ok": (0, lambda tmp: ["check", ACME]),
+    "parse-failure": (1, lambda tmp: ["check", _percent_model(tmp)]),
+    "check-failure": (1, lambda tmp: ["check", str(FIXTURES / "bad_rule2.dml")]),
+    "eval-error": (2, lambda tmp: ["eval", PRICING, "--out-dir", str(tmp)]),
+    "bad-argv": (3, lambda tmp: ["check"]),
+    "unreadable": (3, lambda tmp: ["check", str(tmp / "ghost.dml")]),
+}
+
+
+class TestCollectorPause:
+    """main() pauses the cyclic collector for one invocation and leaves the
+    caller's setting as it found it, however the invocation ends."""
+
+    @pytest.mark.parametrize("exit_path", sorted(_EXITS))
+    def test_setting_is_restored(self, capsys, tmp_path, collecting,
+                                 exit_path):
+        code, argv = _EXITS[exit_path]
+        assert main(argv(tmp_path)) == code
+        capsys.readouterr()
+        assert gc.isenabled() is collecting
+
+    def test_setting_survives_an_escaping_exception(self, tmp_path,
+                                                    monkeypatch, collecting):
+        during = []
+
+        def failing_evaluate(*args):
+            during.append(gc.isenabled())
+            raise RuntimeError("evaluator fault")
+
+        monkeypatch.setattr("dimcalc.cli.evaluate", failing_evaluate)
+        with pytest.raises(RuntimeError, match="^evaluator fault$"):
+            main(["eval", ACME, "--out-dir", str(tmp_path)])
+        assert (during, gc.isenabled()) == ([False], collecting)
+
+    def test_setting_survives_help(self, capsys, collecting):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        capsys.readouterr()
+        assert gc.isenabled() is collecting
+
+
+def _cyclic_garbage(capsys, argv) -> tuple[int, int, str]:
+    """main(argv)'s exit code, the number of objects it left that only the
+    cyclic collector can free, and its stderr."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        return code, gc.collect(), capsys.readouterr().err
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _no_cycles_cases():
+    cases = []
+    for path, variable, evaluated in ((ACME, "Monthly_Profit", 0),
+                                      (PRICING, "Price", 2)):  # MISSING-INPUT
+        name = Path(path).stem
+        cases += [
+            pytest.param(0, ["check", path], id=f"check-{name}"),
+            pytest.param(evaluated, ["eval", path, "--out-dir", "out"],
+                         id=f"eval-{name}"),
+            pytest.param(0, ["diagram", path], id=f"diagram-{name}"),
+            pytest.param(0, ["explain", path, variable], id=f"explain-{name}"),
+        ]
+    cases += [pytest.param(1, ["check", str(path)], id=f"check-{path.stem}")
+              for path in sorted(FIXTURES.glob("bad_*.dml"))]
+    return cases + [
+        # the evaluator halves the failing range to name the first bad cell
+        pytest.param(2, ["eval", ACME, "--set", "Base_Price=0",
+                         "--out-dir", "out"], id="div-by-zero"),
+        pytest.param(3, ["check"], id="missing-argument"),
+        pytest.param(3, [], id="no-arguments"),
+        pytest.param(3, ["check", "ghost.dml"], id="unreadable"),
+        pytest.param(3, ["eval", ACME, "--set", "Nope=1"], id="bad-override"),
+        pytest.param(3, ["eval", ACME, "--set", "Base_Price"],
+                     id="malformed-set"),
+        pytest.param(3, ["explain", ACME, "Nope"], id="unknown-variable"),
+        pytest.param(0, ["eval", "dense.dml", "--out-dir", "out"], id="dense"),
+    ]
+
+
+class TestNoCycles:
+    """Nothing an invocation builds forms a cycle, so reference counting
+    frees it all and main() may pause the collector. A cycle added to the
+    engine shows here first."""
+
+    @pytest.mark.parametrize("code,argv", _no_cycles_cases())
+    def test_invocation_leaves_no_cyclic_garbage(self, capsys, tmp_path,
+                                                 monkeypatch, code, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("dense.dml").write_text(dense_model(1, (3, 2, 3, 2)))
+        assert _cyclic_garbage(capsys, argv)[:2] == (code, 0)
+
+    def test_json_garbage_does_not_grow_with_diagnostics(self, capsys,
+                                                         tmp_path):
+        # the stdlib's indented JSON encoder leaves its closures, which
+        # refer to one another, once per call and not once per diagnostic
+        many = tmp_path / "undeclared.dml"
+        many.write_text("".join(f"calc A{i} = B{i}\n" for i in range(20)))
+        found = {}
+        for path in [*sorted(FIXTURES.glob("bad_*.dml")), many]:
+            code, garbage, err = _cyclic_garbage(
+                capsys, ["check", str(path), "--json"])
+            assert code == 1
+            found.setdefault(len(json.loads(err)), []).append(garbage)
+        assert sorted(found) == [1, 20]
+        assert max(found[20]) <= min(found[1])

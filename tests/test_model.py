@@ -369,6 +369,22 @@ def test_nodes_refuse_operands_that_are_not_formula_nodes(build, operand):
         build()
 
 
+@pytest.mark.parametrize("kind,payload,shown", [
+    (VariableKind.INPUT, 2.0, "2.0"),
+    (VariableKind.CALCULATED, "X", "'X'"),
+    (VariableKind.DATA, (1.0, 2.0), r"\(1.0, 2.0\)"),
+    (VariableKind.OUTPUT, Expr(), r"Expr\(\)"),
+], ids=["input-float", "calc-str", "data-tuple", "base-class"])
+def test_variable_refuses_a_payload_that_is_not_a_table_or_formula(
+        kind, payload, shown):
+    # a model holding one used to check clean, then fail in evaluate or
+    # pretty_print with an AttributeError or IndexError
+    with pytest.raises(ModelError, match=rf"^variable V: payload {shown} is "
+                                         rf"not a value table, a formula "
+                                         rf"node or None$"):
+        Variable("V", kind, EMPTY_DIMS, payload)
+
+
 def test_nodes_hold_no_operator_name():
     # negation and SUM are the only unary and aggregate operations
     with pytest.raises(TypeError):
