@@ -23,8 +23,6 @@ from .model import (
     Variable,
     VariableKind,
     difference,
-    intersect,
-    is_subset,
 )
 from .parser import (
     ParseDiagnostic,
@@ -39,7 +37,6 @@ from .checker import (
     CheckFailure,
     CheckedModel,
     check_model,
-    infer_dims,
 )
 from .evaluator import (
     EvalError,
@@ -54,11 +51,10 @@ __all__ = [
     "Aggregate", "Binary", "Dimension", "DimensionSet", "EMPTY_DIMS", "Expr",
     "Literal", "Model", "ModelError", "Ref", "SourceSpan", "Tensor", "Unary",
     "ValueTable", "Variable", "VariableKind",
-    "difference", "intersect", "is_subset",
+    "difference",
     "ParseDiagnostic", "ParseFailure", "format_expr", "format_number",
     "parse_model", "pretty_print",
     "CheckDiagnostic", "CheckFailure", "CheckedModel", "check_model",
-    "infer_dims",
     "EvalError", "EvaluationResult", "InputOverride", "evaluate",
     "tensor_to_rows",
     "DiagramConfig", "emit_dot",

@@ -34,7 +34,6 @@ from .model import (
     ValueTable,
     Variable,
     difference,
-    iter_dependencies,
 )
 
 
@@ -78,28 +77,6 @@ class CheckedModel(Record):
         object.__setattr__(self, "warnings", warnings)
 
 
-def infer_dims(expr: Expr, target: Variable, model: Model) -> DimensionSet:
-    """Dimension set of a formula: the union of its operands' sets.
-
-    Literals are dimensionless; a reference has its variable's declared
-    set; SUM keeps only the source dimensions the target also has (the
-    rest are summed away).
-    """
-    return model.dim_set(_spanned(iter_dependencies(expr), target.dims, model))
-
-
-def _spanned(uses, target: DimensionSet, model: Model) -> set[str]:
-    """The names of infer_dims over the formula's (name, node) dependency
-    pairs, unordered: the union of the operands' member sets, each SUM's
-    cut to `target`."""
-    names = set()
-    for name, node in uses:
-        members = model.variable(name).dims.members
-        names |= (members & target.members if isinstance(node, Aggregate)
-                  else members)
-    return names
-
-
 def _check_kind(var: Variable) -> CheckDiagnostic | None:
     if var.kind.carries_formula:
         if isinstance(var.payload, ValueTable):
@@ -126,12 +103,14 @@ def _check_kind(var: Variable) -> CheckDiagnostic | None:
 def _check_formula(var: Variable, model: Model,
                    warnings: list[CheckDiagnostic]) -> CheckDiagnostic | None:
     """The first error of a formula variable, or None: Rule 3 for each SUM
-    and Rule 2 for each plain operand, in reading order, then Rule 1. A
-    degenerate SUM appends its warning to `warnings` on the way."""
+    and Rule 2 for each plain operand, in reading order, then Rule 1 on the
+    union they span. A degenerate SUM appends its warning to `warnings`."""
     target = var.dims
     # a bare reference applies no operator, so it has no operand to
     # hold against Rule 2; Rule 1 judges the whole formula instead
-    for name, node in () if isinstance(var.payload, Ref) else var.uses:
+    bare = isinstance(var.payload, Ref)
+    spanned = set()
+    for name, node in var.uses:
         dims = model.variable(name).dims
         if isinstance(node, Aggregate):
             if not target.members <= dims.members:
@@ -146,7 +125,10 @@ def _check_formula(var: Variable, model: Model,
                     f"SUM({name}) eliminates nothing: source and target are "
                     f"both over {target}", node.span or var.span,
                     (var.name, name), (dims, target)))
-        elif not dims.members <= target.members:
+            spanned |= target.members  # all it keeps of its source
+        elif bare or dims.members <= target.members:
+            spanned |= dims.members
+        else:
             extra = difference(dims, target)
             return CheckDiagnostic(
                 "error", "R2-NOT-SUBSET",
@@ -154,7 +136,6 @@ def _check_formula(var: Variable, model: Model,
                 f"{var.name}'s declared set {target}: {extra} "
                 f"{'is' if len(extra) == 1 else 'are'} not available here",
                 node.span or var.span, (var.name, name), (dims, target))
-    spanned = _spanned(var.uses, target, model)
     if spanned == target.members:
         return None
     inferred = model.dim_set(spanned)

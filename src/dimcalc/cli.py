@@ -13,7 +13,6 @@ import argparse
 import csv
 import gc
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
@@ -35,10 +34,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _Usage(f"{self.prog}: {message}")
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)`, less the cycle its encoder leaves."""
+    import json  # only --json needs it, so other runs start without it
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, list) and value:
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return json.dumps(value)
+
+
 def _print_diagnostics(diagnostics, as_json: bool):
     if as_json:
-        print(json.dumps([d.as_json() for d in diagnostics], indent=2),
-              file=sys.stderr)
+        print(_json_text([d.as_json() for d in diagnostics]), file=sys.stderr)
     else:
         for d in diagnostics:
             print(d.render(), file=sys.stderr)

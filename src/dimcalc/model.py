@@ -199,7 +199,7 @@ class DimensionSet(Record):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "members", members)
 
-    # direct: the checker and the diagram compare and hash these in loops
+    # direct: the diagram's grouping hashes these; the checker reads members
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -224,19 +224,9 @@ class DimensionSet(Record):
 EMPTY_DIMS = DimensionSet(())
 
 
-def intersect(a: DimensionSet, b: DimensionSet) -> DimensionSet:
-    """Names of `a` that are in `b`, in `a`'s order."""
-    return DimensionSet(tuple(n for n in a.names if n in b.members))
-
-
 def difference(a: DimensionSet, b: DimensionSet) -> DimensionSet:
     """Names of `a` that are not in `b`, in `a`'s order."""
     return DimensionSet(tuple(n for n in a.names if n not in b.members))
-
-
-def is_subset(a: DimensionSet, b: DimensionSet) -> bool:
-    """True iff every name of `a` is in `b` (improper subsets included)."""
-    return a.members <= b.members
 
 
 class VariableKind(Enum):

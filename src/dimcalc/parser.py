@@ -654,9 +654,10 @@ def format_payload(model: Model, variable: Variable) -> str | None:
 
 def _source_ident(name: str, what: str) -> str:
     # a quoted name ends at its line, and no escape in it writes an LF
-    if "\n" in name:
+    if not name or "\n" in name:
+        problem = "an LF in a" if name else "an empty"
         raise ModelError(f"cannot print {what} {name!r}: .dml source cannot "
-                         f"write an LF in a name or label")
+                         f"write {problem} name or label")
     return format_ident(name)
 
 
@@ -674,8 +675,8 @@ def _source_numbers(variable: Variable) -> None:
 def pretty_print(model: Model) -> str:
     """Render a Model as DSL source that parses back to an equal Model.
 
-    Raises ModelError for a name or label holding an LF, or for a number
-    that is not finite, which the DSL cannot write."""
+    Raises ModelError for a name or label that is empty or holds an LF,
+    or for a number that is not finite, which the DSL cannot write."""
     lines = []
     for dim in model.dimensions:
         name = _source_ident(dim.name, "dimension")

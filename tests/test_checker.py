@@ -11,15 +11,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_checked, load_model
 from dimcalc import checker as checker_module
-from dimcalc.checker import (CheckFailure, check_model, infer_dims)
+from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
 from dimcalc.model import (Aggregate, Binary, DimensionSet, EMPTY_DIMS,
-                           Literal, Model, Ref, ValueTable, Variable,
-                           VariableKind)
+                           Model, Ref, ValueTable, Variable, VariableKind)
 from dimcalc.parser import parse_model
 from test_evaluator import assert_matches_reference
 
@@ -159,35 +158,6 @@ def test_cycle_shapes(source, cycles):
         tuple(names) for _, *names in cycles]
 
 
-class TestInferDims:
-    def test_literal_is_dimensionless(self, acme_model):
-        target = acme_model.variable("Total_Profit")
-        assert infer_dims(Literal(3.0), target, acme_model) == EMPTY_DIMS
-
-    def test_ref_carries_declared_set(self, acme_model):
-        target = acme_model.variable("MSP_Unit_Sales")
-        got = infer_dims(Ref("Monthly_Sales_Distribution_per_Sector"),
-                         target, acme_model)
-        assert got.names == ("Month", "Sector")
-
-    def test_binary_takes_union(self, acme_model):
-        target = acme_model.variable("MSP_Unit_Sales")
-        expr = Binary("*", Ref("Annual_Sector_Product_Unit_Sales"),
-                      Ref("Monthly_Sales_Distribution_per_Sector"))
-        assert infer_dims(expr, target, acme_model).names == (
-            "Month", "Sector", "Product")
-
-    def test_sum_intersects_with_target(self, acme_model):
-        target = acme_model.variable("Monthly_Unit_Sales")
-        expr = Aggregate("MSPR_Unit_Sales")
-        assert infer_dims(expr, target, acme_model).names == ("Month",)
-
-    def test_sum_then_divide(self, acme_model):
-        target = acme_model.variable("Monthly_Unit_Sales")
-        expr = Binary("/", Aggregate("MSPR_Unit_Sales"), Literal(2.0))
-        assert infer_dims(expr, target, acme_model).names == ("Month",)
-
-
 class TestRule2Lattice:
     @pytest.mark.parametrize("target", SUBSETS)
     @pytest.mark.parametrize("operand", SUBSETS)
@@ -298,8 +268,9 @@ def rule_models(draw):
     dimensions of 1-3 labels, a data table over every subset of them, and
     1-4 formulas over any set. Operands are any earlier variable, bare or
     summed (an earlier SUM too), so every rule can fail, and one formula in
-    five is a bare reference. A formula is (name, target, operands, bare),
-    an operand (name, summed)."""
+    five is a bare reference. A third of the others also take the literal
+    2 as an operand, which `spans` lists as over no dimension. A formula
+    is (name, target, operands, bare), an operand (name, summed)."""
     names = "ABCD"[:draw(st.integers(0, 4))]
     labels = {d: [f"{d.lower()}{i}" for i in range(draw(st.integers(1, 3)))]
               for d in names}
@@ -312,6 +283,7 @@ def rule_models(draw):
         lines.append(f"data X{dims}{over_clause(dims)} = "
                      + (f"{{{table}}}" if dims else "1"))
         spans[f"X{dims}"] = dims
+    spans["2"] = ""
     formulas = []
 
     def operand():
@@ -326,6 +298,8 @@ def rule_models(draw):
         bare = draw(st.integers(0, 4)) == 0
         operands = ([(operand()[0], False)] if bare else
                     [operand() for _ in range(draw(st.integers(1, 3)))])
+        if not bare and draw(st.integers(0, 2)) == 0:
+            operands.insert(draw(st.integers(0, len(operands))), ("2", False))
         text = " ".join(
             (f"{draw(st.sampled_from('+-*/^'))} " if i else "")
             + (f"SUM({n})" if summed else n)
@@ -385,6 +359,14 @@ def check_view(model):
 
 
 @given(rule_models())
+# a SUM, then a literal: Rule 1 sees the source cut to the target, and
+# nothing from the literal
+@example(("dimension A = [a0]\ndimension B = [b0, b1]\ndata X = 1\n"
+          "data XA over (A) = {a0: 1}\ndata XB over (B) = {b0: 1, b1: 1}\n"
+          "data XAB over (A, B) = {a0,b0: 1, a0,b1: 1}\n"
+          "calc F0 over (A) = SUM(XAB) / 2\n", "AB",
+          {"X": "", "XA": "A", "XB": "B", "XAB": "AB", "2": ""},
+          [("F0", "A", [("XAB", True), ("2", False)], False)]))
 @settings(max_examples=300, deadline=None)
 def test_rules_match_a_set_oracle(case):
     text, names, spans, formulas = case

@@ -16,7 +16,7 @@ from hypothesis import example, given, strategies as st
 
 import dimcalc
 from conftest import FIXTURES
-from dimcalc.cli import _parse_cell, _write_csv, main
+from dimcalc.cli import _json_text, _parse_cell, _write_csv, main
 from dimcalc.evaluator import EvalError
 from dimcalc.model import Dimension, Model, Tensor
 from dimcalc.parser import format_number
@@ -751,7 +751,7 @@ def test_cold_import_leaves_out_slow_modules():
     # -I -S: no site packages and no PYTHONPATH, so this is all the import
     # loads; the package is found where this test imported it from
     source = ("import sys; sys.path.insert(0, sys.argv[1]); import dimcalc.cli; "
-              "print(sorted({'dataclasses', 'inspect', 'typing'} "
+              "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} "
               "& set(sys.modules)))")
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", source,
@@ -973,17 +973,31 @@ class TestNoCycles:
         Path("dense.dml").write_text(dense_model(1, (3, 2, 3, 2)))
         assert _cyclic_garbage(capsys, argv)[:2] == (code, 0)
 
-    def test_json_garbage_does_not_grow_with_diagnostics(self, capsys,
-                                                         tmp_path):
-        # the stdlib's indented JSON encoder leaves its closures, which
-        # refer to one another, once per call and not once per diagnostic
+    def test_json_leaves_no_cyclic_garbage(self, capsys, tmp_path):
+        # the stdlib's indented JSON encoder would leave its closures, which
+        # refer to one another, on every call
         many = tmp_path / "undeclared.dml"
         many.write_text("".join(f"calc A{i} = B{i}\n" for i in range(20)))
-        found = {}
+        counts = []
         for path in [*sorted(FIXTURES.glob("bad_*.dml")), many]:
             code, garbage, err = _cyclic_garbage(
                 capsys, ["check", str(path), "--json"])
-            assert code == 1
-            found.setdefault(len(json.loads(err)), []).append(garbage)
-        assert sorted(found) == [1, 20]
-        assert max(found[20]) <= min(found[1])
+            assert (code, garbage) == (1, 0)
+            counts.append(len(json.loads(err)))
+        assert sorted(set(counts)) == [1, 20]
+
+
+# what as_json() gives: nested dicts and lists of text, ints and None
+json_values = st.recursive(
+    st.none() | st.integers() | st.text(
+        st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\U0001f600') | st.characters()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(json_values)
+@example([{"code": "R1-MISMATCH", "span": None, "variables": [],
+           "dimension_sets": [[], ["Month"]]}])
+def test_json_text_is_the_stdlib_indented_text(value):
+    assert _json_text(value) == json.dumps(value, indent=2)

@@ -832,6 +832,21 @@ class TestPrinting:
             pretty_print(model)
         assert str(info.value).startswith(message + ": ")
 
+    # `""` reads back as P-TOKEN "empty quoted identifier"
+    @pytest.mark.parametrize("model,message", [
+        (Model((Dimension("D", ("", "c")),), ()),
+         "cannot print label of dimension D ''"),
+        (Model((Dimension("", ("c",)),), ()), "cannot print dimension ''"),
+        (Model((), (Variable("", VariableKind.DATA, EMPTY_DIMS,
+                             ValueTable((1,))),)),
+         "cannot print variable ''"),
+    ], ids=["label", "dimension", "variable"])
+    def test_pretty_print_refuses_empty_identifier(self, model, message):
+        with pytest.raises(ModelError) as info:
+            pretty_print(model)
+        assert str(info.value) == (f"{message}: .dml source cannot write an "
+                                   f"empty name or label")
+
     # the DSL writes no nan or inf: `nan` would read back as a name
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("payload", ["table", "literal"])
