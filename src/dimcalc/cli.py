@@ -22,8 +22,7 @@ from .checker import CheckedModel, check_model
 from .diagram import DiagramConfig, emit_dot
 from .evaluator import EvalError, InputOverride, evaluate
 from .model import DiagnosticFailure, ValueTable, VariableKind
-from .parser import (_spans_of, _tokenize, format_expr, format_number,
-                     parse_model)
+from .parser import format_expr, format_number, parse_cell, parse_model
 
 class _Usage(Exception):
     """Bad invocation; maps to exit code 3."""
@@ -84,30 +83,16 @@ def _parse_set(text: str) -> InputOverride:
     if not eq:
         raise _Usage(f"--set takes NAME=value or NAME[labels]=value, "
                      f"got {text!r}")
-    name, labels = _parse_cell(head)
+    cell = parse_cell(head)
+    if cell is None:
+        raise _Usage(f"--set: malformed cell address {head.strip()!r}; quote a "
+                     f"name or label that is not a plain name, as in the model")
+    name, labels = cell
     try:
         value = float(raw_value)
     except ValueError:
         raise _Usage(f"--set {name}: {raw_value!r} is not a number") from None
     return InputOverride(name, labels, value)
-
-
-def _parse_cell(head: str) -> tuple[str, tuple[str, ...] | None]:
-    """A variable name, then optionally its instance labels in brackets,
-    separated by commas. Each is written as in the model source: a name,
-    a quoted name, or (for a label) a number."""
-    diags = []
-    tokens = list(_tokenize(head, _spans_of(head, "--set"), diags))
-    name, address = tokens[0], tokens[1:-1]  # the last token is eof
-    inner = address[1:-1]
-    labels, commas = inner[::2], inner[1::2]
-    if (diags or name[0] not in ("name", "qname") or address and (
-            (address[0][0], address[-1][0]) != ("[", "]") or len(inner) % 2 == 0
-            or any(t[0] not in ("name", "number", "qname") for t in labels)
-            or any(t[0] != "," for t in commas))):
-        raise _Usage(f"--set: malformed cell address {head.strip()!r}; quote a "
-                     f"name or label that is not a plain name, as in the model")
-    return name[1], tuple(t[1] for t in labels) if address else None
 
 
 def _cannot_write(e: OSError) -> _Usage:

@@ -327,8 +327,6 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
     model = checked.model
     patches: dict[str, dict[int, float]] = {}
     for ov in overrides:
-        if not model.has_variable(ov.name):
-            raise ValueError(f"no variable named {ov.name}")
         var = model.variable(ov.name)
         if var.kind is not VariableKind.INPUT:
             raise ValueError(

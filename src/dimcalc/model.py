@@ -161,6 +161,15 @@ class Dimension(Record):
     __slots__ = (*_fields, "_positions")
 
     def __init__(self, name: str, instances: tuple[str, ...]):
+        if not isinstance(name, str):
+            raise ModelError(f"dimension name {name!r} is not a str")
+        if not isinstance(instances, tuple):
+            raise ModelError(f"dimension {name}: instances {instances!r} are "
+                             f"not a tuple")
+        for label in instances:
+            if not isinstance(label, str):
+                raise ModelError(f"dimension {name}: instance label {label!r} "
+                                 f"is not a str")
         if not instances:
             raise ModelError(f"dimension {name} has no instances")
         positions = {label: i for i, label in enumerate(instances)}
@@ -193,20 +202,14 @@ class DimensionSet(Record):
     __slots__ = (*_fields, "members")
 
     def __init__(self, names: tuple[str, ...]):
+        if not (isinstance(names, tuple)
+                and all(isinstance(name, str) for name in names)):
+            raise ModelError(f"dimension set {names!r} is not a tuple of str")
         members = frozenset(names)
         if len(members) != len(names):
             raise ModelError("dimension set repeats a name")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "members", members)
-
-    # direct: the diagram's grouping hashes these; the checker reads members
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
@@ -478,6 +481,11 @@ class Model(Record):
             raise ModelError(
                 f"name used for both a dimension and a variable: {sorted(overlap)}")
         for v in variables:
+            if not isinstance(v.name, str):
+                raise ModelError(f"variable name {v.name!r} is not a str")
+            if not isinstance(v.kind, VariableKind):
+                raise ModelError(f"variable {v.name}: kind {v.kind!r} is not "
+                                 f"a VariableKind")
             last = -1
             for n in v.dims.names:
                 # undeclared (-1) or out of declaration order

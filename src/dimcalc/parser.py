@@ -7,8 +7,9 @@ full grammar is documented in README.md.
 
 A token is a plain tuple `(kind, text, value, start, end)`, made as the
 parser reads it, one ahead; the blanks and comment before a token belong
-to its match. The kind is name, qname, number, newline or eof, or for
-punctuation the mark itself ("(" or "+"); `value` is a number's float, and
+to its match. The kind is name, qname, number, newline or eof, or for a
+keyword or a punctuation mark the word or mark itself ("over" or "+"), so
+the parser decides on the kind alone; `value` is a number's float, and
 `start` and `end` are character offsets into the text. The spans a parse
 keeps (a Ref, an Aggregate, a statement, or a diagnostic) hold offsets
 too, and work out their lines and columns only when one is read.
@@ -114,8 +115,8 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
             continue
         start, end = m.span(kind)
         word = text[start:end]
-        if kind == 3:  # name
-            yield ("name", word, None, start, end)
+        if kind == 3:  # name or keyword
+            yield (word if word in KEYWORDS else "name", word, None, start, end)
         elif kind == 4:  # number
             digits = m.group(5)
             value = float(digits)
@@ -193,7 +194,7 @@ class _Parser:
 
     def _expect_name(self, what: str) -> tuple:
         tok = self.tok
-        if tok[0] == "name" and tok[1] in KEYWORDS:
+        if tok[0] in KEYWORDS:
             self._fail("P-SYNTAX", f"{tok[1]!r} is a reserved keyword and "
                        f"cannot be used as {what}", tok)
         if tok[0] != "name" and tok[0] != "qname":
@@ -221,9 +222,9 @@ class _Parser:
 
     def _parse_statement(self):
         tok = self.tok
-        if tok[0] == "name" and tok[1] == "dimension":
+        if tok[0] == "dimension":
             return self._parse_dimension()
-        if tok[0] == "name" and tok[1] in ("input", "data", "calc", "output"):
+        if tok[0] in ("input", "data", "calc", "output"):
             return self._parse_variable(tok)
         self._fail("P-SYNTAX",
                    "expected a declaration (dimension, input, data, calc, "
@@ -251,14 +252,12 @@ class _Parser:
         self.dimensions[name[1]] = Dimension(name[1], tuple(unique))
 
     def _parse_variable(self, first: tuple) -> None:
-        kind = VariableKind(first[1])
+        kind = VariableKind(first[0])
         self.tok = self.next()
         name = self._expect_name("a variable name")
         try:
             over = None
-            tok = self.tok
-            if tok[0] == "name" and tok[1] == "over":
-                self.tok = self.next()
+            if self._accept("over"):
                 self._expect("(")
                 over = [self._expect_name("a dimension name")]
                 while self._accept(","):
@@ -346,7 +345,7 @@ class _Parser:
                 tok = next_tok()
             if kind == "number":
                 operands.append(Literal(tok[2]))
-            elif kind == "qname" or kind == "name" and tok[1] not in KEYWORDS:
+            elif kind == "name" or kind == "qname":
                 operands.append(Ref(tok[1], span(tok[3], tok[4])))
             else:
                 self.tok = tok
@@ -390,15 +389,15 @@ class _Parser:
 
     def _parse_atom(self, tok: tuple):
         """`SUM(name)`, leaving self.tok on its ')'; any other token fails."""
-        if tok[0] != "name" or tok[1] != "SUM":
-            if tok[0] == "name":
+        if tok[0] != "SUM":
+            if tok[0] in KEYWORDS:
                 self._expect_name("a variable name")  # a reserved keyword
             self._fail("P-SYNTAX", "expected a number, variable, or '(', "
                        f"got {_describe(tok)}", tok)
         self.tok = self.next()
         self._expect("(")
         arg = self.tok
-        if arg[0] == "name" and arg[1] == "SUM":
+        if arg[0] == "SUM":
             self._fail("P-SYNTAX", "SUM cannot be nested; aggregate the "
                        "inner variable in its own declaration", arg)
         source = self._expect_name("a variable name inside SUM(...)")
@@ -575,6 +574,31 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
                 f"of {size} entries (first missing: {','.join(labels)})", where)
         return None
     return ValueTable(tuple([cells[i] for i in range(size)]))
+
+
+# the kinds of token that a cell address takes as a name or label
+_NAME_KINDS = frozenset({"name", "qname", *KEYWORDS})
+
+
+def parse_cell(text: str) -> tuple[str, tuple[str, ...] | None] | None:
+    """A cell address as (variable name, instance labels or None), or None
+    if `text` is malformed.
+
+    The name comes first, then optionally the labels in brackets, separated
+    by commas. Each is written as in the model source, a name or a quoted
+    name, except that a keyword is taken as a name and a number as a label.
+    """
+    diags: list[ParseDiagnostic] = []
+    tokens = list(_tokenize(text, _spans_of(text, "<cell>"), diags))
+    name, address = tokens[0], tokens[1:-1]  # the last token is eof
+    inner = address[1:-1]
+    labels, commas = inner[::2], inner[1::2]
+    if (diags or name[0] not in _NAME_KINDS or address and (
+            (address[0][0], address[-1][0]) != ("[", "]") or len(inner) % 2 == 0
+            or any(t[0] not in _NAME_KINDS and t[0] != "number" for t in labels)
+            or any(t[0] != "," for t in commas))):
+        return None
+    return name[1], tuple(t[1] for t in labels) if address else None
 
 
 def format_number(value: float) -> str:

@@ -16,10 +16,10 @@ from hypothesis import example, given, strategies as st
 
 import dimcalc
 from conftest import FIXTURES
-from dimcalc.cli import _json_text, _parse_cell, _write_csv, main
+from dimcalc.cli import _json_text, _write_csv, main
 from dimcalc.evaluator import EvalError
 from dimcalc.model import Dimension, Model, Tensor
-from dimcalc.parser import format_number
+from dimcalc.parser import format_number, parse_cell
 from synth import dense_model
 
 ACME = str(FIXTURES / "acme.dml")
@@ -248,6 +248,15 @@ class TestEval:
                              "--out-dir", str(target))
         assert (code, out) == (3, "")
         assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_empty_out_dir_is_the_current_directory(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # Path("") is "."; os.makedirs("") would raise instead
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "eval", PRICING, "--set", "Price=200",
+                             "--out-dir", "")
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["Profit.csv"]
 
     def test_csv_that_cannot_be_opened_exits_3(self, capsys, tmp_path):
         target = tmp_path / "Profit.csv"
@@ -616,6 +625,13 @@ class TestDiagram:
         assert (code, out) == (3, "")
         assert err.startswith(f"error: cannot write {target}: ")
 
+    def test_empty_output_path_is_the_current_directory(self, capsys,
+                                                        tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "diagram", PRICING, "-o", "") == (
+            3, "", "error: cannot write .: Is a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_group(self, capsys):
         code, out, _ = run(capsys, "diagram", ACME, "--no-group")
         assert code == 0
@@ -857,7 +873,7 @@ def test_error_address_reads_back_through_set(name, labels):
     head, tail = "error[DIV-BY-ZERO]: ", ": 1.0 / 0"
     assert text.startswith(head) and text.endswith(tail)
     address = text[len(head):-len(tail)]
-    assert _parse_cell(address) == (name, tuple(labels) or None)
+    assert parse_cell(address) == (name, tuple(labels) or None)
 
 
 @pytest.fixture(params=[True, False], ids=["caller-collecting", "caller-paused"])

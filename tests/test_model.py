@@ -56,7 +56,7 @@ class TestDimensionSet:
         assert ds.members == frozenset(("Month", "Sector"))
         swapped = DimensionSet(("Sector", "Month"))
         assert swapped.members == ds.members and swapped != ds
-        assert hash(ds) == hash(("Month", "Sector"))
+        assert hash(ds) == hash((("Month", "Sector"),))
         assert repr(ds) == "DimensionSet(names=('Month', 'Sector'))"
         assert ds.__reduce__() == (DimensionSet, (("Month", "Sector"),))
         for twin in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
@@ -186,6 +186,30 @@ class TestValueErrors:
         with pytest.raises(ModelError,
                            match="^dimension D repeats an instance label$"):
             Dimension("D", ("a", "b", "a"))
+
+    # each built clean and then failed later: the checker, pretty_print,
+    # emit_dot or hash raised AttributeError or TypeError
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Dimension(7, ("a",)), "dimension name 7 is not a str"),
+        (lambda: Dimension("D", ["a", "b"]),
+         r"dimension D: instances \['a', 'b'\] are not a tuple"),
+        (lambda: Dimension("D", (1, 2)),
+         "dimension D: instance label 1 is not a str"),
+        (lambda: DimensionSet(["D"]),
+         r"dimension set \['D'\] is not a tuple of str"),
+        (lambda: DimensionSet((5,)), r"dimension set \(5,\) is not a tuple of str"),
+        (lambda: Model((), (Variable(5, VariableKind.DATA, EMPTY_DIMS,
+                                     ValueTable((1.0,))),)),
+         "variable name 5 is not a str"),
+        (lambda: Model((), (Variable("X", "data", EMPTY_DIMS,
+                                     ValueTable((1.0,))),)),
+         "variable X: kind 'data' is not a VariableKind"),
+    ], ids=["dimension-name", "label-list", "label-int", "set-list",
+            "set-name-int", "variable-name", "variable-kind"])
+    def test_refuses_a_name_label_or_kind_of_the_wrong_type(self, build,
+                                                          message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            build()
 
     def test_scalar_of_two_values(self):
         with pytest.raises(ModelError, match="^value table is not a scalar$"):

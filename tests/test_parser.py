@@ -968,6 +968,17 @@ def test_long_blank_runs_tokenize_in_linear_time(text, codes):
     assert elapsed < 1.0  # linear: about 5 ms
 
 
+def test_keywords_are_their_own_token_kinds():
+    text = 'dimension input data calc output over SUM Sum overt "over" _SUM'
+    tokens = list(parser_module._tokenize(text, lambda *offsets: offsets, []))
+    keywords = ["dimension", "input", "data", "calc", "output", "over", "SUM"]
+    assert set(keywords) == parser_module.KEYWORDS
+    assert [t[0] for t in tokens] == [
+        *keywords, "name", "name", "qname", "name", "eof"]
+    assert [t[1] for t in tokens] == [
+        *keywords, "Sum", "overt", "over", "_SUM", ""]
+
+
 _TOKEN_CHARS = st.sampled_from(list(" \t\r\n#\"\\%.,:=()[]{}+-*/^_aZ09eE@é"))
 
 

@@ -93,3 +93,25 @@ def test_checker_flags_an_unused_private_name():
     }
     assert _unreferenced_private_names(sources) == [
         "a.py: _SEEN", "a.py: _loop", "a.py: _Old"]
+
+
+def _private_imports(source: str) -> list[str]:
+    """Names with a leading underscore that `source` imports from another
+    module: each is a detail of the module that defines it."""
+    return [f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_imports(path):
+    assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from .model import Ref, _NODES as NODES\n"
+              "import json\n"
+              "def f():\n    from .parser import _tokenize, parse_model\n")
+    assert _private_imports(source) == ["line 2: _NODES", "line 5: _tokenize"]
