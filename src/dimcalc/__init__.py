@@ -45,7 +45,7 @@ from .evaluator import (
     evaluate,
     tensor_to_rows,
 )
-from .diagram import DiagramConfig, emit_dot
+from .diagram import emit_dot
 
 __all__ = [
     "Aggregate", "Binary", "Dimension", "DimensionSet", "EMPTY_DIMS", "Expr",
@@ -57,5 +57,5 @@ __all__ = [
     "CheckDiagnostic", "CheckFailure", "CheckedModel", "check_model",
     "EvalError", "EvaluationResult", "InputOverride", "evaluate",
     "tensor_to_rows",
-    "DiagramConfig", "emit_dot",
+    "emit_dot",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .checker import CheckedModel, check_model
-from .diagram import DiagramConfig, emit_dot
+from .diagram import emit_dot
 from .evaluator import EvalError, InputOverride, evaluate
 from .model import DiagnosticFailure, ValueTable, VariableKind
 from .parser import format_expr, format_number, parse_cell, parse_model
@@ -160,9 +160,8 @@ def _cmd_eval(args, checked: CheckedModel) -> None:
 
 
 def _cmd_diagram(args, checked: CheckedModel) -> None:
-    config = DiagramConfig(group_by_dimension_set=not args.no_group,
-                           include_data_values=args.data_values)
-    dot = emit_dot(checked.model, config)
+    dot = emit_dot(checked.model, group_by_dimension_set=not args.no_group,
+                   include_data_values=args.data_values)
     if args.out == "-":
         print(dot, end="")
     else:

@@ -7,12 +7,12 @@ labeled. Variables sharing a non-empty dimension set sit in one
 dash-bordered cluster whose label names the dimensions; dimensionless
 variables sit outside all clusters.
 
-Output is byte-deterministic for a given model and config.
+Output is byte-deterministic for a given model and flags.
 """
 
 from __future__ import annotations
 
-from .model import EMPTY_DIMS, Aggregate, Model, Record, Variable, \
+from .model import EMPTY_DIMS, Aggregate, Model, Variable, \
     VariableKind, ValueTable
 from .parser import format_number
 
@@ -24,34 +24,26 @@ _SHAPE = {
 }
 
 
-class DiagramConfig(Record):
-    __slots__ = _fields = ("group_by_dimension_set", "include_data_values")
-
-    def __init__(self, group_by_dimension_set: bool = True,
-                 include_data_values: bool = False):
-        object.__setattr__(self, "group_by_dimension_set", group_by_dimension_set)
-        object.__setattr__(self, "include_data_values", include_data_values)
-
-
 def _quote(text: str, raw: str = "") -> str:
     """`text` as a DOT string, escaped, with `raw` appended as written."""
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}{raw}"'
 
 
-def _node_line(var: Variable, config: DiagramConfig) -> str:
+def _node_line(var: Variable, include_data_values: bool) -> str:
     attrs = [f"shape={_SHAPE[var.kind]}"]
-    if (config.include_data_values and var.kind is VariableKind.DATA
+    if (include_data_values and var.kind is VariableKind.DATA
             and isinstance(var.payload, ValueTable)):
         values = ", ".join(format_number(v) for v in var.payload.values)
         attrs.append("label=" + _quote(var.name, "\\n" + values))
     return f"{_quote(var.name)} [{', '.join(attrs)}];"
 
 
-def emit_dot(model: Model, config: DiagramConfig = DiagramConfig()) -> str:
+def emit_dot(model: Model, *, group_by_dimension_set: bool = True,
+             include_data_values: bool = False) -> str:
     lines = ["digraph model {"]
 
-    if config.group_by_dimension_set:
+    if group_by_dimension_set:
         groups: dict = {}
         for var in model.variables:
             groups.setdefault(var.dims, []).append(var)
@@ -64,13 +56,13 @@ def emit_dot(model: Model, config: DiagramConfig = DiagramConfig()) -> str:
             lines.append(f"    label = {_quote(str(dims))};")
             lines.append("    style = dashed;")
             for var in groups[dims]:
-                lines.append("    " + _node_line(var, config))
+                lines.append("    " + _node_line(var, include_data_values))
             lines.append("  }")
         top_level = groups.get(EMPTY_DIMS, [])
     else:
         top_level = list(model.variables)
     for var in top_level:
-        lines.append("  " + _node_line(var, config))
+        lines.append("  " + _node_line(var, include_data_values))
 
     # {(source, target): whether a SUM carries it}, in first-appearance order
     edges: dict[tuple[str, str], bool] = {}

@@ -454,9 +454,10 @@ _SET_VARIABLE_SPAN, _SET_VARIABLE_USES = Variable.span.__set__, Variable.uses.__
 class Model(Record):
     """A complete calculation model: dimensions plus variables.
 
-    Construction validates the cross-cutting invariants: unique names,
-    disjoint dimension/variable namespaces, declared dimension references,
-    one table value per cell, and reference closure of every formula.
+    Construction refuses a part of the wrong type, naming it, and
+    validates the cross-cutting invariants: unique names, disjoint
+    dimension/variable namespaces, declared dimension references, one
+    table value per cell, and reference closure of every formula.
     """
 
     _fields = ("dimensions", "variables")
@@ -464,11 +465,25 @@ class Model(Record):
 
     def __init__(self, dimensions: tuple[Dimension, ...],
                  variables: tuple[Variable, ...]):
+        if not isinstance(dimensions, tuple):
+            raise ModelError(f"model dimensions {dimensions!r} are not a tuple")
+        if not isinstance(variables, tuple):
+            raise ModelError(f"model variables {variables!r} are not a tuple")
         object.__setattr__(self, "dimensions", dimensions)
         object.__setattr__(self, "variables", variables)
-        dim_by_name = {d.name: d for d in dimensions}
+        dim_by_name = {}
+        for d in dimensions:
+            if not isinstance(d, Dimension):
+                raise ModelError(f"model dimension {d!r} is not a Dimension")
+            dim_by_name[d.name] = d
         index = {name: i for i, name in enumerate(dim_by_name)}
-        var_by_name = {v.name: v for v in variables}
+        var_by_name = {}
+        for v in variables:
+            if not isinstance(v, Variable):
+                raise ModelError(f"model variable {v!r} is not a Variable")
+            if not isinstance(v.name, str):
+                raise ModelError(f"variable name {v.name!r} is not a str")
+            var_by_name[v.name] = v
         object.__setattr__(self, "_dim_by_name", dim_by_name)
         object.__setattr__(self, "_dim_index", index)
         object.__setattr__(self, "_var_by_name", var_by_name)
@@ -481,11 +496,15 @@ class Model(Record):
             raise ModelError(
                 f"name used for both a dimension and a variable: {sorted(overlap)}")
         for v in variables:
-            if not isinstance(v.name, str):
-                raise ModelError(f"variable name {v.name!r} is not a str")
             if not isinstance(v.kind, VariableKind):
                 raise ModelError(f"variable {v.name}: kind {v.kind!r} is not "
                                  f"a VariableKind")
+            if not isinstance(v.dims, DimensionSet):
+                raise ModelError(f"variable {v.name}: dimension set {v.dims!r} "
+                                 f"is not a DimensionSet")
+            if not (v.span is None or isinstance(v.span, SourceSpan)):
+                raise ModelError(f"variable {v.name}: span {v.span!r} is not a "
+                                 f"SourceSpan or None")
             last = -1
             for n in v.dims.names:
                 # undeclared (-1) or out of declaration order
@@ -501,10 +520,14 @@ class Model(Record):
                     raise ModelError(
                         f"variable {v.name}: value table holds "
                         f"{len(v.payload.values)} values for {size} cells")
-            for name, _ in v.uses:
-                if name not in var_by_name:
-                    raise ModelError(
-                        f"variable {v.name} references undeclared name {name}")
+            try:
+                for name, _ in v.uses:
+                    if name not in var_by_name:
+                        raise ModelError(f"variable {v.name} references "
+                                         f"undeclared name {name}")
+            except TypeError:  # an unhashable name
+                raise ModelError(f"variable {v.name}: reference name "
+                                 f"{name!r} is not a str") from None
 
     def dimension(self, name: str) -> Dimension:
         try:

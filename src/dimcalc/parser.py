@@ -325,44 +325,41 @@ class _Parser:
         `-a ^ b` is -(a ^ b) and `a ^ -b ^ c` is (a ^ (-b)) ^ c. Operands are
         numbers, names, `SUM(name)` and parenthesized formulas.
         """
-        # `tok` is the cursor; it goes back to self.tok before a call that reads
-        next_tok, tok, span = self.next, self.tok, self.span
+        next_tok, span = self.next, self.span
         operands: list[Expr] = []
-        # (precedence, operator, token); "neg" is a prefix minus and "(" an
-        # open group, which no operator reduces past
-        ops: list[tuple[int, str, tuple]] = []
-        open_groups = 0
+        # (precedence, operator); "neg" is a prefix minus and "(" an open
+        # group, which no operator reduces past
+        ops: list[tuple[int, str]] = []
+        groups: list[tuple] = []  # the tokens that opened the open groups
         neg_prec = _NEG_PREC
         while True:
             # operand position: prefix minuses and open groups, then an atom
-            while (kind := tok[0]) == "-" or kind == "(":
+            while (kind := self.tok[0]) == "-" or kind == "(":
                 if kind == "-":
-                    ops.append((neg_prec, "neg", tok))
+                    ops.append((neg_prec, "neg"))
                 else:
-                    ops.append((0, "(", tok))
-                    open_groups += 1
+                    ops.append((0, "("))
+                    groups.append(self.tok)
                     neg_prec = _NEG_PREC
-                tok = next_tok()
+                self.tok = next_tok()
+            tok = self.tok
             if kind == "number":
                 operands.append(Literal(tok[2]))
             elif kind == "name" or kind == "qname":
                 operands.append(Ref(tok[1], span(tok[3], tok[4])))
             else:
-                self.tok = tok
-                operands.append(self._parse_atom(tok))
-                tok = self.tok
-            last, tok = tok, next_tok()
+                operands.append(self._parse_atom())
+            last = self.tok
+            self.tok = next_tok()
             # operator position: close groups, then a binary operator or the end
-            while (kind := tok[0]) not in _BINARY_PREC:
-                self.tok = tok
-                if not open_groups:
+            while (kind := self.tok[0]) not in _BINARY_PREC:
+                if not groups:
                     self._reduce(operands, ops, 1)
                     return operands[0], last
                 last = self._expect(")")
-                tok = self.tok
                 self._reduce(operands, ops, 1)
-                opening = ops.pop()[2]
-                open_groups -= 1
+                ops.pop()
+                opening = groups.pop()
                 # a diagnostic on a grouped reference covers the parentheses
                 node = operands[-1]
                 if isinstance(node, Ref):
@@ -372,9 +369,9 @@ class _Parser:
                         node.source, span=span(opening[3], last[4]))
             prec = _BINARY_PREC[kind]
             self._reduce(operands, ops, prec)
-            ops.append((prec, kind, tok))
+            ops.append((prec, kind))
             neg_prec = _EXPONENT_NEG_PREC if kind == "^" else _NEG_PREC
-            tok = next_tok()
+            self.tok = next_tok()
 
     def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
         """Apply the stacked operators that bind at least as tightly as prec."""
@@ -387,8 +384,9 @@ class _Parser:
                 left = operands.pop()
                 operands.append(Binary(op, left, right))
 
-    def _parse_atom(self, tok: tuple):
+    def _parse_atom(self):
         """`SUM(name)`, leaving self.tok on its ')'; any other token fails."""
+        tok = self.tok
         if tok[0] != "SUM":
             if tok[0] in KEYWORDS:
                 self._expect_name("a variable name")  # a reserved keyword
@@ -440,9 +438,8 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     parser = _Parser(_tokenize(text, span, diags), span, diags)
     parser.parse_statements()
     dimensions = parser.dimensions
-    dim_index = {name: i for i, name in enumerate(dimensions)}
-    # one DimensionSet per distinct set, by its names in declaration order
-    dim_sets: dict[tuple[str, ...], DimensionSet] = {}
+    # one DimensionSet per distinct set of names
+    dim_sets: dict[frozenset[str], DimensionSet] = {}
 
     known_names = {stmt[1][1] for stmt in parser.variables
                    if stmt[1][1] not in dimensions} | parser.failed_names
@@ -459,7 +456,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
                     f"{name} is already declared as a dimension", span(start, end))
             continue
         var_names.add(name)
-        dims = _resolve_dims(over, dim_index, dim_sets, span, diags)
+        dims = _resolve_dims(over, dimensions, dim_sets, span, diags)
         if dims is None and rhs_kind != "expr":
             continue  # the over clause failed; values would only add noise
         dims = dims or EMPTY_DIMS
@@ -478,14 +475,14 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     return Model(tuple(dimensions.values()), tuple(variables))
 
 
-def _resolve_dims(over, dim_index, dim_sets, span, diags) -> DimensionSet | None:
-    """The over clause's dimension set, from `dim_sets` or added to it; None
-    if it names an undeclared dimension."""
+def _resolve_dims(over, dimensions, dim_sets, span, diags) -> DimensionSet | None:
+    """The over clause's dimension set, from `dim_sets` or added to it in
+    declaration order; None if it names an undeclared dimension."""
     if over is None:
         return EMPTY_DIMS
     names, failed = [], False
     for _, name, _, start, end in over:
-        if name not in dim_index:
+        if name not in dimensions:
             _report(diags, "P-UNDECLARED", f"no dimension named {name}",
                     span(start, end))
             failed = True
@@ -496,10 +493,10 @@ def _resolve_dims(over, dim_index, dim_sets, span, diags) -> DimensionSet | None
             names.append(name)
     if failed:
         return None
-    names = tuple(sorted(names, key=dim_index.__getitem__))
-    if names not in dim_sets:
-        dim_sets[names] = DimensionSet(names)
-    return dim_sets[names]
+    key = frozenset(names)
+    if key not in dim_sets:
+        dim_sets[key] = DimensionSet(tuple([n for n in dimensions if n in key]))
+    return dim_sets[key]
 
 
 def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
@@ -536,7 +533,7 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
         return None
     size = math.prod(map(len, axes))
     cells: dict[int, float] = {}
-    ok = True
+    reported = len(diags)
     for key_toks, value in rhs:
         if len(key_toks) != len(axes):
             count = len(key_toks)
@@ -544,7 +541,6 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
                     f"table key {','.join(t[1] for t in key_toks)} has {count} "
                     f"label{'s' if count != 1 else ''}; {name} is over {dims}",
                     span(key_toks[0][3], key_toks[-1][4]))
-            ok = False
             continue
         index = 0
         for (_, label, _, start, end), dim, axis in zip(key_toks, dims, axes):
@@ -554,17 +550,15 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
                 _report(diags, "P-TABLE", f"{label} is not an instance of "
                         f"{dim} (table keys follow the dimension order "
                         f"{dims})", span(start, end))
-                ok = False
                 break
         else:
             if index in cells:
                 _report(diags, "P-DUPLICATE", f"table entry "
                         f"{','.join(t[1] for t in key_toks)} is already defined",
                         span(key_toks[0][3], key_toks[-1][4]))
-                ok = False
             else:
                 cells[index] = value
-    if not ok:
+    if len(diags) > reported:  # an entry failed
         return None
     if len(cells) < size:
         # a gap lies among the first len(cells) + 1 indexes

@@ -1,7 +1,7 @@
 import re
 
 from conftest import load_model
-from dimcalc.diagram import DiagramConfig, emit_dot
+from dimcalc.diagram import emit_dot
 from dimcalc.parser import parse_model
 from dot_grammar import parse_dot
 
@@ -83,14 +83,14 @@ def test_deterministic_output(acme_model):
 
 
 def test_ungrouped_config(acme_model):
-    dot = emit_dot(acme_model, DiagramConfig(group_by_dimension_set=False))
+    dot = emit_dot(acme_model, group_by_dimension_set=False)
     assert "subgraph" not in dot
     graph = parse_dot(dot)
     assert len(graph.nodes) == 31
 
 
 def test_data_values_config(pricing_model):
-    dot = emit_dot(pricing_model, DiagramConfig(include_data_values=True))
+    dot = emit_dot(pricing_model, include_data_values=True)
     assert 'label="DemParA\\n376000"' in dot
     assert 'label="Delivery_Cost\\n50, 80, 60"' in dot
     parse_dot(dot)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dimcalc.checker import (CheckDiagnostic, CheckedModel, CheckFailure,
                              check_model)
-from dimcalc.diagram import DiagramConfig
 from dimcalc.evaluator import EvalError, EvaluationResult, InputOverride
 from dimcalc.model import (Aggregate, Binary, DiagnosticFailure, Dimension,
                            DimensionSet, EMPTY_DIMS, Expr, Literal, Model,
@@ -187,8 +186,9 @@ class TestValueErrors:
                            match="^dimension D repeats an instance label$"):
             Dimension("D", ("a", "b", "a"))
 
-    # each built clean and then failed later: the checker, pretty_print,
-    # emit_dot or hash raised AttributeError or TypeError
+    # each built clean and then failed later (the checker, pretty_print,
+    # emit_dot or hash), or failed inside Model, with AttributeError or
+    # TypeError
     @pytest.mark.parametrize("build,message", [
         (lambda: Dimension(7, ("a",)), "dimension name 7 is not a str"),
         (lambda: Dimension("D", ["a", "b"]),
@@ -204,8 +204,30 @@ class TestValueErrors:
         (lambda: Model((), (Variable("X", "data", EMPTY_DIMS,
                                      ValueTable((1.0,))),)),
          "variable X: kind 'data' is not a VariableKind"),
+        (lambda: Model([Dimension("D", ("a",))], ()),
+         r"model dimensions \[Dimension\(name='D', instances=\('a',\)\)\] "
+         r"are not a tuple"),
+        (lambda: Model((), []), r"model variables \[\] are not a tuple"),
+        (lambda: Model(("D",), ()), "model dimension 'D' is not a Dimension"),
+        (lambda: Model((), ("X",)), "model variable 'X' is not a Variable"),
+        (lambda: Model((), (Variable(["X"], VariableKind.DATA, EMPTY_DIMS,
+                                     ValueTable((1.0,))),)),
+         r"variable name \['X'\] is not a str"),
+        (lambda: Model((Dimension("D", ("a",)),), (Variable(
+            "X", VariableKind.DATA, ("D",), ValueTable((1.0,))),)),
+         r"variable X: dimension set \('D',\) is not a DimensionSet"),
+        (lambda: Model((), (Variable("Y", VariableKind.DATA, EMPTY_DIMS, None,
+                                     span="here"),)),
+         "variable Y: span 'here' is not a SourceSpan or None"),
+        (lambda: Model((), (
+            Variable("X", VariableKind.DATA, EMPTY_DIMS, ValueTable((1.0,))),
+            Variable("Y", VariableKind.CALCULATED, EMPTY_DIMS, Ref(["X"])))),
+         r"variable Y: reference name \['X'\] is not a str"),
     ], ids=["dimension-name", "label-list", "label-int", "set-list",
-            "set-name-int", "variable-name", "variable-kind"])
+            "set-name-int", "variable-name", "variable-kind", "model-dimensions",
+            "model-variables", "model-dimension", "model-variable",
+            "variable-name-list", "variable-dims", "variable-span",
+            "reference-name"])
     def test_refuses_a_name_label_or_kind_of_the_wrong_type(self, build,
                                                           message):
         with pytest.raises(ModelError, match=f"^{message}$"):
@@ -446,8 +468,6 @@ VALUES = {
                                                      value=3.0)),
     "EvaluationResult": ("tensors", lambda: EvaluationResult(
         {"X": Tensor(EMPTY_DIMS, (1.0,))}, ("X",))),
-    "DiagramConfig": ("include_data_values",
-                      lambda: DiagramConfig(include_data_values=True)),
 }
 
 
@@ -514,9 +534,6 @@ def test_dimension_copies_find_their_labels():
 
 
 def test_keyword_and_default_arguments():
-    assert DiagramConfig(include_data_values=True) == DiagramConfig(True, True)
-    assert DiagramConfig() == DiagramConfig(group_by_dimension_set=True,
-                                            include_data_values=False)
     assert Aggregate("X", span=SPAN).span is SPAN
     assert Variable("X", VariableKind.INPUT, EMPTY_DIMS, None).span is None
     assert CheckDiagnostic("error", "C-CYCLE", "m", None) == CheckDiagnostic(

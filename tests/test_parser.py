@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from bisect import bisect_right
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from dimcalc import evaluator as evaluator_module, model as model_module, \
     parser as parser_module
 from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
-from dimcalc.diagram import DiagramConfig, emit_dot
-from dimcalc.evaluator import InputOverride, evaluate
+from dimcalc.diagram import emit_dot
+from dimcalc.evaluator import EvalError, InputOverride, evaluate
 from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
                            DimensionSet, Expr, Literal, Model, ModelError, Ref,
                            SourceSpan, Unary, ValueTable, Variable,
@@ -1068,48 +1069,121 @@ def test_format_number_integral_test_matches_isfinite_form(value):
 idents = st.text(alphabet='ab1_ "\\', min_size=1, max_size=4)
 
 
+# a value of the wrong type for a place a library caller fills, from the
+# right one; Dimension, DimensionSet or Model refuses each with ModelError
+LIBRARY_FLAWS = {
+    "dimension name": lambda name: 7,
+    "labels": list,
+    "label": lambda labels: (1, *labels[1:]),
+    "set names": list,
+    "set name": lambda names: (*names, 5),
+    "variable name": lambda name: 5,
+    "unhashable name": lambda name: [name],
+    "kind": lambda kind: kind.value,
+    "dims": lambda dims: dims.names,
+    "span": lambda span: "here",
+    "reference": lambda name: [name],
+    "dimensions": list,
+    "dimension": lambda dimensions: (*dimensions, "D"),
+    "variables": list,
+    "variable": lambda variables: (*variables, "X"),
+}
+
+
+def _library_model(dims, tables, term, flaw=None):
+    """Build the Model `library_models` drew. `dims` are (name, labels)
+    pairs and `tables` (name, kind, dimension names, values or None); with
+    two or more, the last becomes a formula adding `term` to the first. A
+    `flaw` spoils every value in a place it names."""
+    def spoil(value, *places):
+        return LIBRARY_FLAWS[flaw](value) if flaw in places else value
+
+    dimensions = tuple(Dimension(spoil(name, "dimension name"),
+                                 spoil(labels, "labels", "label"))
+                       for name, labels in dims)
+    variables = []
+    for name, kind, names, values in tables:
+        dim_set = DimensionSet(spoil(names, "set names", "set name"))
+        payload = None if values is None else ValueTable(values)
+        variables.append(Variable(
+            spoil(name, "variable name", "unhashable name"), spoil(kind, "kind"),
+            spoil(dim_set, "dims"), payload, span=spoil(None, "span")))
+    if len(variables) > 1:
+        first, last = variables[0], variables[-1]
+        formula = Binary("+", Ref(spoil(first.name, "reference")), Literal(term))
+        variables[-1] = Variable(last.name, VariableKind.CALCULATED,
+                                 first.dims, formula, span=last.span)
+    return Model(spoil(dimensions, "dimensions", "dimension"),
+                 spoil(tuple(variables), "variables", "variable"))
+
+
 @st.composite
 def library_models(draw):
-    """A Model built without the parser: data tables of ints and floats
-    over random dimensions, and a formula adding an int literal to the
-    first table."""
+    """A function that builds a Model without the parser: data and input
+    tables of ints and floats over random dimensions, and a formula adding
+    an int literal to the first table; half the time with one of
+    LIBRARY_FLAWS."""
     names = draw(st.lists(idents, min_size=1, max_size=7, unique=True))
     ndims = draw(st.integers(0, min(3, len(names) - 1)))
-    dims = tuple(Dimension(name, tuple(draw(st.lists(
-        idents, min_size=1, max_size=3, unique=True))))
-        for name in names[:ndims])
+    dims = [(name, tuple(draw(st.lists(idents, min_size=1, max_size=3,
+                                       unique=True))))
+            for name in names[:ndims]]
     number = st.one_of(st.integers(-10 ** 18, 10 ** 18),
                        st.floats(allow_nan=False, allow_infinity=False))
-    variables = []
+    tables = []
     for name in names[ndims:]:
         picked = draw(st.lists(st.booleans(), min_size=ndims, max_size=ndims))
         kept = [d for d, keep in zip(dims, picked) if keep]
-        size = math.prod(len(d.instances) for d in kept)
-        values = draw(st.lists(number, min_size=size, max_size=size))
-        variables.append(Variable(
-            name, VariableKind.DATA,
-            DimensionSet(tuple(d.name for d in kept)),
-            ValueTable(tuple(values))))
-    if len(variables) > 1:
-        first = variables[0]
-        term = Literal(draw(st.integers(-10 ** 18, 10 ** 18)))
-        variables[-1] = Variable(variables[-1].name, VariableKind.CALCULATED,
-                                 first.dims, Binary("+", Ref(first.name), term))
-    return Model(dims, tuple(variables))
+        size = math.prod(len(labels) for _, labels in kept)
+        kind = draw(st.sampled_from([VariableKind.DATA, VariableKind.INPUT]))
+        values = tuple(draw(st.lists(number, min_size=size, max_size=size)))
+        if kind is VariableKind.INPUT and draw(st.booleans()):
+            values = None  # an input supplied at evaluation time
+        tables.append((name, kind, tuple(n for n, _ in kept), values))
+    term = draw(st.integers(-10 ** 18, 10 ** 18))
+    flaw = draw(st.one_of(st.none(), st.sampled_from(list(LIBRARY_FLAWS))))
+    return partial(_library_model, dims, tables, term, flaw)
+
+
+def _data(name, dims, values):
+    return Variable(name, VariableKind.DATA, dims, ValueTable(values))
 
 
 @given(library_models())
-@example(Model((Dimension("D", ("q", "p")),), (
-    Variable("X", VariableKind.DATA, DimensionSet(("D",)),
-             ValueTable((2, -0.5))),
-    Variable("Y", VariableKind.DATA, EMPTY_DIMS,
-             ValueTable((7,))),
+@example(lambda: Model((Dimension("D", ("q", "p")),), (
+    _data("X", DimensionSet(("D",)), (2, -0.5)), _data("Y", EMPTY_DIMS, (7,)),
     Variable("Z", VariableKind.CALCULATED, DimensionSet(("D",)),
              Binary("*", Ref("X"), Literal(2))))))
-def test_library_model_prints_diagrams_and_evaluates(model):
-    assert parse_model(pretty_print(model)) == model
-    emit_dot(model, DiagramConfig(include_data_values=True))
-    evaluate(check_model(model))
+# shapes Model once accepted: each built, then a later stage raised
+# TypeError or AttributeError, or (the list) printed back unequal
+@example(lambda: Model([Dimension("D", ("a",))], ()))
+@example(lambda: Model(("D",), ()))
+@example(lambda: Model((), ("X",)))
+@example(lambda: Model((), (_data(["X"], EMPTY_DIMS, (1,)),)))
+@example(lambda: Model((Dimension("D", ("a",)),),
+                       (_data("X", ("D",), (1,)),)))
+@example(lambda: Model((), (Variable("Y", VariableKind.DATA, EMPTY_DIMS, None,
+                                     span="here"),)))
+@example(lambda: Model((), (_data("X", EMPTY_DIMS, (1,)), Variable(
+    "Y", VariableKind.CALCULATED, EMPTY_DIMS, Ref(["X"])))))
+def test_library_model_prints_diagrams_and_evaluates(build):
+    # every stage succeeds or raises one of the engine's own errors
+    try:
+        model = build()
+    except ModelError:
+        return
+    try:
+        evaluate(check_model(model))
+    except (CheckFailure, EvalError):
+        pass
+    try:
+        text = pretty_print(model)
+    except ModelError:
+        pass
+    else:
+        assert parse_model(text) == model
+    emit_dot(model, include_data_values=True)
+    hash(model)
 
 
 class TestNumberRange:
