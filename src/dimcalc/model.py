@@ -521,10 +521,14 @@ class Model(Record):
                         f"variable {v.name}: value table holds "
                         f"{len(v.payload.values)} values for {size} cells")
             try:
-                for name, _ in v.uses:
+                for name, node in v.uses:
                     if name not in var_by_name:
                         raise ModelError(f"variable {v.name} references "
                                          f"undeclared name {name}")
+                    if not (isinstance(node.span, SourceSpan) or node.span is None):
+                        raise ModelError(f"variable {v.name}: reference span "
+                                         f"{node.span!r} is not a SourceSpan "
+                                         f"or None")
             except TypeError:  # an unhashable name
                 raise ModelError(f"variable {v.name}: reference name "
                                  f"{name!r} is not a str") from None

@@ -670,42 +670,36 @@ def format_payload(model: Model, variable: Variable) -> str | None:
     return format_expr(payload)
 
 
-def _source_ident(name: str, what: str) -> str:
-    # a quoted name ends at its line, and no escape in it writes an LF
-    if not name or "\n" in name:
-        problem = "an LF in a" if name else "an empty"
-        raise ModelError(f"cannot print {what} {name!r}: .dml source cannot "
-                         f"write {problem} name or label")
-    return format_ident(name)
-
-
-def _source_numbers(variable: Variable) -> None:
-    payload = variable.payload
-    numbers = payload.values if isinstance(payload, ValueTable) else ()
-    if isinstance(payload, Expr):
-        numbers = [n.value for n in iter_nodes(payload) if isinstance(n, Literal)]
-    for value in numbers:
-        if not math.isfinite(value):
-            raise ModelError(f"cannot print variable {variable.name!r}: .dml "
-                             f"source cannot write the number {value!r}")
-
-
 def pretty_print(model: Model) -> str:
     """Render a Model as DSL source that parses back to an equal Model.
 
-    Raises ModelError for a name or label that is empty or holds an LF,
-    or for a number that is not finite, which the DSL cannot write."""
+    Raises ModelError, naming the first declaration that does not read back
+    and what it reads back as, for a model the DSL cannot write."""
     lines = []
     for dim in model.dimensions:
-        name = _source_ident(dim.name, "dimension")
-        labels = ", ".join(_source_ident(l, f"label of dimension {name}")
-                           for l in dim.instances)
-        lines.append(f"dimension {name} = [{labels}]")
+        labels = ", ".join(map(format_ident, dim.instances))
+        lines.append(f"dimension {format_ident(dim.name)} = [{labels}]")
     for v in model.variables:
-        head = f"{v.kind.value} {_source_ident(v.name, 'variable')}"
+        head = f"{v.kind.value} {format_ident(v.name)}"
         if len(v.dims) > 0:
             head += f" over ({', '.join(format_ident(n) for n in v.dims)})"
-        _source_numbers(v)
         payload = format_payload(model, v)
         lines.append(head if payload is None else f"{head} = {payload}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    text = "\n".join(lines) + ("\n" if lines else "")
+    parts = [*model.dimensions, *model.variables]
+    try:
+        again = parse_model(text)
+    except ParseFailure as failure:
+        # each declaration is one line up to the first that fails, since a
+        # name or label holding an LF fails on its declaration's first line
+        first = failure.diagnostics[0]
+        part = parts[first.span.start_line - 1]
+        problem = f"{first.code}: {first.message}"
+    else:
+        if again == model:
+            return text
+        part, problem = next(
+            (p, repr(q)) for p, q in zip(parts, [*again.dimensions,
+                                                 *again.variables]) if p != q)
+    raise ModelError(f"cannot print {type(part).__name__.lower()} "
+                     f"{part.name!r}: it reads back as {problem}")

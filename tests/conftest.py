@@ -2,12 +2,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 FIXTURES = REPO_ROOT / "fixtures"
 
 sys.path.insert(0, str(TESTS_DIR))
+
+# `--hypothesis-profile=deep` runs each property without its own example
+# count, such as test_library_model_prints_diagrams_and_evaluates, 5,000 times
+settings.register_profile("deep", max_examples=5000, deadline=None)
 
 from dimcalc.checker import check_model
 from dimcalc.parser import parse_model

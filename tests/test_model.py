@@ -223,11 +223,21 @@ class TestValueErrors:
             Variable("X", VariableKind.DATA, EMPTY_DIMS, ValueTable((1.0,))),
             Variable("Y", VariableKind.CALCULATED, EMPTY_DIMS, Ref(["X"])))),
          r"variable Y: reference name \['X'\] is not a str"),
+        (lambda: Model((), (
+            Variable("X", VariableKind.DATA, EMPTY_DIMS, ValueTable((1.0,))),
+            Variable("Y", VariableKind.CALCULATED, EMPTY_DIMS,
+                     Binary("+", Ref("X", "here"), Literal(1))))),
+         "variable Y: reference span 'here' is not a SourceSpan or None"),
+        (lambda: Model((), (
+            Variable("X", VariableKind.DATA, EMPTY_DIMS, ValueTable((1.0,))),
+            Variable("Y", VariableKind.CALCULATED, EMPTY_DIMS,
+                     Aggregate("X", span="here")))),
+         "variable Y: reference span 'here' is not a SourceSpan or None"),
     ], ids=["dimension-name", "label-list", "label-int", "set-list",
             "set-name-int", "variable-name", "variable-kind", "model-dimensions",
             "model-variables", "model-dimension", "model-variable",
             "variable-name-list", "variable-dims", "variable-span",
-            "reference-name"])
+            "reference-name", "reference-span", "aggregate-span"])
     def test_refuses_a_name_label_or_kind_of_the_wrong_type(self, build,
                                                           message):
         with pytest.raises(ModelError, match=f"^{message}$"):

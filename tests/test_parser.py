@@ -817,38 +817,35 @@ class TestPrinting:
         assert again == model
         assert pretty_print(again) == printed
 
-    # the DSL has no way to write an LF inside quotes, so pretty_print
-    # refuses a library-built name or label holding one
-    @pytest.mark.parametrize("model,message", [
-        (Model((Dimension("D", ("a\nb", "c")),), ()),
-         "cannot print label of dimension D 'a\\nb'"),
-        (Model((Dimension("D\nE", ("c",)),), ()),
-         "cannot print dimension 'D\\nE'"),
+    # the DSL has no way to write an LF inside quotes, so a library-built
+    # name or label holding one does not read back
+    @pytest.mark.parametrize("model,part", [
+        (Model((Dimension("D", ("a\nb", "c")),), ()), "dimension 'D'"),
+        (Model((Dimension("D\nE", ("c",)),), ()), "dimension 'D\\nE'"),
         (Model((), (Variable("X\nY", VariableKind.DATA, EMPTY_DIMS,
                              ValueTable((1,))),)),
-         "cannot print variable 'X\\nY'"),
+         "variable 'X\\nY'"),
     ], ids=["label", "dimension", "variable"])
-    def test_pretty_print_refuses_lf_in_identifier(self, model, message):
+    def test_pretty_print_refuses_lf_in_identifier(self, model, part):
         with pytest.raises(ModelError) as info:
             pretty_print(model)
-        assert str(info.value).startswith(message + ": ")
+        assert str(info.value) == (f"cannot print {part}: it reads back as "
+                                   f"P-TOKEN: unterminated quoted identifier")
 
-    # `""` reads back as P-TOKEN "empty quoted identifier"
-    @pytest.mark.parametrize("model,message", [
-        (Model((Dimension("D", ("", "c")),), ()),
-         "cannot print label of dimension D ''"),
-        (Model((Dimension("", ("c",)),), ()), "cannot print dimension ''"),
+    @pytest.mark.parametrize("model,part", [
+        (Model((Dimension("D", ("", "c")),), ()), "dimension 'D'"),
+        (Model((Dimension("", ("c",)),), ()), "dimension ''"),
         (Model((), (Variable("", VariableKind.DATA, EMPTY_DIMS,
                              ValueTable((1,))),)),
-         "cannot print variable ''"),
+         "variable ''"),
     ], ids=["label", "dimension", "variable"])
-    def test_pretty_print_refuses_empty_identifier(self, model, message):
+    def test_pretty_print_refuses_empty_identifier(self, model, part):
         with pytest.raises(ModelError) as info:
             pretty_print(model)
-        assert str(info.value) == (f"{message}: .dml source cannot write an "
-                                   f"empty name or label")
+        assert str(info.value) == (f"cannot print {part}: it reads back as "
+                                   f"P-TOKEN: empty quoted identifier")
 
-    # the DSL writes no nan or inf: `nan` would read back as a name
+    # the DSL writes no nan or inf: `nan` reads back as a name
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("payload", ["table", "literal"])
     def test_pretty_print_refuses_non_finite_numbers(self, payload, value):
@@ -860,9 +857,43 @@ class TestPrinting:
         model = Model((Dimension("D", ("a", "b")),), (x, y))
         with pytest.raises(ModelError) as info:
             pretty_print(model)
-        name = "X" if payload == "table" else "Y"
-        assert str(info.value) == (f"cannot print variable {name!r}: .dml "
-                                   f"source cannot write the number {value!r}")
+        word = repr(abs(value))
+        assert str(info.value) == (
+            f"cannot print variable 'X': it reads back as P-SYNTAX: expected "
+            f"a number, got '{word}'" if payload == "table" else
+            f"cannot print variable 'Y': it reads back as P-UNDECLARED: no "
+            f"variable named {word}")
+
+    # kind/payload pairs no declaration writes, and a negated literal, which
+    # reads back folded into the literal
+    @pytest.mark.parametrize("kind,dims,payload,reads", [
+        (VariableKind.DATA, EMPTY_DIMS, None,
+         "P-SYNTAX: data Y needs '=' and a value"),
+        (VariableKind.CALCULATED, EMPTY_DIMS, None,
+         "P-SYNTAX: calc Y needs '=' and a formula"),
+        (VariableKind.CALCULATED, EMPTY_DIMS, ValueTable((5,)),
+         repr(Variable("Y", VariableKind.CALCULATED, EMPTY_DIMS, Literal(5)))),
+        (VariableKind.DATA, EMPTY_DIMS, Literal(5),
+         repr(Variable("Y", VariableKind.DATA, EMPTY_DIMS, ValueTable((5,))))),
+        (VariableKind.INPUT, EMPTY_DIMS, Literal(5),
+         repr(Variable("Y", VariableKind.INPUT, EMPTY_DIMS, ValueTable((5,))))),
+        (VariableKind.DATA, DimensionSet(("D",)), Literal(5),
+         "P-TABLE: Y is over (D); a single number is only valid for a "
+         "dimensionless variable"),
+        (VariableKind.CALCULATED, EMPTY_DIMS,
+         Binary("+", Ref("X"), Unary(Literal(5))),
+         repr(Variable("Y", VariableKind.CALCULATED, EMPTY_DIMS,
+                       Binary("+", Ref("X"), Literal(-5))))),
+    ], ids=["data-none", "calc-none", "calc-table", "data-literal",
+            "input-literal", "data-over-literal", "negated-literal"])
+    def test_pretty_print_refuses_what_does_not_read_back(self, kind, dims,
+                                                          payload, reads):
+        model = Model((Dimension("D", ("a", "b")),), (
+            Variable("X", VariableKind.INPUT, EMPTY_DIMS, ValueTable((1,))),
+            Variable("Y", kind, dims, payload)))
+        with pytest.raises(ModelError) as info:
+            pretty_print(model)
+        assert str(info.value) == f"cannot print variable 'Y': it reads back as {reads}"
 
     def test_pretty_print_keeps_cr_in_identifier(self):
         model = Model((Dimension("D", ("a\rb", "c")),), ())
@@ -1082,6 +1113,7 @@ LIBRARY_FLAWS = {
     "kind": lambda kind: kind.value,
     "dims": lambda dims: dims.names,
     "span": lambda span: "here",
+    "node span": lambda span: "here",
     "reference": lambda name: [name],
     "dimensions": list,
     "dimension": lambda dimensions: (*dimensions, "D"),
@@ -1090,11 +1122,24 @@ LIBRARY_FLAWS = {
 }
 
 
-def _library_model(dims, tables, term, flaw=None):
+# a kind and payload that no declaration writes; a variable given the table
+# is dimensionless, where a calc's one value reads back as a formula
+UNWRITABLE_PAIRS = {
+    "data, no payload": (VariableKind.DATA, None),
+    "calc, no payload": (VariableKind.CALCULATED, None),
+    "calc, one-value table": (VariableKind.CALCULATED, ValueTable((2,))),
+    "data, literal": (VariableKind.DATA, Literal(2)),
+    "input, literal": (VariableKind.INPUT, Literal(2)),
+}
+
+
+def _library_model(dims, tables, term, *, negate=None, pair=None, flaw=None):
     """Build the Model `library_models` drew. `dims` are (name, labels)
     pairs and `tables` (name, kind, dimension names, values or None); with
-    two or more, the last becomes a formula adding `term` to the first. A
-    `flaw` spoils every value in a place it names."""
+    two or more, the last becomes a formula adding `term` to the first,
+    with the first or the term negated as `negate` says ("reference" or
+    "term"). A `pair` names the first table's kind and payload in
+    UNWRITABLE_PAIRS. A `flaw` spoils every value in a place it names."""
     def spoil(value, *places):
         return LIBRARY_FLAWS[flaw](value) if flaw in places else value
 
@@ -1103,14 +1148,20 @@ def _library_model(dims, tables, term, flaw=None):
                        for name, labels in dims)
     variables = []
     for name, kind, names, values in tables:
-        dim_set = DimensionSet(spoil(names, "set names", "set name"))
         payload = None if values is None else ValueTable(values)
+        if pair and not variables:
+            kind, payload = UNWRITABLE_PAIRS[pair]
+            names = () if isinstance(payload, ValueTable) else names
+        dim_set = DimensionSet(spoil(names, "set names", "set name"))
         variables.append(Variable(
             spoil(name, "variable name", "unhashable name"), spoil(kind, "kind"),
             spoil(dim_set, "dims"), payload, span=spoil(None, "span")))
     if len(variables) > 1:
         first, last = variables[0], variables[-1]
-        formula = Binary("+", Ref(spoil(first.name, "reference")), Literal(term))
+        ref = Ref(spoil(first.name, "reference"), spoil(None, "node span"))
+        formula = Binary("+", Unary(ref) if negate == "reference" else ref,
+                         Unary(Literal(term)) if negate == "term"
+                         else Literal(term))
         variables[-1] = Variable(last.name, VariableKind.CALCULATED,
                                  first.dims, formula, span=last.span)
     return Model(spoil(dimensions, "dimensions", "dimension"),
@@ -1121,7 +1172,8 @@ def _library_model(dims, tables, term, flaw=None):
 def library_models(draw):
     """A function that builds a Model without the parser: data and input
     tables of ints and floats over random dimensions, and a formula adding
-    an int literal to the first table; half the time with one of
+    an int literal to the first table, either maybe negated; half the time
+    with one of UNWRITABLE_PAIRS, and half the time with one of
     LIBRARY_FLAWS."""
     names = draw(st.lists(idents, min_size=1, max_size=7, unique=True))
     ndims = draw(st.integers(0, min(3, len(names) - 1)))
@@ -1141,8 +1193,19 @@ def library_models(draw):
             values = None  # an input supplied at evaluation time
         tables.append((name, kind, tuple(n for n, _ in kept), values))
     term = draw(st.integers(-10 ** 18, 10 ** 18))
+    negate = draw(st.sampled_from([None, "reference", "term"]))
+    pair = draw(st.one_of(st.none(), st.sampled_from(list(UNWRITABLE_PAIRS))))
     flaw = draw(st.one_of(st.none(), st.sampled_from(list(LIBRARY_FLAWS))))
-    return partial(_library_model, dims, tables, term, flaw)
+    return partial(_library_model, dims, tables, term, negate=negate, pair=pair,
+                   flaw=flaw)
+
+
+def _writable(build):
+    """Whether `library_models` drew `build` with no flaw and nothing that
+    .dml cannot write; an @example's builder is not a partial."""
+    drawn = getattr(build, "keywords", None)
+    return drawn is not None and drawn["negate"] != "term" and (
+        drawn["pair"], drawn["flaw"]) == (None, None)
 
 
 def _data(name, dims, values):
@@ -1166,6 +1229,10 @@ def _data(name, dims, values):
                                      span="here"),)))
 @example(lambda: Model((), (_data("X", EMPTY_DIMS, (1,)), Variable(
     "Y", VariableKind.CALCULATED, EMPTY_DIMS, Ref(["X"])))))
+@example(lambda: Model((Dimension("D", ("a", "b")),), (
+    _data("X", DimensionSet(("D",)), (1, 2)), Variable(
+        "Y", VariableKind.CALCULATED, EMPTY_DIMS,
+        Binary("+", Ref("X", "here"), Literal(1))))))
 def test_library_model_prints_diagrams_and_evaluates(build):
     # every stage succeeds or raises one of the engine's own errors
     try:
@@ -1179,7 +1246,7 @@ def test_library_model_prints_diagrams_and_evaluates(build):
     try:
         text = pretty_print(model)
     except ModelError:
-        pass
+        assert not _writable(build)
     else:
         assert parse_model(text) == model
     emit_dot(model, include_data_values=True)
