@@ -13,6 +13,7 @@ import argparse
 import csv
 import gc
 import itertools
+import operator
 import os
 import sys
 from pathlib import Path
@@ -99,27 +100,50 @@ def _cannot_write(e: OSError) -> _Usage:
     return _Usage(f"cannot write {e.filename}: {e.strerror or e}")
 
 
-def _write_csv(directory: Path, name: str, tensor, model) -> None:
+def _quote(labels) -> list[str]:
     # csv.writer quotes each instance label once, as the first of two fields
     # in the file's own dialect (its line terminator decides whether an LF
-    # needs quotes); a row is then its labels' quoted text plus its value,
-    # the bytes writerow gives for the whole row
-    axes = []
-    for dim in tensor.dims:
-        quoted = []
-        writer = csv.writer(SimpleNamespace(write=quoted.append),
-                            lineterminator="\n")
-        writer.writerows([label, ""]
-                         for label in model.dimension(dim).instances)
-        axes.append([text[:-1] for text in quoted])
-    prefixes = map("".join, itertools.product(*axes))
+    # needs quotes); a row is then its labels' quoted text plus its value
+    quoted = []
+    csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n"
+               ).writerows(zip(labels, itertools.repeat("")))
+    return list(map(operator.itemgetter(slice(-1)), quoted))
+
+
+def _block(outers: list[str], heads: list[str], values) -> str:
+    # each outer prefix over each head, beside the next values: their one
+    # repr text takes format_number's rule whole, and one join of the three
+    # columns makes the rows, with no string built a row. The lists go with
+    # the call, before the next block's are made
+    count = len(outers) * len(heads)
+    rows = [""] * (3 * count)
+    rows[0::3] = itertools.chain.from_iterable(
+        map(itertools.repeat, outers, itertools.repeat(len(heads))))
+    rows[1::3] = heads * len(outers)
+    rows[2::3] = ("\n".join(map(repr, itertools.islice(values, count)))
+                  + "\n").replace(".0\n", "\n").splitlines(True)
+    return "".join(rows)
+
+
+def _write_csv(directory: Path, name: str, tensor, model) -> None:
+    # the trailing axes that fit in 4,096 rows are quoted once, as one list
+    # of heads, and a block holds as many prefixes of the leading axes as fit
+    # beside it; a last axis longer than that is quoted 4,096 labels a block.
+    # So no string holds the whole file, nor a list all of its last axis
+    axes = [model.dimension(dim).instances for dim in tensor.dims]
+    inner = [""]
+    while axes and len(inner) * len(axes[-1]) <= 4096:
+        inner = list(map("".join, itertools.product(_quote(axes.pop()), inner)))
+    last = axes.pop() if axes and inner == [""] else ()
+    outers = map("".join, itertools.product(*map(_quote, axes)))
+    per_block = 1 if last else 4096 // len(inner)
     values = iter(tensor.values)
     with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerow([*tensor.dims.names, "value"])
-        # 4,096 rows at a time, so no string holds the whole file
-        while block := list(itertools.islice(values, 4096)):
-            f.write("".join([prefix + format_number(value) + "\n"
-                             for value, prefix in zip(block, prefixes)]))
+        while group := list(itertools.islice(outers, per_block)):
+            for start in range(0, len(last), 4096) if last else (0,):
+                f.write(_block(group, _quote(last[start:start + 4096])
+                               if last else inner, values))
 
 
 def _cmd_eval(args, checked: CheckedModel) -> None:

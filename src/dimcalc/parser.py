@@ -596,11 +596,9 @@ def parse_cell(text: str) -> tuple[str, tuple[str, ...] | None] | None:
 
 
 def format_number(value: float) -> str:
-    """Shortest lossless rendering; integral floats print without a point."""
-    if value.is_integer() and abs(value) < 1e16:
-        # int() drops the sign of -0.0, and repr keeps it
-        return str(int(value)) if value else repr(value)[:-2]
-    return repr(value)
+    """Shortest lossless rendering; integral floats print without a point.
+    `repr` writes those from 1e16 up with an exponent, and keeps -0's sign."""
+    return repr(value).removesuffix(".0")
 
 
 def format_ident(name: str) -> str:

@@ -573,8 +573,23 @@ def _tensors(draw):
         min_size=size, max_size=size)))
 
 
+def _axis(name, size, label="{}"):
+    return Dimension(name, tuple(label.format(i) for i in range(size)))
+
+
+def _seam_values(size):
+    # integral values, -0.0 and 1e16 within four rows of every block's end
+    return [(7.0, -0.0, 1e16, i / 7)[i % 4] for i in range(size)]
+
+
 @given(_tensors())
 @example(_case((), [-0.0]))
+@example(_case((), [1e16]))
+@example(_case((_axis("D", 4095),), _seam_values(4095)))
+@example(_case((_axis("D", 4096),), _seam_values(4096)))
+@example(_case((_axis("D", 4097, "x.0\n{}"),), _seam_values(4097)))
+@example(_case((_axis("A", 3, "{}.0\n"), _axis("B", 2000, "{}.0\n")),
+               _seam_values(6000)))
 @example(_case((Dimension("a,b", (",", '"', "", " x ")),
                 Dimension('"q"', ("\r", "\n", "\r\n\u00e9"))), range(12)))
 def test_csv_matches_csv_writer(case):
@@ -587,22 +602,25 @@ def test_csv_matches_csv_writer(case):
 
 
 def test_csv_export_holds_rows_in_blocks(tmp_path):
-    # 48,000 rows, 1.3 MB of text: a string of the whole file would alone
-    # outgrow the bound, and the list of rows it is joined from more so
-    dims = tuple(Dimension(n, tuple(f"{n.lower()}{i}" for i in range(k)))
-                 for n, k in (("A", 40), ("B", 40), ("C", 30)))
-    tensor, model = _case(dims, [i / 7 for i in range(48_000)])
-    tracemalloc.start()
-    try:
-        _write_csv(tmp_path, "T", tensor, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (tmp_path / "T.csv").stat().st_size > 1_300_000
-    assert peak < 1_000_000
-    # the rows on either side of each block's end are the writer's too
-    _reference_csv(tmp_path / "ref.csv", tensor, model)
-    assert (tmp_path / "T.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # 48,000 rows, 1.1-1.3 MB of text: a string of the whole file would alone
+    # outgrow the bound, and the list of rows it is joined from more so; so
+    # would the quoted labels of one axis longer than a block
+    for shape in ((("A", 40), ("B", 40), ("C", 30)), (("A", 48_000),),
+                  (("A", 2), ("B", 24_000))):
+        dims = tuple(_axis(n, k, n.lower() + "{}") for n, k in shape)
+        tensor, model = _case(dims, [i / 7 for i in range(48_000)])
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path, "T", tensor, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "T.csv").stat().st_size > 1_100_000, shape
+        assert peak < 1_000_000, shape
+        # the rows on either side of each block's end are the writer's too
+        _reference_csv(tmp_path / "ref.csv", tensor, model)
+        assert ((tmp_path / "T.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes()), shape
 
 
 class TestDiagram:

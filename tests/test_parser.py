@@ -1086,14 +1086,27 @@ def test_format_number_total_round_trip(value):
     assert math.copysign(1.0, model.variable("X").payload.scalar) == sign
 
 
+def _two_branch_number(value: float) -> str:
+    """format_number's earlier body, the oracle for its one rule."""
+    if value.is_integer() and abs(value) < 1e16:
+        # int() drops the sign of -0.0, and repr keeps it
+        return str(int(value)) if value else repr(value)[:-2]
+    return repr(value)
+
+
 @given(st.floats())
+@example(0.0)
 @example(-0.0)
 @example(1e16)
+@example(-1e16)
 @example(9999999999999998.0)
-def test_format_number_integral_test_matches_isfinite_form(value):
-    old = math.isfinite(value) and value == int(value) and abs(value) < 1e16
-    new = value.is_integer() and abs(value) < 1e16
-    assert new == old
+@example(2.0 ** 53)
+@example(5e-324)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+def test_format_number_matches_two_branch_rule(value):
+    assert format_number(value) == _two_branch_number(value)
 
 
 # names and labels that need quoting and escapes in the printed source
