@@ -128,19 +128,23 @@ def _block(outers: list[str], heads: list[str], values) -> str:
 def _write_csv(directory: Path, name: str, tensor, model) -> None:
     # the trailing axes that fit in 4,096 rows are quoted once, as one list
     # of heads, and a block holds as many prefixes of the leading axes as fit
-    # beside it; a last axis longer than that is quoted 4,096 labels a block.
-    # So no string holds the whole file, nor a list all of its last axis
+    # beside it, quoted a column at a time; a last axis longer than that is
+    # quoted 4,096 labels a block. So no string holds the whole file, nor a
+    # list every quoted label of one axis
     axes = [model.dimension(dim).instances for dim in tensor.dims]
     inner = [""]
     while axes and len(inner) * len(axes[-1]) <= 4096:
         inner = list(map("".join, itertools.product(_quote(axes.pop()), inner)))
     last = axes.pop() if axes and inner == [""] else ()
-    outers = map("".join, itertools.product(*map(_quote, axes)))
+    prefixes = itertools.product(*axes)
     per_block = 1 if last else 4096 // len(inner)
     values = iter(tensor.values)
     with open(directory / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerow([*tensor.dims.names, "value"])
-        while group := list(itertools.islice(outers, per_block)):
+        while group := list(itertools.islice(prefixes, per_block)):
+            # quoted in place of the label tuples, which go before the block
+            group = (list(map("".join, zip(*map(_quote, zip(*group)))))
+                     if axes else [""])
             for start in range(0, len(last), 4096) if last else (0,):
                 f.write(_block(group, _quote(last[start:start + 4096])
                                if last else inner, values))

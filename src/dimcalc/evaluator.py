@@ -32,7 +32,6 @@ from .model import (
     Unary,
     VariableKind,
     difference,
-    iter_nodes,
 )
 from .parser import format_ident
 
@@ -223,7 +222,7 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
     dims = var.dims
     count = hi - lo
     stack = []
-    for node in iter_nodes(var.payload):
+    for node in var.nodes:
         if isinstance(node, Binary):
             right = stack.pop()
             left = stack.pop()
@@ -237,8 +236,10 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             except OverflowError:
                 raise _CellError(
                     "NON-FINITE", f"{left[0]} ^ {right[0]} overflows") from None
-            # math.pow of finite operands is finite or raises
-            if node.op != "^" and not _finite(result):
+            # math.pow of finite operands is finite or raises; the test is
+            # _finite's, inline for the many small tensors
+            if node.op != "^" and not (math.isfinite(sum(result))
+                                       or all(map(math.isfinite, result))):
                 raise _CellError("NON-FINITE", _OVERFLOWS[node.op])
         elif isinstance(node, Ref):
             source = tensors[node.name]

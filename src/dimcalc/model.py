@@ -350,13 +350,9 @@ _SET_AGGREGATE_SOURCE = Aggregate.source.__set__
 _SET_AGGREGATE_SPAN = Aggregate.span.__set__
 
 
-def iter_nodes(expr: Expr) -> list[Expr]:
-    """`expr` and every descendant in post-order: the operands of a node
-    come before it, left before right.
-
-    The walk keeps its own stack, so formulas of any depth are safe.
-    """
-    nodes = []
+def _walk(expr: Expr) -> tuple[list[Expr], list[tuple[str, Expr]]]:
+    """`iter_nodes(expr)` and `iter_dependencies(expr)`, from one walk."""
+    nodes, uses = [], []
     stack = [expr]
     # visiting node, right, left yields the post-order reversed
     while stack:
@@ -367,8 +363,22 @@ def iter_nodes(expr: Expr) -> list[Expr]:
             stack.append(node.right)
         elif isinstance(node, Unary):
             stack.append(node.operand)
+        elif isinstance(node, Ref):
+            uses.append((node.name, node))
+        elif isinstance(node, Aggregate):
+            uses.append((node.source, node))
     nodes.reverse()
-    return nodes
+    uses.reverse()
+    return nodes, uses
+
+
+def iter_nodes(expr: Expr) -> list[Expr]:
+    """`expr` and every descendant in post-order: the operands of a node
+    come before it, left before right.
+
+    The walk keeps its own stack, so formulas of any depth are safe.
+    """
+    return _walk(expr)[0]
 
 
 def iter_dependencies(expr: Expr) -> list[tuple[str, Expr]]:
@@ -376,13 +386,7 @@ def iter_dependencies(expr: Expr) -> list[tuple[str, Expr]]:
 
     Duplicates are kept; an Aggregate node marks a use through SUM.
     """
-    uses = []
-    for node in iter_nodes(expr):
-        if isinstance(node, Ref):
-            uses.append((node.name, node))
-        elif isinstance(node, Aggregate):
-            uses.append((node.source, node))
-    return uses
+    return _walk(expr)[1]
 
 
 class ValueTable(Record):
@@ -414,13 +418,13 @@ class Variable(Record):
     Input and data variables carry a value table (inputs may carry none and
     be supplied at evaluation time); calculated and output variables carry
     a formula. A payload that is none of these raises `ModelError`;
-    kind/payload agreement is the checker's job, not enforced here. `uses`
-    holds the formula's `iter_dependencies` pairs, found once here (empty
-    without a formula); derived from the payload, it takes no part in
-    equality or repr.
+    kind/payload agreement is the checker's job, not enforced here. `nodes`
+    holds the formula's `iter_nodes` list and `uses` its `iter_dependencies`
+    pairs, as tuples found in one walk here (empty without a formula);
+    derived from the payload, they take no part in equality or repr.
     """
 
-    __slots__ = ("name", "kind", "dims", "payload", "span", "uses")
+    __slots__ = ("name", "kind", "dims", "payload", "span", "uses", "nodes")
     _fields = __slots__[:4]  # the span takes no part in equality or repr
 
     def __init__(self, name: str, kind: VariableKind, dims: DimensionSet,
@@ -433,8 +437,9 @@ class Variable(Record):
         _SET_VARIABLE_DIMS(self, dims)
         _SET_VARIABLE_PAYLOAD(self, payload)
         _SET_VARIABLE_SPAN(self, span)
-        _SET_VARIABLE_USES(self, tuple(iter_dependencies(payload))
-                           if isinstance(payload, Expr) else ())
+        nodes, uses = _walk(payload) if isinstance(payload, Expr) else ((), ())
+        _SET_VARIABLE_NODES(self, tuple(nodes))
+        _SET_VARIABLE_USES(self, tuple(uses))
 
     def __reduce__(self):
         return self.__class__, (*self._values(), self.span)
@@ -449,6 +454,7 @@ _SET_VARIABLE_NAME, _SET_VARIABLE_KIND = Variable.name.__set__, Variable.kind.__
 _SET_VARIABLE_DIMS = Variable.dims.__set__
 _SET_VARIABLE_PAYLOAD = Variable.payload.__set__
 _SET_VARIABLE_SPAN, _SET_VARIABLE_USES = Variable.span.__set__, Variable.uses.__set__
+_SET_VARIABLE_NODES = Variable.nodes.__set__
 
 
 class Model(Record):
@@ -562,8 +568,8 @@ class Model(Record):
 
     def tensor_size(self, dims: DimensionSet) -> int:
         size = 1
-        for c in self.instance_counts(dims):
-            size *= c
+        for name in dims.names:
+            size *= len(self.dimension(name).instances)
         return size
 
     def instance_tuples(self, dims: DimensionSet) -> Iterator[tuple[str, ...]]:
@@ -604,5 +610,8 @@ class Tensor(Record):
     __slots__ = _fields = ("dims", "values")
 
     def __init__(self, dims: DimensionSet, values: tuple[float, ...]):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values)
+        _SET_TENSOR_DIMS(self, dims)
+        _SET_TENSOR_VALUES(self, values)
+
+
+_SET_TENSOR_DIMS, _SET_TENSOR_VALUES = Tensor.dims.__set__, Tensor.values.__set__

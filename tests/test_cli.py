@@ -604,9 +604,10 @@ def test_csv_matches_csv_writer(case):
 def test_csv_export_holds_rows_in_blocks(tmp_path):
     # 48,000 rows, 1.1-1.3 MB of text: a string of the whole file would alone
     # outgrow the bound, and the list of rows it is joined from more so; so
-    # would the quoted labels of one axis longer than a block
+    # would the quoted labels of one axis longer than a block, last or leading
     for shape in ((("A", 40), ("B", 40), ("C", 30)), (("A", 48_000),),
-                  (("A", 2), ("B", 24_000))):
+                  (("A", 2), ("B", 24_000)), (("A", 24_000), ("B", 2)),
+                  (("A", 2), ("B", 12_000), ("C", 2))):
         dims = tuple(_axis(n, k, n.lower() + "{}") for n, k in shape)
         tensor, model = _case(dims, [i / 7 for i in range(48_000)])
         tracemalloc.start()

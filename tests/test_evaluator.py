@@ -561,7 +561,8 @@ def risky_models(draw):
 
 
 @given(risky_models())
-@settings(max_examples=300, deadline=None)
+# 300 examples, or the profile's count when more (5,000 under deep)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_matches_per_cell_reference(source):
     assert_matches_reference(check_model(parse_model(source)))
 
@@ -625,6 +626,6 @@ def layered_models(draw):
          "data X over (A, B) = {a0,b0: 1, a0,b1: 1e16, a0,b2: -1e16, a1,b0: 0,"
          " a1,b1: 0, a1,b2: 0, a2,b0: 0, a2,b1: 0, a2,b2: 0, a3,b0: 0,"
          " a3,b1: 0, a3,b2: 0}\ncalc F0 over (A) = SUM(X)\n")
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_random_layouts_match_per_cell_reference(source):
     assert_matches_reference(check_model(parse_model(source)))

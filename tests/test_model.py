@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -308,9 +309,26 @@ def test_acme_shapes(acme_model):
     assert model.variable("MSPR_Unit_Sales").dims == full_set(model)
 
 
+@given(subsets)
+def test_tensor_size_is_the_product_of_instance_counts(acme_model, dims):
+    assert acme_model.tensor_size(dims) == math.prod(
+        acme_model.instance_counts(dims))
+    assert acme_model.tensor_size(EMPTY_DIMS) == 1
+
+
 def test_tensor_holds_scalar():
     t = Tensor(EMPTY_DIMS, (42.0,))
     assert t.values == (42.0,)
+
+
+def test_tensor_holds_its_arguments():
+    # test_value_semantics' "Tensor" case covers copies and assignment
+    dims, values = DimensionSet(("M",)), (1.0, -0.0)
+    t = Tensor(dims, values)
+    assert t.dims is dims and t.values is values
+    same = Tensor(DimensionSet(("M",)), (1.0, 0.0))
+    assert t == same and hash(t) == hash(same)
+    assert t != Tensor(dims, (1.0, 2.0)) and t != Tensor(EMPTY_DIMS, values)
 
 
 def test_node_equality_ignores_span():

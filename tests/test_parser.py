@@ -17,8 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURES
-from dimcalc import evaluator as evaluator_module, model as model_module, \
-    parser as parser_module
+from dimcalc import model as model_module, parser as parser_module
 from dimcalc.checker import CheckFailure, check_model
 from dimcalc.cli import main
 from dimcalc.diagram import emit_dot
@@ -29,6 +28,7 @@ from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
                            VariableKind, iter_dependencies, iter_nodes)
 from dimcalc.parser import (ParseFailure, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
+from test_evaluator import layered_models
 
 
 def parse_one(text):
@@ -623,15 +623,17 @@ def test_clean_run_works_out_no_line_or_column(monkeypatch):
 
 def test_one_reference_walk_per_formula(monkeypatch):
     """parse, check, diagram and every `dependencies` read walk each formula
-    once, when its Variable is built; evaluate walks it once more."""
+    once, when its Variable is built; evaluate runs `Variable.nodes` and
+    walks none, not even to find a failing formula's first bad cell."""
     calls = []
+    walk = model_module._walk
 
     def counted(expr):
         calls.append(id(expr))
-        return iter_nodes(expr)
+        return walk(expr)
 
-    for module in (model_module, parser_module, evaluator_module):
-        monkeypatch.setattr(module, "iter_nodes", counted)
+    # iter_nodes and iter_dependencies, wherever imported, walk through it
+    monkeypatch.setattr(model_module, "_walk", counted)
     text = (FIXTURES / "acme.dml").read_bytes().decode("utf-8")
     model = parse_model(text, "acme.dml")
     checked = check_model(model)
@@ -644,7 +646,14 @@ def test_one_reference_walk_per_formula(monkeypatch):
     assert calls == formulas
     calls.clear()
     evaluate(checked)
-    assert sorted(calls) == sorted(formulas)
+    assert calls == []
+    failing = check_model(parse_model(
+        "dimension D = [a, b, c, d, e]\ndata X over (D) = [1, 2, 3, 0, 5]\n"
+        "output Y over (D) = 1 / X\n"))
+    calls.clear()
+    with pytest.raises(EvalError, match=r"DIV-BY-ZERO\]: Y\[d\]"):
+        evaluate(failing)
+    assert calls == []
 
 
 # the text each reference's span covers, in source order: a grouped
@@ -1264,6 +1273,33 @@ def test_library_model_prints_diagrams_and_evaluates(build):
         assert parse_model(text) == model
     emit_dot(model, include_data_values=True)
     hash(model)
+
+
+@given(st.one_of(layered_models().map(lambda text: partial(parse_model, text)),
+                 library_models()))
+def test_variable_nodes_and_uses_are_one_walk(build):
+    """`nodes` and `uses` are the formula's own walk, rebuilt on pickle and
+    copy, and take no part in ==, hash or repr."""
+    try:
+        model = build()
+    except ModelError:
+        return
+    for variable in model.variables:
+        for v in (variable, pickle.loads(pickle.dumps(variable)),
+                  copy.deepcopy(variable)):
+            assert v == variable
+            nodes, uses = ((iter_nodes(v.payload), iter_dependencies(v.payload))
+                           if isinstance(v.payload, Expr) else ((), ()))
+            assert type(v.nodes) is type(v.uses) is tuple
+            assert list(map(id, v.nodes)) == list(map(id, nodes))
+            assert [(name, id(node)) for name, node in v.uses] == [
+                (name, id(node)) for name, node in uses]
+        bare = copy.copy(variable)
+        Variable.nodes.__set__(bare, ())
+        Variable.uses.__set__(bare, ())
+        assert bare == variable and hash(bare) == hash(variable)
+        assert repr(bare) == repr(variable)
+        assert "nodes" not in repr(variable) and "uses" not in repr(variable)
 
 
 class TestNumberRange:
