@@ -112,7 +112,7 @@ def _check_formula(var: Variable, model: Model,
     spanned = set()
     for name, node in var.uses:
         dims = model.variable(name).dims
-        if isinstance(node, Aggregate):
+        if type(node) is Aggregate:
             if not target.members <= dims.members:
                 return CheckDiagnostic(
                     "error", "R3-NOT-SUPERSET",

@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except EvalError as e:
         print(e, file=sys.stderr)
         return 2
+    except MemoryError:  # nothing bounds a tensor's cells before it is made
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         if collecting:
             gc.enable()

@@ -223,7 +223,9 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
     count = hi - lo
     stack = []
     for node in var.nodes:
-        if isinstance(node, Binary):
+        # exact classes, commonest first: the node classes are closed
+        cls = type(node)
+        if cls is Binary:
             right = stack.pop()
             left = stack.pop()
             try:
@@ -241,17 +243,17 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             if node.op != "^" and not (math.isfinite(sum(result))
                                        or all(map(math.isfinite, result))):
                 raise _CellError("NON-FINITE", _OVERFLOWS[node.op])
-        elif isinstance(node, Ref):
-            source = tensors[node.name]
-            result = shapes.broadcast(source.values, source.dims, dims)
-            if len(result) != count:
-                result = result[lo:hi]
-        elif isinstance(node, Literal):
+        elif cls is Literal:
             if not math.isfinite(node.value):
                 raise _CellError("NON-FINITE",
                                  f"literal {node.value!r} is not finite")
             result = [node.value] * count
-        elif isinstance(node, Unary):
+        elif cls is Ref:
+            source = tensors[node.name]
+            result = shapes.broadcast(source.values, source.dims, dims)
+            if len(result) != count:
+                result = result[lo:hi]
+        elif cls is Unary:
             result = [-a for a in stack.pop()]
         else:  # an Aggregate
             source = tensors[node.source]

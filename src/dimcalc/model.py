@@ -243,13 +243,29 @@ class VariableKind(Enum):
         return self in (VariableKind.CALCULATED, VariableKind.OUTPUT)
 
 
+# the node classes the walkers know, filled in once they exist; the bare
+# `Expr` base is none of them
+_NODE_TYPES: frozenset[type] = frozenset()
+
+
 class Expr(Record):
     """Base class for formula AST nodes, whose `_operands` hold nodes. `==`,
     hash, repr and pickling walk `iter_nodes`, so they work at any depth: with
-    operand counts fixed by class, a post-order list decodes to one tree."""
+    operand counts fixed by class, a post-order list decodes to one tree.
+
+    The node classes are closed: the walkers dispatch on a node's exact
+    class, so `Ref`, `Binary`, `Literal`, `Unary` and `Aggregate` refuse to
+    be subclassed."""
 
     __slots__ = ()
     _operands: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for base in cls.__mro__:
+            if base in _NODE_TYPES:
+                raise TypeError(f"{base.__name__} cannot be subclassed: the "
+                                f"formula walkers dispatch on exact class")
 
     def _values(self) -> tuple:
         return tuple([(n.__class__, Record._values(n)) for n in iter_nodes(self)])
@@ -302,7 +318,7 @@ class Unary(Expr):
     __slots__ = _operands = ("operand",)
 
     def __init__(self, operand: Expr):
-        if not isinstance(operand, _NODES):
+        if type(operand) not in _NODE_TYPES:
             raise ModelError(f"operand {operand!r} is not a formula node")
         _SET_UNARY_OPERAND(self, operand)
 
@@ -315,8 +331,8 @@ class Binary(Expr):
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in ("+", "-", "*", "/", "^"):
             raise ModelError(f"unknown binary operator {op!r}")
-        if not (isinstance(left, _NODES) and isinstance(right, _NODES)):
-            bad = right if isinstance(left, _NODES) else left
+        if type(left) not in _NODE_TYPES or type(right) not in _NODE_TYPES:
+            bad = right if type(left) in _NODE_TYPES else left
             raise ModelError(f"operand {bad!r} is not a formula node")
         _SET_BINARY_OP(self, op)
         _SET_BINARY_LEFT(self, left)
@@ -338,8 +354,7 @@ class Aggregate(Expr):
         _SET_AGGREGATE_SPAN(self, span)
 
 
-# the node classes the walkers know; the bare `Expr` base is none of them
-_NODES = (Ref, Binary, Literal, Unary, Aggregate)
+_NODE_TYPES = frozenset({Ref, Binary, Literal, Unary, Aggregate})
 
 # the slots' setters, faster than object.__setattr__ for the many nodes
 _SET_LITERAL_VALUE, _SET_UNARY_OPERAND = Literal.value.__set__, Unary.operand.__set__
@@ -358,14 +373,18 @@ def _walk(expr: Expr) -> tuple[list[Expr], list[tuple[str, Expr]]]:
     while stack:
         node = stack.pop()
         nodes.append(node)
-        if isinstance(node, Binary):
+        # exact classes, commonest first; a bare `Expr` matches none
+        cls = type(node)
+        if cls is Binary:
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Ref):
+        elif cls is Literal:
+            pass
+        elif cls is Ref:
             uses.append((node.name, node))
-        elif isinstance(node, Aggregate):
+        elif cls is Unary:
+            stack.append(node.operand)
+        elif cls is Aggregate:
             uses.append((node.source, node))
     nodes.reverse()
     uses.reverse()
@@ -409,7 +428,7 @@ class ValueTable(Record):
 
 
 # what a variable may carry; anything else would fail only when evaluated
-_PAYLOADS = (ValueTable, *_NODES, type(None))
+_PAYLOADS = (ValueTable, *_NODE_TYPES, type(None))
 
 
 class Variable(Record):

@@ -48,6 +48,8 @@ from .model import (
 )
 
 KEYWORDS = frozenset({"dimension", "input", "data", "calc", "output", "over", "SUM"})
+# each variable keyword's kind, read without calling the Enum
+_KINDS = {kind.value: kind for kind in VariableKind}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
@@ -224,7 +226,7 @@ class _Parser:
         tok = self.tok
         if tok[0] == "dimension":
             return self._parse_dimension()
-        if tok[0] in ("input", "data", "calc", "output"):
+        if tok[0] in _KINDS:
             return self._parse_variable(tok)
         self._fail("P-SYNTAX",
                    "expected a declaration (dimension, input, data, calc, "
@@ -252,7 +254,7 @@ class _Parser:
         self.dimensions[name[1]] = Dimension(name[1], tuple(unique))
 
     def _parse_variable(self, first: tuple) -> None:
-        kind = VariableKind(first[0])
+        kind = _KINDS[first[0]]
         self.tok = self.next()
         name = self._expect_name("a variable name")
         try:
@@ -327,62 +329,54 @@ class _Parser:
         """
         next_tok, span = self.next, self.span
         operands: list[Expr] = []
-        # (precedence, operator); "neg" is a prefix minus and "(" an open
-        # group, which no operator reduces past
+        # (precedence, operator) entries; "neg" is a prefix minus and "(" an
+        # open group, which no operator reduces past
         ops: list[tuple[int, str]] = []
         groups: list[tuple] = []  # the tokens that opened the open groups
-        neg_prec = _NEG_PREC
+        neg = _NEG
+        tok = self.tok  # the cursor, written back to self.tok around calls
         while True:
             # operand position: prefix minuses and open groups, then an atom
-            while (kind := self.tok[0]) == "-" or kind == "(":
+            while (kind := tok[0]) == "-" or kind == "(":
                 if kind == "-":
-                    ops.append((neg_prec, "neg"))
+                    ops.append(neg)
                 else:
-                    ops.append((0, "("))
-                    groups.append(self.tok)
-                    neg_prec = _NEG_PREC
-                self.tok = next_tok()
-            tok = self.tok
+                    ops.append(_OPEN)
+                    groups.append(tok)
+                    neg = _NEG
+                tok = next_tok()
             if kind == "number":
                 operands.append(Literal(tok[2]))
             elif kind == "name" or kind == "qname":
                 operands.append(Ref(tok[1], span(tok[3], tok[4])))
             else:
+                self.tok = tok
                 operands.append(self._parse_atom())
-            last = self.tok
-            self.tok = next_tok()
+                tok = self.tok
+            last = tok
+            tok = next_tok()
             # operator position: close groups, then a binary operator or the end
-            while (kind := self.tok[0]) not in _BINARY_PREC:
+            while (entry := _BINARY.get(tok[0])) is None:
+                self.tok = tok
                 if not groups:
-                    self._reduce(operands, ops, 1)
+                    _reduce(operands, ops, 1)
                     return operands[0], last
                 last = self._expect(")")
-                self._reduce(operands, ops, 1)
+                tok = self.tok
+                _reduce(operands, ops, 1)
                 ops.pop()
                 opening = groups.pop()
                 # a diagnostic on a grouped reference covers the parentheses
                 node = operands[-1]
-                if isinstance(node, Ref):
+                if type(node) is Ref:
                     operands[-1] = Ref(node.name, span(opening[3], last[4]))
-                elif isinstance(node, Aggregate):
+                elif type(node) is Aggregate:
                     operands[-1] = Aggregate(
                         node.source, span=span(opening[3], last[4]))
-            prec = _BINARY_PREC[kind]
-            self._reduce(operands, ops, prec)
-            ops.append((prec, kind))
-            neg_prec = _EXPONENT_NEG_PREC if kind == "^" else _NEG_PREC
-            self.tok = next_tok()
-
-    def _reduce(self, operands: list[Expr], ops: list, prec: int) -> None:
-        """Apply the stacked operators that bind at least as tightly as prec."""
-        while ops and ops[-1][0] >= prec:
-            op = ops.pop()[1]
-            right = operands.pop()
-            if op == "neg":
-                operands.append(_negate(right))
-            else:
-                left = operands.pop()
-                operands.append(Binary(op, left, right))
+            _reduce(operands, ops, entry[0])
+            ops.append(entry)
+            neg = _EXPONENT_NEG if entry[1] == "^" else _NEG
+            tok = next_tok()
 
     def _parse_atom(self):
         """`SUM(name)`, leaving self.tok on its ')'; any other token fails."""
@@ -405,9 +399,23 @@ class _Parser:
         return Aggregate(source[1], span=self.span(tok[3], last[4]))
 
 
-_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+# the (precedence, operator) entries _parse_expr stacks, made once
+_BINARY = {op: (prec, op) for op, prec in zip("+-*/^", (1, 1, 2, 2, 4))}
 _NEG_PREC = 3  # prefix minus: tighter than * and /, looser than ^
-_EXPONENT_NEG_PREC = 5  # a minus right after ^ takes only the next atom
+_NEG = (_NEG_PREC, "neg")
+_EXPONENT_NEG = (5, "neg")  # a minus right after ^ takes only the next atom
+_OPEN = (0, "(")
+
+
+def _reduce(operands: list[Expr], ops: list, prec: int) -> None:
+    """Apply the stacked operators that bind at least as tightly as prec."""
+    while ops and ops[-1][0] >= prec:
+        op = ops.pop()[1]
+        right = operands.pop()
+        if op == "neg":
+            operands.append(_negate(right))
+        else:  # the left operand's place takes the result
+            operands[-1] = Binary(op, operands[-1], right)
 
 
 def _describe(tok: tuple) -> str:
@@ -420,7 +428,7 @@ def _describe(tok: tuple) -> str:
 
 def _negate(operand: Expr) -> Expr:
     # fold '-' on a literal so that -5 round-trips as the literal -5
-    if isinstance(operand, Literal):
+    if type(operand) is Literal:
         return Literal(-operand.value)
     return Unary(operand)
 
@@ -635,7 +643,7 @@ def format_expr(expr: Expr) -> str:
                          "-" + _as_exponent(operand)))
         else:  # a Binary
             right, left = done.pop(), done.pop()
-            prec = _BINARY_PREC[node.op]
+            prec = _BINARY[node.op][0]
             right_text = (_as_exponent(right) if node.op == "^"
                           else _wrap(right, prec + 1))
             done.append((f"{_wrap(left, prec)} {node.op} {right_text}", prec, None))

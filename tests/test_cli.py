@@ -875,6 +875,21 @@ def test_warning_then_eval_error(capsys, tmp_path, as_json):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch,
+                                         as_json):
+    # a tensor too large for memory fails as a numeric error does: exit 2
+    # and one line, no traceback; the patch allocates nothing large
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("dimcalc.cli.evaluate", exhausted)
+    code, out, err = run(capsys, "eval", ACME, "--out-dir",
+                         str(tmp_path / "out"), *(["--json"] if as_json else []))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not (tmp_path / "out").exists()
+
+
 # an address holds anything but an LF: quotes, backslashes, the address's
 # own punctuation, a comment mark, CR, blanks, keywords, leading digits
 _awkward = st.one_of(

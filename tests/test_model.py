@@ -434,6 +434,17 @@ def test_nodes_refuse_operands_that_are_not_formula_nodes(build, operand):
         build()
 
 
+@pytest.mark.parametrize("node", [Ref, Binary, Literal, Unary, Aggregate],
+                         ids=lambda node: node.__name__)
+def test_node_classes_refuse_subclasses(node):
+    # the walkers dispatch on a node's exact class, so a subclass would be
+    # a node that none of them knows
+    with pytest.raises(TypeError, match=rf"^{node.__name__} cannot be "
+                                        rf"subclassed: the formula walkers "
+                                        rf"dispatch on exact class$"):
+        type("Sub", (node,), {"__slots__": ()})
+
+
 @pytest.mark.parametrize("kind,payload,shown", [
     (VariableKind.INPUT, 2.0, "2.0"),
     (VariableKind.CALCULATED, "X", "'X'"),

@@ -573,7 +573,7 @@ _SPAN_FIELDS = ["file", "start_line", "start_col", "end_line", "end_col"]
 
 
 @given(st.booleans().flatmap(lambda failing: _sources(failing)), st.data())
-@settings(max_examples=150)
+@settings(max_examples=max(150, settings.default.max_examples))
 def test_parsed_spans_equal_eager_spans(source, data):
     text, _ = source
     try:
@@ -723,7 +723,7 @@ def _keyed_tables(draw):
 
 
 @given(_keyed_tables())
-@settings(max_examples=200)
+@settings(max_examples=max(200, settings.default.max_examples))
 def test_keyed_table_matches_a_set_oracle(case):
     axes, keys = case
     names = [f"D{i}" for i in range(len(axes))]
@@ -935,7 +935,7 @@ def expressions(draw, depth=3):
 
 
 @given(expressions())
-@settings(max_examples=200)
+@settings(max_examples=max(200, settings.default.max_examples))
 def test_expr_print_parse_round_trip(expr):
     header = "input a = 1\ninput b = 2\ninput c = 3\ninput d = 4\n"
     text = header + "calc X = " + format_expr(expr) + "\n"
@@ -968,7 +968,7 @@ def deeply_nested(draw):
 
 
 @given(st.one_of(st.text(max_size=80), deeply_nested()))
-@settings(max_examples=300)
+@settings(max_examples=max(300, settings.default.max_examples))
 def test_parser_is_total(text):
     try:
         parse_model(text)
