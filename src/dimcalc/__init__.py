@@ -43,7 +43,6 @@ from .evaluator import (
     EvaluationResult,
     InputOverride,
     evaluate,
-    tensor_to_rows,
 )
 from .diagram import emit_dot
 
@@ -56,6 +55,5 @@ __all__ = [
     "parse_model", "pretty_print",
     "CheckDiagnostic", "CheckFailure", "CheckedModel", "check_model",
     "EvalError", "EvaluationResult", "InputOverride", "evaluate",
-    "tensor_to_rows",
     "emit_dot",
 ]

@@ -153,6 +153,8 @@ class _Shapes:
         if key not in self._plans:
             self._plans[key] = self._plan(source, dims)
         size, steps = self._plans[key]
+        # list slices: CPython keeps thousands of freed small tuples for reuse
+        vals = list(vals)
         blocks = [vals[i:i + size] for i in range(0, len(vals), size)]
         for join, count in steps:
             if join:
@@ -353,8 +355,3 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
         tensors[name] = Tensor(var.dims, values)
     return EvaluationResult({v.name: tensors[v.name] for v in model.variables},
                             checked.order)
-
-
-def tensor_to_rows(tensor: Tensor, model: Model):
-    """(instance tuple, value) rows in row-major canonical order."""
-    return list(zip(model.instance_tuples(tensor.dims), tensor.values))

@@ -627,6 +627,7 @@ class Tensor(Record):
     """
 
     __slots__ = _fields = ("dims", "values")
+    __hash__ = None  # a hash would read every value
 
     def __init__(self, dims: DimensionSet, values: tuple[float, ...]):
         _SET_TENSOR_DIMS(self, dims)

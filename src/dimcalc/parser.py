@@ -626,27 +626,29 @@ def format_expr(expr: Expr) -> str:
     # '^', None when that takes parentheses.
     done: list[tuple[str, int, str | None]] = []
     for node in iter_nodes(expr):
-        if isinstance(node, Literal):
-            text = format_number(node.value)
-            # -5 and -0 read like a negation, which an exponent may start with
-            negative = math.copysign(1.0, node.value) < 0
-            done.append((text, _NEG_PREC if negative else _ATOM_PREC, text))
-        elif isinstance(node, Ref):
-            text = format_ident(node.name)
-            done.append((text, _ATOM_PREC, text))
-        elif isinstance(node, Aggregate):
-            text = f"SUM({format_ident(node.source)})"
-            done.append((text, _ATOM_PREC, text))
-        elif isinstance(node, Unary):
-            operand = done.pop()
-            done.append(("-" + _wrap(operand, _NEG_PREC), _NEG_PREC,
-                         "-" + _as_exponent(operand)))
-        else:  # a Binary
+        # exact classes, commonest first: the node classes are closed
+        cls = type(node)
+        if cls is Binary:
             right, left = done.pop(), done.pop()
             prec = _BINARY[node.op][0]
             right_text = (_as_exponent(right) if node.op == "^"
                           else _wrap(right, prec + 1))
             done.append((f"{_wrap(left, prec)} {node.op} {right_text}", prec, None))
+        elif cls is Literal:
+            text = format_number(node.value)
+            # -5 and -0 read like a negation, which an exponent may start with
+            negative = math.copysign(1.0, node.value) < 0
+            done.append((text, _NEG_PREC if negative else _ATOM_PREC, text))
+        elif cls is Ref:
+            text = format_ident(node.name)
+            done.append((text, _ATOM_PREC, text))
+        elif cls is Unary:
+            operand = done.pop()
+            done.append(("-" + _wrap(operand, _NEG_PREC), _NEG_PREC,
+                         "-" + _as_exponent(operand)))
+        else:  # an Aggregate
+            text = f"SUM({format_ident(node.source)})"
+            done.append((text, _ATOM_PREC, text))
     return done[0][0]
 
 

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_checked
 from dimcalc.checker import check_model
-from dimcalc.evaluator import (EvalError, InputOverride, evaluate,
-                               tensor_to_rows)
+from dimcalc.evaluator import EvalError, InputOverride, evaluate
 from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
                            Literal, Model, Ref, Unary, ValueTable, Variable,
                            VariableKind)
@@ -386,16 +385,6 @@ def test_sum_over_trailing_dimensions_keeps_no_index_list():
     assert result["Total"].values[0].hex() == (
         reference_evaluate(checked)["Total"][0].hex())
     assert peak < 1_000_000
-
-
-def test_tensor_to_rows_row_major(acme_checked):
-    result = evaluate(acme_checked)
-    model = acme_checked.model
-    rows = tensor_to_rows(result["MP_Unit_Sales"], model)
-    assert rows[0][0] == ("Jan", "Standard")
-    assert rows[1][0] == ("Jan", "Deluxe")
-    assert rows[2][0] == ("Feb", "Standard")
-    assert len(rows) == 24
 
 
 numbers = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

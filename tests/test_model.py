@@ -327,7 +327,7 @@ def test_tensor_holds_its_arguments():
     t = Tensor(dims, values)
     assert t.dims is dims and t.values is values
     same = Tensor(DimensionSet(("M",)), (1.0, 0.0))
-    assert t == same and hash(t) == hash(same)
+    assert t == same
     assert t != Tensor(dims, (1.0, 2.0)) and t != Tensor(EMPTY_DIMS, values)
 
 
@@ -537,6 +537,10 @@ def test_value_semantics(field, make):
     if isinstance(value, EvaluationResult):
         # its tensors are a dict, which does not hash
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    elif isinstance(value, Tensor):
+        # a hash would read every value
+        with pytest.raises(TypeError, match="^unhashable type: 'Tensor'$"):
             hash(value)
     else:
         assert hash(value) == hash(other)

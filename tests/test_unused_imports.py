@@ -5,6 +5,7 @@ import ast
 
 import pytest
 
+import dimcalc
 from conftest import REPO_ROOT
 
 MODULES = sorted((REPO_ROOT / "src" / "dimcalc").glob("*.py"))
@@ -34,6 +35,15 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_public_names_resolve():
+    # the import checker counts the strings in `__all__` as uses, so a
+    # stale entry left by a removal would pass it; `import *` raises on one
+    namespace: dict = {}
+    exec("from dimcalc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(dimcalc.__all__)
 
 
 def test_checker_flags_an_unused_import():
