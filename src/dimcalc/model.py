@@ -57,7 +57,7 @@ class Record:
 class SourceSpan(Record):
     """Half-open region of DSL text, 1-based lines and columns.
 
-    A span built by `at_offsets` holds only character offsets and the
+    A span made by `factory` holds only character offsets and the
     offsets where the text's lines start; it works out its file, lines and
     columns the first time one of them is read. Either kind is immutable,
     and spans of the same region are equal whichever way they were built.
@@ -76,19 +76,26 @@ class SourceSpan(Record):
         object.__setattr__(self, "end_line", end_line)
         object.__setattr__(self, "end_col", end_col)
 
-    @classmethod
-    def at_offsets(cls, source: tuple[str, list[int]], start: int,
-                   end: int) -> SourceSpan:
-        """The span of offsets [start, end) into a text, where `source` is
-        (file, the offsets at which the text's lines start, 0 first)."""
-        span = cls.__new__(cls)
-        _SET_SOURCE(span, source)
-        _SET_START(span, start)
-        _SET_END(span, end)
+    @staticmethod
+    def factory(source: tuple[str, list[int]]):
+        """The function from offsets [start, end) into a text to their span,
+        where `source` is (file, the offsets at which the text's lines start,
+        0 first). It sets the three slots alone, through their own setters."""
+        # bound here, so that each span reads them from the closure, not
+        # from the module's globals
+        new, set_source, set_start, set_end = (
+            object.__new__, _SET_SOURCE, _SET_START, _SET_END)
+
+        def span(start: int, end: int) -> SourceSpan:
+            made = new(SourceSpan)
+            set_source(made, source)
+            set_start(made, start)
+            set_end(made, end)
+            return made
         return span
 
     def __getattr__(self, name: str):
-        # only a span built by at_offsets lacks a field, until it is read
+        # only a span made by `factory` lacks a field, until it is read
         if name not in SourceSpan._fields:
             raise AttributeError(
                 f"'SourceSpan' object has no attribute {name!r}")

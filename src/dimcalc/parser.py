@@ -6,13 +6,14 @@ statement, so large value tables can be written one entry per line. The
 full grammar is documented in README.md.
 
 A token is a plain tuple `(kind, text, value, start, end)`, made as the
-parser reads it, one ahead; the blanks and comment before a token belong
-to its match. The kind is name, qname, number, newline or eof, or for a
-keyword or a punctuation mark the word or mark itself ("over" or "+"), so
-the parser decides on the kind alone; `value` is a number's float, and
-`start` and `end` are character offsets into the text. The spans a parse
-keeps (a Ref, an Aggregate, a statement, or a diagnostic) hold offsets
-too, and work out their lines and columns only when one is read.
+parser reads it, one ahead, from one regex match that ends with it. Each
+class the parser branches on (a name, an open or close bracket, another
+mark, a number glued to nothing) has a group, whose text is the token's.
+The kind is name, qname, number, newline or eof, or a keyword's or mark's
+own text ("over" or "+"), so the parser decides on the kind alone; `value`
+is a number's float, and `start` and `end` are character offsets into the
+text. The spans a parse keeps (a Ref, an Aggregate, a statement, or a
+diagnostic) hold offsets too, and work out lines and columns when read.
 
 Parsing is total: any input text yields either a Model or a list of
 ParseDiagnostic values carried by ParseFailure, never an exception from
@@ -24,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import partial
 
 from .model import (
     EMPTY_DIMS,
@@ -54,21 +54,24 @@ _KINDS = {kind.value: kind for kind in VariableKind}
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # Each match is the blanks and comment before a token, then the token in one
-# group per class, which `lastindex` names. The prefix reads only one way and
-# whatever follows it, even the end of text, starts exactly one class: the
-# classes' first characters are disjoint, so no match backtracks, successive
-# matches tile the text, and the order of the alternatives changes no match.
-# Punctuation, the commonest token, is tried first.
+# group per class, which `lastindex` names as the group closed last. Nothing
+# in a match follows its token (what is glued to a number belongs to it), so
+# a token the parser branches on is `m[k]` and ends at `m.end()`. The prefix
+# reads only one way, and whatever follows it, even the end of text, starts
+# exactly one class, so no match backtracks and matches tile the text.
 _TOKEN_RE = re.compile(r"[ \t\r]*(?:#[^\n]*)?(?:" + "|".join([
-    r"([=,:()\[\]{}+\-*/^])",  # 1: punctuation
-    r"(\n)",  # 2: newline
-    r"([A-Za-z_][A-Za-z0-9_]*)",  # 3: name
-    # 4: number, 5 its digits; glued to '%' (6) or to word characters, bad
-    rf"(({_NUMBER})(?:(%)|[\w.]+)?)",
-    r'("((?:[^"\\\n]|\\[^\n]?)*)(")?)',  # 7: quoted name, 8 body, 9 closed
-    # 10: a run of characters that start no token; '.' starts one before a digit
+    r"([A-Za-z_][A-Za-z0-9_]*)",  # 1: name
+    r"([(\[{])",  # 2: open bracket
+    r"([)\]}])",  # 3: close bracket
+    r"([=,:+\-*/^])",  # 4: other punctuation
+    # 5: number; an empty 6 or 7 marks a glued '%' or, bad, word characters,
+    # so each branch starts on a character the engine tests before entering
+    rf"({_NUMBER})(?:%()|[\w.]+()|)",
+    r"(\n)",  # 8: newline
+    r'("((?:[^"\\\n]|\\[^\n]?)*)(")?)',  # 9: quoted name, 10 body, 11 closed
+    # 12: a run of characters that start no token; '.' starts one before a digit
     r'((?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
-    r"(\Z)",  # 11: end of text
+    r"(\Z)",  # 13: end of text
 ]) + ")")
 _ESCAPE_RE = re.compile(r"\\(.?)")
 _NEWLINE_RE = re.compile(r"\n")
@@ -93,8 +96,8 @@ class ParseFailure(DiagnosticFailure):
 def _spans_of(text: str, file: str):
     """The function from a [start, end) range of offsets into `text` to
     its SourceSpan, which finds its lines and columns when first read."""
-    source = (file, [0, *(m.end() for m in _NEWLINE_RE.finditer(text))])
-    return partial(SourceSpan.at_offsets, source)
+    return SourceSpan.factory(
+        (file, [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]))
 
 
 def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
@@ -106,50 +109,53 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
-        if kind == 1:  # punctuation: one mark, the match's last character
-            end = m.end()
-            mark = text[end - 1]
-            if mark in "([{":
+        end = m.end()  # every token ends its match
+        if kind == 1:  # name or keyword
+            word = m[1]
+            yield (word if word in KEYWORDS else "name", word, None,
+                   end - len(word), end)
+        elif kind <= 4:  # a punctuation mark: 2 opens a group, 3 closes one
+            mark = m[kind]
+            if kind == 2:
                 depth += 1
-            elif mark in ")]}" and depth:
+            elif kind == 3 and depth:
                 depth -= 1
             yield (mark, mark, None, end - 1, end)
-            continue
-        start, end = m.span(kind)
-        word = text[start:end]
-        if kind == 3:  # name or keyword
-            yield (word if word in KEYWORDS else "name", word, None, start, end)
-        elif kind == 4:  # number
-            digits = m.group(5)
-            value = float(digits)
-            if m.group(6):
-                err("P-NUMBER", f"percent literals are not supported; write the "
-                    f"fraction instead ({digits}% is {value / 100})", start, end)
-            elif len(digits) < len(word):
-                err("P-NUMBER", f"malformed number {word!r}", start, end)
-                continue
-            elif not math.isfinite(value):
-                err("P-NUMBER", f"number {digits} is out of range", start, end)
-            yield ("number", digits, value, start, end)
-        elif kind == 2:  # newline
+        elif kind == 5:  # a number with nothing glued to it
+            word = m[5]
+            start, value = end - len(word), float(word)
+            if not math.isfinite(value):
+                err("P-NUMBER", f"number {word} is out of range", start, end)
+            yield ("number", word, value, start, end)
+        elif kind == 8:  # newline
             if depth == 0:
-                yield ("newline", word, None, start, end)
-        elif kind == 7:  # quoted name
-            body = m.group(8)
+                yield ("newline", "\n", None, end - 1, end)
+        elif kind <= 7:  # a number glued to '%' (6) or to word characters (7)
+            start, digits = m.start(5), m[5]
+            if kind == 7:
+                err("P-NUMBER", f"malformed number {text[start:end]!r}", start, end)
+                continue
+            value = float(digits)
+            err("P-NUMBER", f"percent literals are not supported; write the "
+                f"fraction instead ({digits}% is {value / 100})", start, end)
+            yield ("number", digits, value, start, end)
+        elif kind == 9:  # quoted name
+            start, body = m.start(9), m[10]
             for esc in _ESCAPE_RE.finditer(body):
-                if esc.group(1) not in ('"', "\\"):
+                if esc[1] not in ('"', "\\"):
                     err("P-TOKEN", "unsupported escape in quoted identifier "
                         "(only \\\" and \\\\ are recognized)",
                         start, start + 1 + esc.start())
             name = _ESCAPE_RE.sub(r"\1", body)
-            if not m.group(9):
+            if not m[11]:
                 err("P-TOKEN", "unterminated quoted identifier", start, end)
             elif not name:
                 err("P-TOKEN", "empty quoted identifier", start, end)
             yield ("qname", name, None, start, end)
-        elif kind == 10:  # characters that start no token
+        elif kind == 12:  # characters that start no token
+            word = m[12]
             err("P-TOKEN", f"unexpected character{'s' if len(word) > 1 else ''} "
-                f"{word!r}", start, end)
+                f"{word!r}", end - len(word), end)
         else:  # end of text
             yield ("eof", "", None, end, end)
             return
@@ -164,8 +170,7 @@ class _Parser:
         # the token stream, read one ahead: `tok` is the next token to use
         self.next = tokens.__next__
         self.tok = self.next()
-        self.span = span
-        self.diags = diags
+        self.span, self.diags = span, diags
         # names of variables whose declarations failed after the name was
         # read; kept so references to them do not cascade into P-UNDECLARED
         self.failed_names: set[str] = set()
@@ -212,25 +217,21 @@ class _Parser:
 
     def parse_statements(self) -> None:
         while True:
-            while self.tok[0] == "newline":
+            while (tok := self.tok)[0] == "newline":
                 self.tok = self.next()
-            if self.tok[0] == "eof":
-                return
             try:
-                self._parse_statement()
+                if tok[0] in _KINDS:
+                    self._parse_variable(tok)
+                elif tok[0] == "dimension":
+                    self._parse_dimension()
+                elif tok[0] == "eof":
+                    return
+                else:
+                    self._fail("P-SYNTAX", "expected a declaration (dimension, input, "
+                               f"data, calc, output), got {_describe(tok)}", tok)
             except _StatementError:
                 while self.tok[0] not in ("newline", "eof"):
                     self.tok = self.next()
-
-    def _parse_statement(self):
-        tok = self.tok
-        if tok[0] == "dimension":
-            return self._parse_dimension()
-        if tok[0] in _KINDS:
-            return self._parse_variable(tok)
-        self._fail("P-SYNTAX",
-                   "expected a declaration (dimension, input, data, calc, "
-                   f"output), got {_describe(tok)}", tok)
 
     def _parse_dimension(self) -> None:
         self.tok = self.next()
@@ -254,33 +255,43 @@ class _Parser:
         self.dimensions[name[1]] = Dimension(name[1], tuple(unique))
 
     def _parse_variable(self, first: tuple) -> None:
-        kind = _KINDS[first[0]]
-        self.tok = self.next()
-        name = self._expect_name("a variable name")
+        # the cursor is read here; _expect and _expect_name only report a failure
+        kind, next_tok = _KINDS[first[0]], self.next
+        self.tok = name = next_tok()
+        if name[0] != "name" and name[0] != "qname":
+            self._expect_name("a variable name")
         try:
-            over = None
-            if self._accept("over"):
-                self._expect("(")
-                over = [self._expect_name("a dimension name")]
-                while self._accept(","):
-                    over.append(self._expect_name("a dimension name"))
-                self._expect(")")
-            rhs_kind, rhs, last = "none", None, name
-            if self._accept("="):
-                mark = self.tok[0]
+            over, rhs_kind, rhs, last = None, "none", None, name
+            self.tok = tok = next_tok()
+            if tok[0] == "over":
+                self.tok = tok = next_tok()
+                if tok[0] != "(":
+                    self._expect("(")
+                over = []
+                while not over or tok[0] == ",":
+                    self.tok = tok = next_tok()
+                    if tok[0] != "name" and tok[0] != "qname":
+                        self._expect_name("a dimension name")
+                    over.append(tok)
+                    self.tok = tok = next_tok()
+                if tok[0] != ")":
+                    self._expect(")")
+                self.tok = tok = next_tok()
+            if tok[0] == "=":
+                self.tok = tok = next_tok()
                 # each right-hand side returns its value and last token
-                if mark == "{":
+                if tok[0] == "{":
                     rhs_kind, (rhs, last) = "table", self._parse_keyed_table()
-                elif mark == "[":
+                elif tok[0] == "[":
                     rhs_kind, (rhs, last) = "list", self._parse_positional_list()
                 else:
                     rhs_kind, (rhs, last) = "expr", self._parse_expr()
+                tok = self.tok
             elif kind is not VariableKind.INPUT:
-                self._fail("P-SYNTAX",
-                           f"{kind.value} {name[1]} needs '=' and a "
-                           f"{'formula' if kind.carries_formula else 'value'}",
-                           self.tok)
-            self._end_statement()
+                self._fail("P-SYNTAX", f"{kind.value} {name[1]} needs '=' and a "
+                           f"{'formula' if kind.carries_formula else 'value'}", tok)
+            if tok[0] != "newline" and tok[0] != "eof":
+                self._end_statement()
             self.variables.append((kind, name, over, rhs_kind, rhs,
                                    self.span(first[3], last[4])))
         except _StatementError:
@@ -405,6 +416,7 @@ _NEG_PREC = 3  # prefix minus: tighter than * and /, looser than ^
 _NEG = (_NEG_PREC, "neg")
 _EXPONENT_NEG = (5, "neg")  # a minus right after ^ takes only the next atom
 _OPEN = (0, "(")
+_ENDS = {"eof": "end of file", "newline": "end of line"}  # for _describe
 
 
 def _reduce(operands: list[Expr], ops: list, prec: int) -> None:
@@ -412,25 +424,15 @@ def _reduce(operands: list[Expr], ops: list, prec: int) -> None:
     while ops and ops[-1][0] >= prec:
         op = ops.pop()[1]
         right = operands.pop()
-        if op == "neg":
-            operands.append(_negate(right))
+        if op == "neg":  # folded on a literal, so -5 round-trips as Literal(-5)
+            operands.append(Literal(-right.value) if type(right) is Literal
+                            else Unary(right))
         else:  # the left operand's place takes the result
             operands[-1] = Binary(op, operands[-1], right)
 
 
 def _describe(tok: tuple) -> str:
-    if tok[0] == "eof":
-        return "end of file"
-    if tok[0] == "newline":
-        return "end of line"
-    return repr(tok[1])
-
-
-def _negate(operand: Expr) -> Expr:
-    # fold '-' on a literal so that -5 round-trips as the literal -5
-    if type(operand) is Literal:
-        return Literal(-operand.value)
-    return Unary(operand)
+    return _ENDS.get(tok[0]) or repr(tok[1])
 
 
 def parse_model(text: str, file: str = "<input>") -> Model:
@@ -499,12 +501,10 @@ def _resolve_dims(over, dimensions, dim_sets, span, diags) -> DimensionSet | Non
                     f"the over clause", span(start, end))
         else:
             names.append(name)
-    if failed:
-        return None
     key = frozenset(names)
-    if key not in dim_sets:
+    if not failed and key not in dim_sets:
         dim_sets[key] = DimensionSet(tuple([n for n in dimensions if n in key]))
-    return dim_sets[key]
+    return None if failed else dim_sets[key]
 
 
 def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):

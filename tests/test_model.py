@@ -387,13 +387,12 @@ class TestSourceSpan:
 
     def test_offset_span_equals_eager_span(self):
         # "ab\ncd": lines start at offsets 0 and 3
-        lazy = SourceSpan.at_offsets(("f", [0, 3]), 1, 4)
+        lazy = SourceSpan.factory(("f", [0, 3]))(1, 4)
         eager = SourceSpan("f", 1, 2, 2, 2)
         assert lazy == eager and eager == lazy
         assert hash(lazy) == hash(eager)
         assert pickle.loads(pickle.dumps(lazy)) == eager
-        assert copy.deepcopy(SourceSpan.at_offsets(
-            ("f", [0, 3]), 1, 4)) == eager
+        assert copy.deepcopy(SourceSpan.factory(("f", [0, 3]))(1, 4)) == eager
 
 
 def test_walk_orders():

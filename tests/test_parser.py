@@ -26,7 +26,7 @@ from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
                            DimensionSet, Expr, Literal, Model, ModelError, Ref,
                            SourceSpan, Unary, ValueTable, Variable,
                            VariableKind, iter_dependencies, iter_nodes)
-from dimcalc.parser import (ParseFailure, format_expr, format_ident,
+from dimcalc.parser import (KEYWORDS, ParseFailure, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
 from test_evaluator import layered_models
 
@@ -410,6 +410,22 @@ DIAGNOSTIC_TABLE = [
                 dimension_sets=[["N"], ["M"]])]),
     ("input a = 1\ncalc X = (nope) + 1\n", [
         _error("P-UNDECLARED", "no variable named nope", 2, 10, 2, 16)]),
+    # the over clause: every token of it can fail
+    ("dimension D = [a]\ncalc X over () = 1\n", [
+        _error("P-SYNTAX", "expected a dimension name, got ')'", 2, 14, 2, 15)]),
+    ("dimension D = [a]\ncalc X over (D,) = 1\n", [
+        _error("P-SYNTAX", "expected a dimension name, got ')'", 2, 16, 2, 17)]),
+    ("dimension D = [a]\ncalc X over (D, over) = 1\n", [
+        _error("P-SYNTAX", "'over' is a reserved keyword and cannot be used "
+               "as a dimension name", 2, 17, 2, 21)]),
+    ("dimension D = [a]\ncalc X over D = 1\n", [
+        _error("P-SYNTAX", "expected '(', got 'D'", 2, 13, 2, 14)]),
+    ("dimension D = [a]\ncalc X over (D = 1\n", [
+        _error("P-SYNTAX", "expected ')', got '='", 2, 16, 2, 17)]),
+    ("dimension D = [a]\ncalc X over (D) 1\n", [
+        _error("P-SYNTAX", "calc X needs '=' and a formula", 2, 17, 2, 18)]),
+    ("dimension D = [a]\ninput X over (D) 1\n", [
+        _error("P-SYNTAX", "unexpected '1' after declaration", 2, 18, 2, 19)]),
 ]
 
 
@@ -979,16 +995,23 @@ def test_parser_is_total(text):
             assert diag.render()
 
 
-# About 1 MB each of blanks and comments. The blanks and comment before a
-# token are one prefix of its match that can be read only one way, so each
-# text is one match; a prefix the regex engine could split several ways
-# would backtrack over the whole run at every offset.
-@pytest.mark.parametrize("text,codes", [
-    ("' ' * 1_000_000 + '@'", ["P-TOKEN"]),
-    ("'# c # d\\t \\r' * 100_000", []),
-    ("' \\t' * 500_000", []),
-], ids=["spaces-then-bad", "comment-marks", "space-tab"])
-def test_long_blank_runs_tokenize_in_linear_time(text, codes):
+# About 1 MB each of blanks and comments, or of digits. The blanks and
+# comment before a token are one prefix of its match that can be read only
+# one way, so each text is one match; a prefix the regex engine could split
+# several ways would backtrack over the whole run at every offset. A number
+# and what is glued to it are read once: a class for a number with nothing
+# glued that looked past its digits would give them back one at a time,
+# linear still, but some 20 times as slow on these runs.
+@pytest.mark.parametrize("text,kinds,codes", [
+    ("' ' * 1_000_000 + '@'", ["eof"], ["P-TOKEN"]),
+    ("'# c # d\\t \\r' * 100_000", ["eof"], []),
+    ("' \\t' * 500_000", ["eof"], []),
+    ("'1' * 1_000_000 + 'x'", ["eof"], ["P-NUMBER"]),
+    ("'1' * 1_000_000 + '%'", ["number", "eof"], ["P-NUMBER"]),
+    ("'1.' + '2' * 1_000_000 + 'e'", ["eof"], ["P-NUMBER"]),
+], ids=["spaces-then-bad", "comment-marks", "space-tab", "digits-then-letter",
+        "digits-then-percent", "fraction-then-e"])
+def test_long_blank_runs_tokenize_in_linear_time(text, kinds, codes):
     # in a fresh interpreter, so that a backtracking regex fails the test by
     # the timeout rather than hanging the run
     source = ("import json, sys, time; sys.path.insert(0, sys.argv[1]); "
@@ -996,7 +1019,8 @@ def test_long_blank_runs_tokenize_in_linear_time(text, codes):
               f"text = {text}; diags = []; start = time.perf_counter(); "
               "tokens = list(_tokenize(text, _spans_of(text, 't'), diags)); "
               "print(json.dumps([time.perf_counter() - start, len(text), "
-              "tokens, [d.code for d in diags]]))")
+              "[[t[0], t[1][:3], *t[2:]] for t in tokens], "
+              "[d.code for d in diags]]))")
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", source,
          str(Path(parser_module.__file__).parents[1])],
@@ -1004,7 +1028,10 @@ def test_long_blank_runs_tokenize_in_linear_time(text, codes):
     assert result.returncode == 0, result.stderr
     elapsed, size, tokens, found = json.loads(result.stdout)
     assert size > 900_000
-    assert tokens == [["eof", "", None, size, size]]
+    assert [t[0] for t in tokens] == kinds
+    assert tokens[-1] == ["eof", "", None, size, size]
+    if kinds[0] == "number":  # the digits and their '%'
+        assert tokens[0] == ["number", "111", math.inf, 0, size]
     assert found == codes
     assert elapsed < 1.0  # linear: about 5 ms
 
@@ -1021,13 +1048,17 @@ def test_keywords_are_their_own_token_kinds():
 
 
 _TOKEN_CHARS = st.sampled_from(list(" \t\r\n#\"\\%.,:=()[]{}+-*/^_aZ09eE@é"))
+# the characters above, keywords, and a number out of range
+_TOKEN_PIECES = st.one_of(_TOKEN_CHARS, st.sampled_from([*KEYWORDS, "9e999"]))
 
 
-@given(st.one_of(st.text(_TOKEN_CHARS, max_size=120), st.text(max_size=60)))
-@settings(max_examples=300)
+@given(st.one_of(st.text(_TOKEN_CHARS, max_size=120), st.text(max_size=60),
+                 st.lists(_TOKEN_PIECES, max_size=60).map("".join)))
+@settings(max_examples=max(300, settings.default.max_examples))
 def test_tokens_and_skipped_text_tile_the_source(text):
     # between tokens, and the bad runs and malformed numbers that make no
-    # token, lie only blanks, a comment, and newlines inside a bracket group
+    # token, lie only blanks, a comment, and newlines inside a bracket group;
+    # each token's text and value are the source's at its span
     diags = []
     tokens = list(parser_module._tokenize(text, lambda *offsets: offsets, diags))
     assert [t[3] for t in tokens] == sorted(t[3] for t in tokens)
@@ -1035,6 +1066,7 @@ def test_tokens_and_skipped_text_tile_the_source(text):
     assert tokens[-1] == ("eof", "", None, len(text), len(text))
     dropped = [(*d.span, None) for d in diags if d.message.startswith(
         ("unexpected character", "malformed number"))]
+    flagged = {d.span for d in diags if d.code == "P-NUMBER"}
     pos = depth = 0
     for start, end, tok in sorted([(t[3], t[4], t) for t in tokens] + dropped):
         gap = r"(?:[ \t\r]|#[^\n]*|\n)*" if depth else r"[ \t\r]*(?:#[^\n]*)?"
@@ -1044,8 +1076,19 @@ def test_tokens_and_skipped_text_tile_the_source(text):
             continue
         if tok[0] == "newline":
             assert text[start:end] == "\n" and depth == 0
-        elif tok[0] == "name" or tok[0] in set("=,:()[]{}+-*/^"):
-            assert text[start:end] == tok[1]
+        elif tok[0] == "name":
+            assert text[start:end] == tok[1] and tok[1] not in KEYWORDS
+        elif tok[0] in KEYWORDS or tok[0] in set("=,:()[]{}+-*/^"):
+            assert text[start:end] == tok[1] == tok[0]
+        elif tok[0] == "qname":
+            assert text[start] == '"'
+        elif tok[0] == "number":
+            # a '%' after the digits, or a value out of range, is reported
+            percent = text[start:end] == tok[1] + "%"
+            assert text[start:end] == tok[1] or percent
+            assert tok[2] == float(tok[1])
+            assert ((start, end) in flagged if percent or math.isinf(tok[2])
+                    else math.isfinite(tok[2]))
         if tok[0] in ("(", "[", "{"):
             depth += 1
         elif tok[0] in (")", "]", "}") and depth:
