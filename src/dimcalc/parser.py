@@ -340,20 +340,20 @@ class _Parser:
         """
         next_tok, span = self.next, self.span
         operands: list[Expr] = []
-        # (precedence, operator) entries; "neg" is a prefix minus and "(" an
-        # open group, which no operator reduces past
-        ops: list[tuple[int, str]] = []
-        groups: list[tuple] = []  # the tokens that opened the open groups
+        # (precedence, operator) entries, "neg" a prefix minus; an open group
+        # is (0, its opening token), which no operator reduces past, so after
+        # a reduction at precedence 1 an empty stack means no group is open
+        ops: list[tuple] = []
         neg = _NEG
         tok = self.tok  # the cursor, written back to self.tok around calls
         while True:
-            # operand position: prefix minuses and open groups, then an atom
+            # operand position: prefix minuses and open groups, then an atom;
+            # only a group resets neg, so each minus of a run after ^ takes one atom
             while (kind := tok[0]) == "-" or kind == "(":
                 if kind == "-":
                     ops.append(neg)
                 else:
-                    ops.append(_OPEN)
-                    groups.append(tok)
+                    ops.append((0, tok))
                     neg = _NEG
                 tok = next_tok()
             if kind == "number":
@@ -366,17 +366,29 @@ class _Parser:
                 tok = self.tok
             last = tok
             tok = next_tok()
-            # operator position: close groups, then a binary operator or the end
-            while (entry := _BINARY.get(tok[0])) is None:
+            # operator position, the one reduction site: apply what binds at
+            # least as tightly as the next operator (all, down to the innermost
+            # group, at a ')' or the end), then push it, close the group or return
+            while True:
+                entry = _BINARY.get(tok[0])
+                prec = 1 if entry is None else entry[0]
+                while ops and ops[-1][0] >= prec:
+                    op = ops.pop()[1]
+                    right = operands.pop()
+                    if op == "neg":  # folded, so -5 round-trips as Literal(-5)
+                        operands.append(Literal(-right.value)
+                                        if type(right) is Literal
+                                        else Unary(right))
+                    else:  # the left operand's place takes the result
+                        operands[-1] = Binary(op, operands[-1], right)
+                if entry is not None:
+                    break
                 self.tok = tok
-                if not groups:
-                    _reduce(operands, ops, 1)
+                if not ops:
                     return operands[0], last
                 last = self._expect(")")
                 tok = self.tok
-                _reduce(operands, ops, 1)
-                ops.pop()
-                opening = groups.pop()
+                opening = ops.pop()[1]
                 # a diagnostic on a grouped reference covers the parentheses
                 node = operands[-1]
                 if type(node) is Ref:
@@ -384,7 +396,6 @@ class _Parser:
                 elif type(node) is Aggregate:
                     operands[-1] = Aggregate(
                         node.source, span=span(opening[3], last[4]))
-            _reduce(operands, ops, entry[0])
             ops.append(entry)
             neg = _EXPONENT_NEG if entry[1] == "^" else _NEG
             tok = next_tok()
@@ -415,20 +426,7 @@ _BINARY = {op: (prec, op) for op, prec in zip("+-*/^", (1, 1, 2, 2, 4))}
 _NEG_PREC = 3  # prefix minus: tighter than * and /, looser than ^
 _NEG = (_NEG_PREC, "neg")
 _EXPONENT_NEG = (5, "neg")  # a minus right after ^ takes only the next atom
-_OPEN = (0, "(")
 _ENDS = {"eof": "end of file", "newline": "end of line"}  # for _describe
-
-
-def _reduce(operands: list[Expr], ops: list, prec: int) -> None:
-    """Apply the stacked operators that bind at least as tightly as prec."""
-    while ops and ops[-1][0] >= prec:
-        op = ops.pop()[1]
-        right = operands.pop()
-        if op == "neg":  # folded on a literal, so -5 round-trips as Literal(-5)
-            operands.append(Literal(-right.value) if type(right) is Literal
-                            else Unary(right))
-        else:  # the left operand's place takes the result
-            operands[-1] = Binary(op, operands[-1], right)
 
 
 def _describe(tok: tuple) -> str:

@@ -1,4 +1,5 @@
-"""Brute-force reference calculations for the two shipped fixture models.
+"""Brute-force reference calculations for the two shipped fixture models,
+and a reference reader for formulas.
 
 Everything here is computed with flat dicts and explicit nested loops over
 instance labels, straight from the case tables. No code is shared with the
@@ -6,9 +7,14 @@ engine: a broadcasting or aggregation bug in dimcalc cannot be mirrored here.
 
 Values are keyed by (variable name, instance-label tuple); scalars use the
 empty tuple.
+
+The formula reader is a recursive descent written from the README's
+precedence rules, one function per level, with no engine code either, so a
+parser and a printer that drift together still disagree with it.
 """
 
 import math
+import re
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -226,3 +232,94 @@ def oracle_pricing(price):
         total_profit += profit
     out[("Total_Profit", ())] = total_profit
     return out
+
+
+# One token of a valid formula after optional blanks: a number, a name, or
+# one mark.
+_FORMULA_TOKEN = re.compile(
+    r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_]\w*)|(\S))")
+
+
+def oracle_formula(text):
+    """Read one valid formula as nested tuples: ("num", value), ("ref",
+    name), ("sum", name), ("neg", operand) and (op, left, right).
+
+    Loosest to tightest: `+ -`, then `* /`, then unary minus, then `^`, which
+    is left-associative. A minus right after `^` (or after such a minus)
+    negates the next atom only, so `a ^ -b ^ c` is (a ^ -b) ^ c. A minus on
+    a number is folded into it, as the parser does.
+    """
+    tokens = []
+    for number, name, mark in _FORMULA_TOKEN.findall(text):
+        tokens.append(("num", float(number)) if number else
+                      ("name", name) if name else (mark, mark))
+    tokens.append(("end", ""))
+    pos = 0
+
+    def peek():
+        return tokens[pos][0]
+
+    def take(kind=None):
+        nonlocal pos
+        tok = tokens[pos]
+        assert kind is None or tok[0] == kind, (kind, tok, text)
+        pos += 1
+        return tok
+
+    def negate(operand):
+        if operand[0] == "num":
+            return ("num", -operand[1])
+        return ("neg", operand)
+
+    def sums():  # + and -, left to right
+        left = products()
+        while peek() in ("+", "-"):
+            op = take()[0]
+            left = (op, left, products())
+        return left
+
+    def products():  # * and /, left to right
+        left = prefixed()
+        while peek() in ("*", "/"):
+            op = take()[0]
+            left = (op, left, prefixed())
+        return left
+
+    def prefixed():  # a unary minus takes a whole ^ chain
+        if peek() == "-":
+            take()
+            return negate(prefixed())
+        return powers()
+
+    def powers():  # ^, left to right
+        left = atom()
+        while peek() == "^":
+            take()
+            left = ("^", left, exponent())
+        return left
+
+    def exponent():  # a minus right after ^ takes the next atom alone
+        if peek() == "-":
+            take()
+            return negate(exponent())
+        return atom()
+
+    def atom():
+        kind, value = take()
+        if kind == "num":
+            return ("num", value)
+        if kind == "(":
+            inner = sums()
+            take(")")
+            return inner
+        assert kind == "name", (kind, text)
+        if value != "SUM":
+            return ("ref", value)
+        take("(")
+        source = take("name")[1]
+        take(")")
+        return ("sum", source)
+
+    tree = sums()
+    take("end")
+    return tree

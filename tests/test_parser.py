@@ -28,6 +28,7 @@ from dimcalc.model import (EMPTY_DIMS, Aggregate, Binary, Dimension,
                            VariableKind, iter_dependencies, iter_nodes)
 from dimcalc.parser import (KEYWORDS, ParseFailure, format_expr, format_ident,
                             format_number, parse_model, pretty_print)
+from oracles import oracle_formula
 from test_evaluator import layered_models
 
 
@@ -426,6 +427,11 @@ DIAGNOSTIC_TABLE = [
         _error("P-SYNTAX", "calc X needs '=' and a formula", 2, 17, 2, 18)]),
     ("dimension D = [a]\ninput X over (D) 1\n", [
         _error("P-SYNTAX", "unexpected '1' after declaration", 2, 18, 2, 19)]),
+    # a ')' with no group open ends the formula, and the statement reports it
+    ("input a = 1\ncalc X = a )\n", [
+        _error("P-SYNTAX", "unexpected ')' after declaration", 2, 12, 2, 13)]),
+    ("input a = 1\ncalc X = (a))\n", [
+        _error("P-SYNTAX", "unexpected ')' after declaration", 2, 13, 2, 14)]),
 ]
 
 
@@ -795,6 +801,23 @@ class TestExpressions:
     def test_unary_minus_in_exponent(self):
         assert self.expr("a ^ -b") == Binary("^", Ref("a"), Unary(Ref("b")))
         assert format_expr(self.expr("a ^ -b")) == "a ^ -b"
+        assert format_expr(self.expr("a ^ - - b ^ c")) == "a ^ --b ^ c"
+
+    # a run of minuses right after ^ takes only the next atom, however long
+    # the run, and a group reads as that atom; before a ^ chain they negate
+    # the whole chain
+    @pytest.mark.parametrize("text,expected", [
+        ("a ^ - - b ^ c", Binary("^", Binary("^", Ref("a"), Unary(Unary(
+            Ref("b")))), Ref("c"))),
+        ("a ^ - - 2 ^ c", Binary("^", Binary("^", Ref("a"), Literal(2.0)),
+                                 Ref("c"))),
+        ("a ^ -(b) ^ c", Binary("^", Binary("^", Ref("a"), Unary(Ref("b"))),
+                                Ref("c"))),
+        ("- - a ^ b", Unary(Unary(Binary("^", Ref("a"), Ref("b"))))),
+    ])
+    def test_minus_runs_around_power(self, text, expected):
+        assert self.expr(text) == expected
+        assert self.expr(format_expr(expected)) == expected
 
     def test_negative_literal_folds(self):
         assert self.expr("-2") == Literal(-2.0)
@@ -942,7 +965,12 @@ def expressions(draw, depth=3):
                       allow_nan=False).map(Literal),
             names.map(Ref)))
     if kind == 1:
-        return Unary(draw(expressions(depth=depth - 1)))
+        # a run of one to three minuses is one step, so --x can be the right
+        # operand of a ^ that is the left operand of another ^
+        expr = draw(expressions(depth=depth - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            expr = Unary(expr)
+        return expr
     if kind == 2:
         return Aggregate(draw(names))
     op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
@@ -969,6 +997,57 @@ def test_expr_print_parse_round_trip(expr):
             return Binary(e.op, fold(e.left), fold(e.right))
         return e
     assert parsed == fold(expr)
+
+
+_NUMBER_TEXTS = st.sampled_from(["0", "2", "0.5", "12.", ".25", "1e3"])
+
+
+@st.composite
+def formula_texts(draw, depth=3):
+    """A valid formula: one to four operands joined by binary operators, ^
+    drawn most. Each operand is a run of up to three prefix minuses before a
+    number, a name, SUM(name) or, above depth 0, a group."""
+    tokens = []
+    for i in range(draw(st.integers(1, 4))):
+        if i:
+            tokens.append(draw(st.sampled_from("+-*/^^^")))
+        tokens += "-" * draw(st.integers(0, 3))
+        kind = draw(st.integers(0 if depth else 1, 3))
+        if kind == 0:
+            tokens += ["(", draw(formula_texts(depth - 1)), ")"]
+        elif kind == 1:
+            tokens.append(draw(_NUMBER_TEXTS))
+        elif kind == 2:
+            tokens.append(draw(names))
+        else:
+            tokens.append(f"SUM({draw(names)})")
+    return "".join(tok + draw(st.sampled_from(["", " "])) for tok in tokens)
+
+
+def _as_tuples(expr):
+    """A parsed formula in the reference reader's nested-tuple form."""
+    kind = type(expr)
+    if kind is Binary:
+        return (expr.op, _as_tuples(expr.left), _as_tuples(expr.right))
+    if kind is Unary:
+        return ("neg", _as_tuples(expr.operand))
+    if kind is Literal:
+        return ("num", expr.value)
+    if kind is Ref:
+        return ("ref", expr.name)
+    return ("sum", expr.source)
+
+
+# The parser against a reader written from the README's precedence rules;
+# the round trip above goes through format_expr, so a printer that drifts
+# with the parser would pass it, but not this
+@given(formula_texts())
+@settings(max_examples=max(300, settings.default.max_examples))
+def test_formula_matches_a_reference_reader(text):
+    header = "input a = 1\ninput b = 2\ninput c = 3\ninput d = 4\n"
+    parsed = parse_model(header + "calc X = " + text + "\n").variable("X")
+    # compared as reprs, so a folded -0 is not taken for 0
+    assert repr(_as_tuples(parsed.payload)) == repr(oracle_formula(text))
 
 
 @st.composite
