@@ -4,7 +4,8 @@ Subcommands: check (static verification), eval (compute and export CSV),
 diagram (DOT dependency graph), explain (describe one variable).
 
 Exit codes: 0 success, 1 parse or check errors, 2 evaluation error,
-3 usage error. Diagnostics go to stderr; results go to stdout or files.
+3 usage error, each the exit_code of the DiagnosticFailure raised. Results
+go to stdout or files; warnings, then the failure, go last to stderr.
 """
 
 from __future__ import annotations
@@ -21,12 +22,17 @@ from types import SimpleNamespace
 
 from .checker import CheckedModel, check_model
 from .diagram import emit_dot
-from .evaluator import EvalError, InputOverride, evaluate
-from .model import DiagnosticFailure, ValueTable, VariableKind
+from .evaluator import InputOverride, evaluate
+from .model import Diagnostic, DiagnosticFailure, ValueTable, VariableKind
 from .parser import format_expr, format_number, parse_cell, parse_model
 
-class _Usage(Exception):
-    """Bad invocation; maps to exit code 3."""
+class _Usage(DiagnosticFailure):
+    """Bad invocation: one diagnostic without a code or a span."""
+
+    exit_code = 3
+
+    def __init__(self, message: str):
+        super().__init__([Diagnostic("error", None, message, None)])
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -48,15 +54,7 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def _print_diagnostics(diagnostics, as_json: bool):
-    if as_json:
-        print(_json_text([d.as_json() for d in diagnostics]), file=sys.stderr)
-    else:
-        for d in diagnostics:
-            print(d.render(), file=sys.stderr)
-
-
-def _load_checked(path: str, as_json: bool) -> CheckedModel:
+def _load_checked(path: str) -> CheckedModel:
     try:
         # not read_text, whose universal newlines end a line at a quoted CR;
         # utf-8-sig drops the byte-order mark some editors write first
@@ -64,10 +62,7 @@ def _load_checked(path: str, as_json: bool) -> CheckedModel:
     except (OSError, UnicodeDecodeError) as e:
         raise _Usage(f"cannot read {path}: "
                      f"{getattr(e, 'strerror', None) or e}") from None
-    checked = check_model(parse_model(text, path))
-    if checked.warnings:
-        _print_diagnostics(checked.warnings, as_json)
-    return checked
+    return check_model(parse_model(text, path))
 
 
 def _cmd_check(args, checked: CheckedModel) -> None:
@@ -279,25 +274,24 @@ def main(argv=None) -> int:
     an invocation builds forms no cycle, so reference counting frees it."""
     collecting = gc.isenabled()
     gc.disable()
+    as_json, warnings, failure, code = False, (), (), 0
     try:
         args = _PARSER.parse_args(argv)
-        args.func(args, _load_checked(args.model, args.json))
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except DiagnosticFailure as e:
-        _print_diagnostics(e.diagnostics, args.json)
-        return 1
-    except EvalError as e:
-        print(e, file=sys.stderr)
-        return 2
+        as_json = args.json  # argparse's own errors, before it, stay text
+        checked = _load_checked(args.model)
+        warnings = checked.warnings
+        args.func(args, checked)
+    except DiagnosticFailure as e:  # keep no e: its traceback holds this frame
+        failure, code = e.diagnostics, e.exit_code
     except MemoryError:  # nothing bounds a tensor's cells before it is made
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        failure, code = [Diagnostic("error", None, "out of memory", None)], 2
     finally:
         if collecting:
             gc.enable()
-    return 0
+    if shown := [*warnings, *failure]:
+        print(_json_text([d.as_json() for d in shown]) if as_json
+              else "\n".join(d.render() for d in shown), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from itertools import chain
 from .checker import CheckedModel
 from .model import (
     Binary,
+    Diagnostic,
+    DiagnosticFailure,
     DimensionSet,
     Literal,
     Model,
@@ -51,20 +53,20 @@ class InputOverride(Record):
         object.__setattr__(self, "value", value)
 
 
-class EvalError(Exception):
+class EvalError(DiagnosticFailure):
     """A numeric failure at one cell; evaluation stops here. The fields are
     the arguments, which pickle and copy pass back."""
 
+    exit_code = 2
+
     def __init__(self, kind: str, variable: str, labels: tuple[str, ...],
                  detail: str):
-        super().__init__(kind, variable, labels, detail)
+        Exception.__init__(self, kind, variable, labels, detail)
         self.kind, self.variable, self.labels, self.detail = self.args
-
-    def __str__(self) -> str:
         # written as --set reads a cell address back
-        cell = format_ident(self.variable) + (
-            f"[{','.join(map(format_ident, self.labels))}]" if self.labels else "")
-        return f"error[{self.kind}]: {cell}: {self.detail}"
+        cell = format_ident(variable) + (
+            f"[{','.join(map(format_ident, labels))}]" if labels else "")
+        self.diagnostics = [Diagnostic("error", kind, f"{cell}: {detail}", None)]
 
 
 class EvaluationResult(Record):

@@ -120,12 +120,12 @@ _SET_END = SourceSpan._end.__set__
 
 
 class Diagnostic(Record):
-    """One finding of the parser or the checker. `severity` is "error" or
-    "warning"; a diagnostic without a span renders without a location."""
+    """A finding or failure of any stage; `severity` is "error" or "warning".
+    Without a `span` it renders no location, without a `code` no `[code]`."""
 
     __slots__ = _fields = ("severity", "code", "message", "span")
 
-    def __init__(self, severity: str, code: str, message: str,
+    def __init__(self, severity: str, code: str | None, message: str,
                  span: SourceSpan | None):
         object.__setattr__(self, "severity", severity)
         object.__setattr__(self, "code", code)
@@ -134,7 +134,8 @@ class Diagnostic(Record):
 
     def render(self) -> str:
         where = f"{self.span}: " if self.span else ""
-        return f"{where}{self.severity}[{self.code}]: {self.message}"
+        code = "" if self.code is None else f"[{self.code}]"
+        return f"{where}{self.severity}{code}: {self.message}"
 
     def as_json(self) -> dict:
         return {"severity": self.severity, "code": self.code,
@@ -145,11 +146,14 @@ class Diagnostic(Record):
 class DiagnosticFailure(Exception):
     """Diagnostics that stop a stage, sorted by where they start (those
     without a span first) and then by code: the one argument, which pickle
-    and copy pass back. The message renders them."""
+    and copy pass back. `str()` renders them; the CLI exits `exit_code`."""
+
+    exit_code = 1
 
     def __init__(self, diagnostics):
         self.diagnostics = sorted(diagnostics, key=lambda d: (
-            (d.span.start_line, d.span.start_col) if d.span else (0, 0), d.code))
+            (d.span.start_line, d.span.start_col) if d.span else (0, 0),
+            d.code or ""))
         super().__init__(self.diagnostics)
 
     def __str__(self) -> str:

@@ -32,6 +32,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def as_text(err: str) -> str:
+    """The text stderr a --json stderr stands for. The stderr is one JSON
+    array, indented as the stdlib indents it; each object renders as a
+    diagnostic does, read from its own keys."""
+    array = json.loads(err)
+    assert isinstance(array, list) and array
+    assert err == json.dumps(array, indent=2) + "\n"
+    lines = []
+    for d in array:
+        span = d["span"]
+        where = (f"{span['file']}:{span['start_line']}:{span['start_col']}: "
+                 if span else "")
+        code = "" if d["code"] is None else f"[{d['code']}]"
+        lines.append(f"{where}{d['severity']}{code}: {d['message']}\n")
+    return "".join(lines)
+
+
 class TestCheck:
     def test_acme_summary(self, capsys):
         code, out, err = run(capsys, "check", ACME)
@@ -851,6 +868,8 @@ class TestFailureMatrix:
         path = str(tmp_path / "ghost.dml")
         code, out, err = self.call(capsys, command, path, flags)
         assert (code, out) == (3, "")
+        if flags:
+            err = as_text(err)
         assert err.startswith(f"error: cannot read {path}: ")
 
 
@@ -864,14 +883,13 @@ def test_warning_then_eval_error(capsys, tmp_path, as_json):
     code, out, err = run(capsys, "eval", str(model), "--out-dir",
                          str(tmp_path / "out"), *(["--json"] if as_json else []))
     assert (code, out) == (2, "")
+    if as_json:  # one array holds the warning and the failure
+        err = as_text(err)
     warning, failure = err.rstrip("\n").rsplit("\n", 1)
     assert failure == "error[DIV-BY-ZERO]: Y[b]: 1.0 / 0"
-    if as_json:
-        assert [d["code"] for d in json.loads(warning)] == ["R3-DEGENERATE"]
-    else:
-        assert warning == (f"{model}:3:19: warning[R3-DEGENERATE]: SUM(X) "
-                           f"eliminates nothing: source and target are both "
-                           f"over (M)")
+    assert warning == (f"{model}:3:19: warning[R3-DEGENERATE]: SUM(X) "
+                       f"eliminates nothing: source and target are both "
+                       f"over (M)")
     assert not (tmp_path / "out").exists()
 
 
@@ -886,8 +904,62 @@ def test_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch,
     monkeypatch.setattr("dimcalc.cli.evaluate", exhausted)
     code, out, err = run(capsys, "eval", ACME, "--out-dir",
                          str(tmp_path / "out"), *(["--json"] if as_json else []))
+    if as_json:
+        err = as_text(err)
     assert (code, out, err) == (2, "", "error: out of memory\n")
     assert not (tmp_path / "out").exists()
+
+
+# every way main() fails once its arguments are read: (exit code, argv),
+# run in a directory that failure_argv sets up
+_FAILURES = {
+    "parse": (1, ["check", "percent.dml"]),
+    "check": (1, ["check", str(FIXTURES / "bad_rule2.dml")]),
+    "eval-error": (2, ["eval", ACME, "--set", "Base_Price=0",
+                       "--out-dir", "out"]),
+    "missing-input": (2, ["eval", PRICING, "--out-dir", "out"]),
+    "unreadable": (3, ["check", "ghost.dml"]),
+    "non-utf8": (3, ["check", "latin1.dml"]),
+    "bad-override": (3, ["eval", ACME, "--set", "Nope=1"]),
+    "malformed-set": (3, ["eval", ACME, "--set", "Base_Price"]),
+    "unknown-var": (3, ["eval", ACME, "--var", "Nope"]),
+    "unknown-explain": (3, ["explain", ACME, "Nope"]),
+    "write-csv": (3, ["eval", ACME, "--out-dir", "taken"]),
+    "write-dot": (3, ["diagram", ACME, "-o", "missing/acme.dot"]),
+    "out-of-memory": (2, ["eval", ACME, "--out-dir", "out"]),
+    "warning-then-eval-error": (2, ["eval", "warned.dml", "--out-dir", "out"]),
+}
+
+
+def failure_argv(name, tmp_path, monkeypatch):
+    """_FAILURES[name], with its files written and, for out-of-memory, an
+    evaluator that raises MemoryError and allocates nothing large."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.chdir(tmp_path)
+    Path("percent.dml").write_text("input X = 40%\n")
+    Path("latin1.dml").write_bytes("input Pr\xe9is = 1\n".encode("latin-1"))
+    Path("taken").write_text("")
+    Path("warned.dml").write_text("dimension M = [a, b]\n"
+                                  "input X over (M) = [1, 0]\n"
+                                  "calc S over (M) = SUM(X)\n"
+                                  "output Y over (M) = 1 / S\n")
+    if name == "out-of-memory":
+        monkeypatch.setattr("dimcalc.cli.evaluate", exhausted)
+    return _FAILURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(_FAILURES))
+def test_json_failure_renders_as_the_text(capsys, tmp_path, monkeypatch,
+                                          name):
+    # --json changes only the form of stderr: one array, whose objects
+    # render to the text run's lines, under the same exit code
+    code, argv = failure_argv(name, tmp_path, monkeypatch)
+    text = run(capsys, *argv)
+    as_json = run(capsys, *argv, "--json")
+    assert text[:2] == as_json[:2] == (code, "") and text[2]
+    assert as_text(as_json[2]) == text[2]
 
 
 # an address holds anything but an LF: quotes, backslashes, the address's
@@ -1035,6 +1107,13 @@ class TestNoCycles:
             assert (code, garbage) == (1, 0)
             counts.append(len(json.loads(err)))
         assert sorted(set(counts)) == [1, 20]
+
+    @pytest.mark.parametrize("name", ["eval-error", "unreadable",
+                                      "bad-override", "out-of-memory"])
+    def test_json_failure_leaves_no_cyclic_garbage(self, capsys, tmp_path,
+                                                   monkeypatch, name):
+        code, argv = failure_argv(name, tmp_path, monkeypatch)
+        assert _cyclic_garbage(capsys, [*argv, "--json"])[:2] == (code, 0)
 
 
 # what as_json() gives: nested dicts and lists of text, ints and None

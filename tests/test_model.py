@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from dimcalc.checker import (CheckDiagnostic, CheckedModel, CheckFailure,
                              check_model)
 from dimcalc.evaluator import EvalError, EvaluationResult, InputOverride
-from dimcalc.model import (Aggregate, Binary, DiagnosticFailure, Dimension,
-                           DimensionSet, EMPTY_DIMS, Expr, Literal, Model,
-                           ModelError, Ref, SourceSpan, Tensor, Unary,
+from dimcalc.model import (Aggregate, Binary, Diagnostic, DiagnosticFailure,
+                           Dimension, DimensionSet, EMPTY_DIMS, Expr, Literal,
+                           Model, ModelError, Ref, SourceSpan, Tensor, Unary,
                            ValueTable, Variable, VariableKind, difference,
                            iter_dependencies, iter_nodes)
 from dimcalc.parser import ParseDiagnostic, ParseFailure, parse_model
@@ -257,9 +257,11 @@ def test_diagnostic_failures_share_one_base():
                                  SourceSpan("f", 1, 9, 1, 12))
     unplaced = CheckDiagnostic("warning", "R3-DEGENERATE", "no span", None)
     assert unplaced.render() == "warning[R3-DEGENERATE]: no span"
-    failure = DiagnosticFailure([late, early, same_place, unplaced])
-    # span-less first, then by line, column and code
-    assert failure.diagnostics == [unplaced, same_place, early, late]
+    uncoded = Diagnostic("error", None, "no code", None)
+    assert uncoded.render() == "error: no code"
+    failure = DiagnosticFailure([late, early, same_place, unplaced, uncoded])
+    # span-less first, then by line, column and code, no code first
+    assert failure.diagnostics == [uncoded, unplaced, same_place, early, late]
     assert str(failure) == "\n".join(d.render() for d in failure.diagnostics)
     for stage, source in ((ParseFailure, "input X = 40%\n"),
                           (CheckFailure, "calc A = B\ncalc B = A\n")):

@@ -432,6 +432,13 @@ DIAGNOSTIC_TABLE = [
         _error("P-SYNTAX", "unexpected ')' after declaration", 2, 12, 2, 13)]),
     ("input a = 1\ncalc X = (a))\n", [
         _error("P-SYNTAX", "unexpected ')' after declaration", 2, 13, 2, 14)]),
+    # two or more dimensions the target lacks take the plural
+    ("dimension A = [a]\ndimension B = [b]\ndimension C = [c]\n"
+     "data X over (A, B, C) = {a,b,c: 1}\ncalc Y over (A) = X + 1\n", [
+         _error("R2-NOT-SUBSET", "operand X spans (A, B, C), which is not a "
+                "subset of Y's declared set (A): (B, C) are not available "
+                "here", 5, 19, 5, 20, variables=["Y", "X"],
+                dimension_sets=[["A", "B", "C"], ["A"]])]),
 ]
 
 
