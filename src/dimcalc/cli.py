@@ -11,7 +11,6 @@ go to stdout or files; warnings, then the failure, go last to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import itertools
 import operator
@@ -96,6 +95,7 @@ def _cannot_write(e: OSError) -> _Usage:
 
 
 def _quote(labels) -> list[str]:
+    import csv  # only CSV export needs it, so other commands start without it
     # csv.writer quotes each instance label once, as the first of two fields
     # in the file's own dialect (its line terminator decides whether an LF
     # needs quotes); a row is then its labels' quoted text plus its value
@@ -126,6 +126,7 @@ def _write_csv(directory: Path, name: str, tensor, model) -> None:
     # beside it, quoted a column at a time; a last axis longer than that is
     # quoted 4,096 labels a block. So no string holds the whole file, nor a
     # list every quoted label of one axis
+    import csv  # as in _quote
     axes = [model.dimension(dim).instances for dim in tensor.dims]
     inner = [""]
     while axes and len(inner) * len(axes[-1]) <= 4096:

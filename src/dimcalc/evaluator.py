@@ -1,12 +1,13 @@
 """Whole-model evaluation of a checked model.
 
 Variables are computed in the checker's topological order, one dense
-tensor per variable (row-major over the declared dimension set), each a
-tuple made once, when its variable is computed. A formula runs
-whole-tensor: every node, in post-order, is one list operation over all
-cells of the target, reading its operands from their tensors. A
-reference to a smaller-dimensioned operand broadcasts: its values repeat
-along the target dimensions it lacks. SUM adds the source cells over the
+tensor per variable (row-major over the declared dimension set), each an
+`array('d')` of 8 bytes a cell, made once, when its variable is computed,
+and held by no other tensor or table. A formula runs whole-tensor: every
+node, in post-order, is one list operation over all cells of the target,
+reading its operands from their tensors. A reference to a
+smaller-dimensioned operand broadcasts: its values repeat along the
+target dimensions it lacks. SUM adds the source cells over the
 eliminated dimensions in declaration order, as a left fold from 0.0,
 which keeps results bit-identical across runs and Python versions.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from itertools import chain
 
 from .checker import CheckedModel
@@ -71,7 +73,8 @@ class EvalError(DiagnosticFailure):
 
 class EvaluationResult(Record):
     """One Tensor per variable, in declaration order, and the order used;
-    an input or data variable that no override sets shares its table."""
+    each tensor's values are its own array, an input's or data variable's
+    a copy of its table."""
 
     __slots__ = _fields = ("tensors", "order")
 
@@ -101,7 +104,7 @@ class _Shapes:
 
     def __init__(self, model: Model):
         self._model = model
-        self._plans: dict[tuple, tuple] = {}
+        self._plans: dict[tuple, list] = {}
         self._terms: dict[tuple, tuple] = {}
 
     def _project(self, dims: DimensionSet, source: DimensionSet) -> list:
@@ -122,31 +125,46 @@ class _Shapes:
         return index
 
     def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
-        """(bases, offsets), lists or ranges: cell k of SUM(source) over
-        `dims` adds source[bases[k] + offset] for each offset, in
-        declaration order."""
+        """(bases, offsets, run), bases and offsets lists or ranges: the
+        `run` cells of SUM(source) over `dims` from k * run on add the
+        source cells from bases[k] + offset on, for each offset in
+        declaration order.
+
+        `run` is the size of the kept dimensions that end `source` when
+        that is at least the number of offsets, and otherwise 1.
+        """
         key = (dims.names, source.names)
         if key not in self._terms:
             gone = difference(source, dims)
+            size = self._model.tensor_size
             if source.names == dims.names + gone.names:
                 # the summed dimensions are the trailing ones: each cell adds
                 # one contiguous run, and no list of indexes need exist
-                count = self._model.tensor_size(gone)
+                count = size(gone)
                 self._terms[key] = (
-                    range(0, self._model.tensor_size(source), count), range(count))
+                    range(0, size(source), count), range(count), 1)
             else:
-                self._terms[key] = (self._project(dims, source),
-                                    self._project(gone, source))
+                # the kept dimensions that end `source` make one run
+                kept = len(dims.names)
+                while kept and dims.names[kept - 1] == source.names[
+                        kept - 1 - len(dims.names)]:
+                    kept -= 1
+                lead = DimensionSet(dims.names[:kept])
+                offsets = self._project(gone, source)
+                run = size(dims) // size(lead)
+                if run < len(offsets):
+                    # the longer loop is the inner one: a cell at a time
+                    lead, run = dims, 1
+                self._terms[key] = (self._project(lead, source), offsets, run)
         return self._terms[key]
 
-    def broadcast(self, vals: tuple, source: DimensionSet,
-                  dims: DimensionSet) -> list | tuple:
+    def broadcast(self, vals, source: DimensionSet,
+                  dims: DimensionSet) -> list | array:
         """`vals` over `source`, repeated along the dimensions of `dims`
         that `source` lacks, as one row-major list over `dims`.
 
-        The list is built out of blocks from the innermost dimension
-        outward: a dimension `source` lacks repeats every block, a shared
-        one joins runs of adjacent blocks. `source` must be a subset of
+        Each value is read once, and each step of the plan repeats every
+        block of the list built so far. `source` must be a subset of
         `dims`; `vals` itself is returned when the two are equal.
         """
         if source.names == dims.names:
@@ -154,35 +172,60 @@ class _Shapes:
         key = (source.names, dims.names)
         if key not in self._plans:
             self._plans[key] = self._plan(source, dims)
-        size, steps = self._plans[key]
-        # list slices: CPython keeps thousands of freed small tuples for reuse
-        vals = list(vals)
-        blocks = [vals[i:i + size] for i in range(0, len(vals), size)]
-        for join, count in steps:
-            if join:
-                blocks = [list(chain.from_iterable(blocks[i:i + count]))
-                          for i in range(0, len(blocks), count)]
+        out = list(vals)
+        for size, count in self._plans[key]:
+            if size == len(out):
+                out *= count
+            elif size == 1:
+                # copy k of every value goes to every count-th place from k
+                spread = [0.0] * (len(out) * count)
+                for k in range(count):
+                    spread[k::count] = out
+                out = spread
             else:
-                blocks = [block * count for block in blocks]
-        return blocks[0]
+                # list slices: CPython keeps thousands of freed small tuples
+                # for reuse
+                out = list(chain.from_iterable(
+                    out[i:i + size] * count for i in range(0, len(out), size)))
+        return out
 
-    def _plan(self, source: DimensionSet, dims: DimensionSet) -> tuple:
-        """(block size, [(join, count), ...] from the inside out)."""
-        names = list(zip(dims.names, self._model.instance_counts(dims)))
-        # trailing dimensions that both sets share stay contiguous in `vals`
-        size = 1
-        while names and names[-1][0] in source.names:
-            size *= names.pop()[1]
-        return size, [(name in source.names, count)
-                      for name, count in reversed(names)]
+    def _plan(self, source: DimensionSet, dims: DimensionSet) -> list:
+        """[(block size, count), ...] from the inside out: each block of
+        the list over the dimensions inside one that `source` lacks repeats
+        `count` times. Adjacent lacking dimensions are one step, and a
+        shared dimension only makes the next block larger."""
+        steps, size, lacking = [], 1, False
+        for name, count in reversed(tuple(zip(
+                dims.names, self._model.instance_counts(dims)))):
+            if name in source.members:
+                lacking = False
+            elif lacking:
+                steps[-1] = (steps[-1][0], steps[-1][1] * count)
+            else:
+                steps.append((size, count))
+                lacking = True
+            size *= count
+        return steps
 
 
-def _sum(vals: tuple, bases: list | range, offsets: list | range) -> list:
-    """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right.
+def _sum(vals, bases, offsets, run: int) -> list:
+    """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right,
+    for a run of `run` cells from the base on.
 
-    The loop over the longer of the two lists is the inner one; either
-    order adds the same terms in the same order for every base.
+    Every cell adds the same terms in the same order, whichever loop is
+    the inner one: a run adds one slice of the source an offset, and
+    single cells loop over the longer of the two lists inside.
     """
+    if run > 1:
+        out = []
+        for base in bases:
+            totals = [0.0] * run
+            for off in offsets:
+                start = base + off
+                totals = [total + term for total, term
+                          in zip(totals, vals[start:start + run])]
+            out += totals
+        return out
     if len(offsets) >= len(bases):
         count = len(offsets)
         # offsets 0, 1, ... when the summed dimensions are the last ones
@@ -261,8 +304,12 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             result = [-a for a in stack.pop()]
         else:  # an Aggregate
             source = tensors[node.source]
-            bases, offsets = shapes.sum_terms(dims, source.dims)
-            result = _sum(source.values, bases[lo:hi], offsets)
+            bases, offsets, run = shapes.sum_terms(dims, source.dims)
+            # the runs that cover lo .. hi-1, cut to those cells
+            result = _sum(source.values, bases[lo // run:-(-hi // run)],
+                          offsets, run)
+            if len(result) != count:
+                result = result[lo % run:lo % run + count]
             if not _finite(result):
                 raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
         stack.append(result)
@@ -270,7 +317,7 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
 
 
 def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
-                      shapes: _Shapes) -> tuple:
+                      shapes: _Shapes) -> array:
     """One formula variable's tensor; EvalError names the first bad cell.
 
     Each node runs once over the whole tensor. If one fails, the formula
@@ -280,7 +327,7 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     """
     lo, hi = 0, model.tensor_size(var.dims)
     try:
-        return tuple(_run(var, lo, hi, tensors, shapes))
+        return array("d", _run(var, lo, hi, tensors, shapes))
     except _CellError:
         pass
     # cells are computed independently, so a range fails exactly when one
@@ -301,9 +348,9 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     raise AssertionError(f"{var.name} failed as a whole but in no one cell")
 
 
-def _value_tensor(var, model: Model, patch: dict[int, float]) -> tuple:
-    """Dense values for an input or data variable: its table's own tuple,
-    or a copy with the overrides in `patch` (by flat index) written in."""
+def _value_tensor(var, model: Model, patch: dict[int, float]) -> array:
+    """Dense values for an input or data variable: a copy of its table,
+    with the overrides in `patch` (by flat index) written in."""
     if var.payload is None:
         # the values up to the first cell no override sets, which is at
         # most len(patch), so a missing cell costs no list of every cell
@@ -313,16 +360,17 @@ def _value_tensor(var, model: Model, patch: dict[int, float]) -> tuple:
         out = var.payload.values
         if patch:
             out = [patch.get(i, value) for i, value in enumerate(out)]
-    for index, value in enumerate(out):
-        if not math.isfinite(value):
-            raise EvalError(
-                "NON-FINITE", var.name, model.tensor_coords(var.dims, index),
-                f"value {value!r} is not finite")
+    if not _finite(out):
+        index, value = next((i, v) for i, v in enumerate(out)
+                            if not math.isfinite(v))
+        raise EvalError(
+            "NON-FINITE", var.name, model.tensor_coords(var.dims, index),
+            f"value {value!r} is not finite")
     if len(out) < model.tensor_size(var.dims):
         raise EvalError(
             "MISSING-INPUT", var.name, model.tensor_coords(var.dims, len(out)),
             "no declared value and no override for this cell")
-    return tuple(out)
+    return array("d", out)
 
 
 def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -242,7 +243,7 @@ class TestErrorOrder:
         model = parse_model("dimension M = [a, b, c]\n"
                             "data X over (M) = {a: 1e16, b: 1, c: -1e16}\n"
                             "output Y = SUM(X) * 1\n")
-        assert evaluate(check_model(model))["Y"].values == (0.0,)
+        assert evaluate(check_model(model))["Y"].values == array("d", [0.0])
 
 
 class TestOverrides:
@@ -263,7 +264,7 @@ class TestOverrides:
     def test_dimensionless_override_needs_no_labels(self, acme_checked):
         result = evaluate(acme_checked,
                           [InputOverride("Base_Price", None, 120.0)])
-        assert result["Base_Price"].values == (120.0,)
+        assert result["Base_Price"].values == array("d", [120.0])
 
     def test_missing_labels_for_dimensioned_input(self):
         model = parse_model("dimension M = [Jan]\ninput X over (M)\n"
@@ -285,25 +286,32 @@ class TestOverrides:
                             "calc Y over (M) = X * 10\n")
         checked = check_model(model)
         result = evaluate(checked, [InputOverride("X", ("Feb",), 5.0)])
-        assert result["Y"].values == (10.0, 50.0)
+        assert result["Y"].values == array("d", [10.0, 50.0])
 
-    def test_tables_are_shared_and_overrides_copied(self):
+    def test_no_values_are_shared_and_overrides_copied(self):
         checked = check_model(parse_model(
             "dimension M = [Jan, Feb]\n"
             "input X over (M) = {Jan: 1, Feb: 2}\n"
             "data D over (M) = [3, 4]\n"
-            "calc Y over (M) = X * D\n"))
+            "calc Y over (M) = X * D\n"
+            "output Z over (M) = Y\n"))
         tables = {name: checked.model.variable(name).payload.values
                   for name in ("X", "D")}
-        result = evaluate(checked)
-        for name, table in tables.items():
-            assert result[name].values is table
-        patched = evaluate(checked, [InputOverride("X", ("Feb",), 5.0)])
-        assert patched["X"].values == (1.0, 5.0)
-        assert patched["D"].values is tables["D"]
-        # the override went to a copy: the table and a later run keep 1, 2
-        assert tables["X"] == (1.0, 2.0)
-        assert evaluate(checked)["X"].values == (1.0, 2.0)
+        results = [evaluate(checked),
+                   evaluate(checked, [InputOverride("X", ("Feb",), 5.0)])]
+        assert results[1]["X"].values == array("d", [1.0, 5.0])
+        # an override never writes the model's table
+        assert tables == {"X": (1.0, 2.0), "D": (3.0, 4.0)}
+        arrays = [t.values for r in results for t in r.tensors.values()]
+        assert len({id(v) for v in [*arrays, *tables.values()]}) == 10
+        assert all(type(v) is array for v in arrays)
+        # writing into one array changes no other, nor any table
+        for written in arrays:
+            others = [list(v) for v in arrays if v is not written]
+            written[0] += 1.0
+            assert [list(v) for v in arrays if v is not written] == others
+            assert tables == {"X": (1.0, 2.0), "D": (3.0, 4.0)}
+        assert evaluate(checked)["X"].values == array("d", [1.0, 2.0])
 
     def test_default_equals_explicit_default(self, acme_checked):
         plain = evaluate(acme_checked)
@@ -344,20 +352,22 @@ def test_demand_decreases_as_price_increases(acme_checked):
 
 
 def test_evaluate_holds_each_tensor_once():
-    # every finished tensor is one tuple and a data table is shared, not
-    # copied; a second copy of every tensor made at the end read 54.7-56.0
-    # bytes a cell here on Python 3.10-3.13, one store 52.9-53.3
+    # every finished tensor is one array of 8 bytes a cell, its own copy
+    # even of a data table; here this read 33.46 bytes a cell at the peak
+    # and 8.80 retained on Python 3.11-3.13, 33.83 and 9.50 on 3.10. With
+    # a tuple of floats a tensor it read 48.08-48.51 and 32.45-33.19
     checked = check_model(parse_model(dense_model(1, (8, 6, 10, 10))))
     gc.collect()  # empties the free lists, so the reading is the same
     tracemalloc.start()
     try:
         result = evaluate(checked)
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     cells = sum(len(tensor.values) for tensor in result.tensors.values())
     assert cells == 16_828
-    assert peak / cells < 54.0
+    assert peak / cells < 34.0
+    assert retained / cells < 9.6
 
 
 def test_sum_over_trailing_dimensions_keeps_no_index_list():
@@ -617,4 +627,72 @@ def layered_models(draw):
          " a3,b1: 0, a3,b2: 0}\ncalc F0 over (A) = SUM(X)\n")
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_random_layouts_match_per_cell_reference(source):
+    assert_matches_reference(check_model(parse_model(source)))
+
+
+@st.composite
+def four_dimension_models(draw):
+    """Dimensions A, B, C and D of 1-4 labels and RISKY tables. F lacks D
+    in one operand, C and D in another, B between shared dimensions in a
+    third, and A and C in a fourth. G sums F's middle dimension B in runs
+    over C and D, which a zero of XCD can fail inside; H sums G's leading
+    A and keeps C and D, and Y sums F's leading A and keeps B, C and D."""
+    labels = {d: [f"{d.lower()}{i}" for i in range(draw(st.integers(1, 4)))]
+              for d in "ABCD"}
+    lines = [f"dimension {d} = [{', '.join(ls)}]" for d, ls in labels.items()]
+    lines.append(f"data Z = {draw(RISKY)!r}")
+    for dims in ("ABC", "AB", "ACD", "BD", "CD"):
+        cells = [()]
+        for d in dims:
+            cells = [c + (label,) for c in cells for label in labels[d]]
+        table = ", ".join(f"{','.join(c)}: {draw(RISKY)!r}" for c in cells)
+        lines.append(f"data X{dims} over ({', '.join(dims)}) = {{{table}}}")
+    ops = iter(draw(st.lists(st.sampled_from("+-*/^"), min_size=6,
+                             max_size=6)))
+    lines += [
+        f"calc F over (A, B, C, D) = (XABC {next(ops)} XAB) {next(ops)} "
+        f"(XACD {next(ops)} XBD)",
+        f"calc G over (A, C, D) = SUM(F) {next(ops)} XCD",
+        f"calc H over (C, D) = XCD {next(ops)} SUM(G)",
+        f"output Y over (B, C, D) = SUM(F) {next(ops)} Z",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@given(four_dimension_models())
+# every SUM adds runs of -0.0 terms, and folds them from 0.0 to 0.0
+@example("dimension A = [a0]\ndimension B = [b0, b1]\ndimension C = [c0]\n"
+         "dimension D = [d0, d1]\ndata Z = 1.0\n"
+         "data XABC over (A, B, C) = {a0,b0,c0: -0.0, a0,b1,c0: -0.0}\n"
+         "data XAB over (A, B) = {a0,b0: 1.0, a0,b1: 1.0}\n"
+         "data XACD over (A, C, D) = {a0,c0,d0: -0.0, a0,c0,d1: -0.0}\n"
+         "data XBD over (B, D) = {b0,d0: 1.0, b0,d1: 1.0, b1,d0: 1.0,"
+         " b1,d1: 1.0}\n"
+         "data XCD over (C, D) = {c0,d0: 1.0, c0,d1: 1.0}\n"
+         "calc F over (A, B, C, D) = (XABC * XAB) + (XACD * XBD)\n"
+         "calc G over (A, C, D) = SUM(F) * XCD\n"
+         "calc H over (C, D) = XCD * SUM(G)\n"
+         "output Y over (B, C, D) = SUM(F) * Z\n")
+# the first bad cell, G at a0,c1,d0, is inside G's first run of four
+# cells, so the reruns that find it split that run
+@example("dimension A = [a0, a1]\ndimension B = [b0, b1]\n"
+         "dimension C = [c0, c1]\ndimension D = [d0, d1]\ndata Z = 1.0\n"
+         "data XABC over (A, B, C) = {a0,b0,c0: 1.0, a0,b0,c1: 2.0,"
+         " a0,b1,c0: 3.0, a0,b1,c1: 4.0, a1,b0,c0: 5.0, a1,b0,c1: 6.0,"
+         " a1,b1,c0: 7.0, a1,b1,c1: 8.0}\n"
+         "data XAB over (A, B) = {a0,b0: 1.0, a0,b1: 1.0, a1,b0: 1.0,"
+         " a1,b1: 1.0}\n"
+         "data XACD over (A, C, D) = {a0,c0,d0: 1.0, a0,c0,d1: 1.0,"
+         " a0,c1,d0: 1.0, a0,c1,d1: 1.0, a1,c0,d0: 1.0, a1,c0,d1: 1.0,"
+         " a1,c1,d0: 1.0, a1,c1,d1: 1.0}\n"
+         "data XBD over (B, D) = {b0,d0: 1.0, b0,d1: 2.0, b1,d0: 3.0,"
+         " b1,d1: 4.0}\n"
+         "data XCD over (C, D) = {c0,d0: 1.0, c0,d1: 2.0, c1,d0: 0.0,"
+         " c1,d1: 4.0}\n"
+         "calc F over (A, B, C, D) = (XABC * XAB) + (XACD * XBD)\n"
+         "calc G over (A, C, D) = SUM(F) / XCD\n"
+         "calc H over (C, D) = XCD - SUM(G)\n"
+         "output Y over (B, C, D) = SUM(F) + Z\n")
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_four_dimensions_match_reference_evaluate(source):
     assert_matches_reference(check_model(parse_model(source)))
