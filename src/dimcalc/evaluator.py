@@ -3,13 +3,15 @@
 Variables are computed in the checker's topological order, one dense
 tensor per variable (row-major over the declared dimension set), each an
 `array('d')` of 8 bytes a cell, made once, when its variable is computed,
-and held by no other tensor or table. A formula runs whole-tensor: every
-node, in post-order, is one list operation over all cells of the target,
-reading its operands from their tensors. A reference to a
-smaller-dimensioned operand broadcasts: its values repeat along the
-target dimensions it lacks. SUM adds the source cells over the
-eliminated dimensions in declaration order, as a left fold from 0.0,
-which keeps results bit-identical across runs and Python versions.
+and held by no other tensor or table. A formula runs a block of cells at
+a time, the whole target when it has at most `_BLOCK` cells: every node,
+in post-order, is one list operation over the block's cells, reading its
+operands from their tensors, and the block's result is written into the
+formula's array. A reference to a smaller-dimensioned operand
+broadcasts: its values repeat along the target dimensions it lacks. SUM
+adds the source cells over the eliminated dimensions in declaration
+order, as a left fold from 0.0, which keeps results bit-identical across
+runs, blocks and Python versions.
 
 Numeric failures stop evaluation at the first bad cell and name it
 exactly: kind, variable, and instance tuple.
@@ -24,6 +26,7 @@ from itertools import chain
 
 from .checker import CheckedModel
 from .model import (
+    Aggregate,
     Binary,
     Diagnostic,
     DiagnosticFailure,
@@ -107,8 +110,10 @@ class _Shapes:
         self._plans: dict[tuple, list] = {}
         self._terms: dict[tuple, tuple] = {}
 
-    def _project(self, dims: DimensionSet, source: DimensionSet) -> list:
-        """Flat index into a `source` tensor for every cell of `dims`.
+    def _project(self, dims: DimensionSet,
+                 source: DimensionSet) -> list | range:
+        """Flat index into a `source` tensor for every cell of `dims`, a
+        range when its entries are one stride apart.
 
         A cell maps to its coordinates on the dimensions both sets share
         and to the first instance of every other source dimension.
@@ -122,7 +127,9 @@ class _Shapes:
         for name, count in zip(dims.names, counts(dims)):
             steps = [k * strides.get(name, 0) for k in range(count)]
             index = [i + step for i in index for step in steps]
-        return index
+        step = index[1] - index[0] if len(index) > 1 else 1
+        span = range(index[0], index[0] + len(index) * step, step)
+        return span if list(span) == index else index
 
     def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
         """(bases, offsets, run), bases and offsets lists or ranges: the
@@ -131,7 +138,8 @@ class _Shapes:
         declaration order.
 
         `run` is the size of the kept dimensions that end `source` when
-        that is at least the number of offsets, and otherwise 1.
+        that is at least the number of offsets, and otherwise 1. Bases or
+        offsets one stride apart are a range.
         """
         key = (dims.names, source.names)
         if key not in self._terms:
@@ -208,38 +216,61 @@ class _Shapes:
         return steps
 
 
-def _sum(vals, bases, offsets, run: int) -> list:
-    """For each base, 0.0 + vals[base + offsets[0]] + ..., left to right,
-    for a run of `run` cells from the base on.
+def _sum(vals, bases, offsets, run: int, lo: int, hi: int) -> list:
+    """Cells lo .. hi-1 of a SUM: cell k * run + j, for j < run, is
+    0.0 + vals[bases[k] + j + offsets[0]] + ..., left to right.
 
     Every cell adds the same terms in the same order, whichever loop is
     the inner one: a run adds one slice of the source an offset, and
-    single cells loop over the longer of the two lists inside.
+    single cells loop over the longer of the two lists inside. A range
+    of bases or offsets is read as one strided slice of the source.
     """
     if run > 1:
         out = []
-        for base in bases:
-            totals = [0.0] * run
+        first = lo // run
+        skip = lo - first * run  # the cells of the first run before lo
+        for base in bases[first:-(-hi // run)]:
+            # this run's cells from lo on, up to hi
+            count = run - skip if hi - lo > run - skip else hi - lo
+            base += skip
+            totals = [0.0] * count
             for off in offsets:
                 start = base + off
                 totals = [total + term for total, term
-                          in zip(totals, vals[start:start + run])]
+                          in zip(totals, vals[start:start + count])]
             out += totals
+            lo += count
+            skip = 0
         return out
+    if hi - lo != len(bases):
+        bases = bases[lo:hi]
     if len(offsets) >= len(bases):
-        count = len(offsets)
-        # offsets 0, 1, ... when the summed dimensions are the last ones
-        contiguous = offsets[-1] == count - 1
         out = []
-        for base in bases:
-            terms = (vals[base:base + count] if contiguous
-                     else [vals[base + off] for off in offsets])
-            total = 0.0
-            for term in terms:
-                total += term
-            out.append(total)
+        if type(offsets) is range:
+            # one stride: 1 when the summed dimensions are the last ones
+            step = offsets.step
+            span = len(offsets) * step
+            for base in bases:
+                total = 0.0
+                for term in vals[base:base + span:step]:
+                    total += term
+                out.append(total)
+        else:
+            for base in bases:
+                total = 0.0
+                for off in offsets:
+                    total += vals[base + off]
+                out.append(total)
         return out
     out = [0.0] * len(bases)
+    if type(bases) is range:
+        step = bases.step
+        span = len(bases) * step
+        for off in offsets:
+            start = bases.start + off
+            out = [total + term for total, term
+                   in zip(out, vals[start:start + span:step])]
+        return out
     for off in offsets:
         out = [total + vals[base + off] for total, base in zip(out, bases)]
     return out
@@ -259,8 +290,9 @@ _OVERFLOWS = {"+": "addition overflows", "-": "subtraction overflows",
 
 def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
          shapes: _Shapes) -> list | tuple:
-    """`var`'s formula over its cells lo .. hi-1: each node once, in
-    post-order, as one list operation.
+    """`var`'s formula over its cells lo .. hi-1, a block or the whole
+    target: each node once, in post-order, as one list operation over
+    those cells.
 
     Raises _CellError at the first node that fails or yields a value that
     is not finite, in any of the cells. Its detail names the operands of
@@ -305,31 +337,66 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
         else:  # an Aggregate
             source = tensors[node.source]
             bases, offsets, run = shapes.sum_terms(dims, source.dims)
-            # the runs that cover lo .. hi-1, cut to those cells
-            result = _sum(source.values, bases[lo // run:-(-hi // run)],
-                          offsets, run)
-            if len(result) != count:
-                result = result[lo % run:lo % run + count]
+            result = _sum(source.values, bases, offsets, run, lo, hi)
             if not _finite(result):
                 raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
         stack.append(result)
     return stack.pop()
 
 
+# the most cells a formula computes at once: its working lists, 32 bytes a
+# cell each, stay small beside the 8 bytes a cell of the finished arrays
+_BLOCK = 4096
+
+
 def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
                       shapes: _Shapes) -> array:
     """One formula variable's tensor; EvalError names the first bad cell.
 
-    Each node runs once over the whole tensor. If one fails, the formula
-    runs again over ever smaller ranges of cells down to the first bad cell
-    in canonical order, and the error is the first failing node at that
-    cell.
+    Each node runs once over the whole tensor when it has at most _BLOCK
+    cells, and otherwise once over each of the fewest blocks of at most
+    _BLOCK cells, their sizes at most one cell apart, in order, each
+    written into the tensor's array. When a run fails, every earlier
+    cell has succeeded: the formula runs again over ever smaller ranges
+    of the failed run's cells down to the first bad cell in canonical
+    order, and the error is the first failing node at that cell.
     """
-    lo, hi = 0, model.tensor_size(var.dims)
-    try:
-        return array("d", _run(var, lo, hi, tensors, shapes))
-    except _CellError:
-        pass
+    size = model.tensor_size(var.dims)
+    if size <= _BLOCK:
+        try:
+            return array("d", _run(var, 0, size, tensors, shapes))
+        except _CellError:
+            _raise_first_bad_cell(var, 0, size, model, tensors, shapes)
+    # a block's list packs into the array twice as fast as array() converts
+    # one; struct is loaded only once a formula needs more than one block
+    from struct import Struct
+
+    # the tensors the formula reads, each reference broadcast once, as a
+    # list over the target, for every block to slice (a SUM's source that
+    # is also referenced has the target's dimensions: the same values)
+    wide = {}
+    for node in var.nodes:
+        if type(node) is Ref:
+            source = tensors[node.name]
+            wide[node.name] = Tensor(var.dims, shapes.broadcast(
+                source.values, source.dims, var.dims))
+        elif type(node) is Aggregate:
+            wide[node.source] = tensors[node.source]
+    out = array("d", [0.0]) * size
+    blocks = -(-size // _BLOCK)
+    for k in range(blocks):
+        lo, hi = size * k // blocks, size * (k + 1) // blocks
+        try:  # one statement, so no block's list outlives its packing
+            Struct(f"{hi - lo}d").pack_into(
+                out, lo * 8, *_run(var, lo, hi, wide, shapes))
+        except _CellError:
+            _raise_first_bad_cell(var, lo, hi, model, wide, shapes)
+    return out
+
+
+def _raise_first_bad_cell(var, lo: int, hi: int, model: Model, tensors,
+                          shapes: _Shapes):
+    """EvalError at the first bad cell of lo .. hi-1, whose run failed."""
     # cells are computed independently, so a range fails exactly when one
     # of its cells does; halve the range that holds the first bad cell
     while hi - lo > 1:
@@ -345,7 +412,7 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     except _CellError as e:
         raise EvalError(e.kind, var.name, model.tensor_coords(var.dims, lo),
                         e.detail) from None
-    raise AssertionError(f"{var.name} failed as a whole but in no one cell")
+    raise AssertionError(f"{var.name} failed over a range but in no one cell")
 
 
 def _value_tensor(var, model: Model, patch: dict[int, float]) -> array:

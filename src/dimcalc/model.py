@@ -10,6 +10,7 @@ across threads.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
 from enum import Enum
@@ -640,7 +641,7 @@ class Tensor(Record):
     __slots__ = _fields = ("dims", "values")
     __hash__ = None  # a hash would read every value
 
-    def __init__(self, dims: DimensionSet, values: tuple[float, ...]):
+    def __init__(self, dims: DimensionSet, values: array):
         _SET_TENSOR_DIMS(self, dims)
         _SET_TENSOR_VALUES(self, values)
 

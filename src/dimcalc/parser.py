@@ -51,7 +51,6 @@ KEYWORDS = frozenset({"dimension", "input", "data", "calc", "output", "over", "S
 # each variable keyword's kind, read without calling the Enum
 _KINDS = {kind.value: kind for kind in VariableKind}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # Each match is the blanks and comment before a token, then the token in one
 # group per class, which `lastindex` names as the group closed last. Nothing
@@ -608,7 +607,8 @@ def format_number(value: float) -> str:
 
 
 def format_ident(name: str) -> str:
-    if _IDENT_RE.fullmatch(name) and name not in KEYWORDS:
+    # an ASCII identifier is [A-Za-z_][A-Za-z0-9_]*, a name token whole
+    if name.isascii() and name.isidentifier() and name not in KEYWORDS:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

@@ -5,11 +5,13 @@ import random
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_checked
+from dimcalc import evaluator
 from dimcalc.checker import check_model
 from dimcalc.evaluator import EvalError, InputOverride, evaluate
 from dimcalc.model import (Aggregate, Binary, Dimension, DimensionSet,
@@ -353,9 +355,11 @@ def test_demand_decreases_as_price_increases(acme_checked):
 
 def test_evaluate_holds_each_tensor_once():
     # every finished tensor is one array of 8 bytes a cell, its own copy
-    # even of a data table; here this read 33.46 bytes a cell at the peak
-    # and 8.80 retained on Python 3.11-3.13, 33.83 and 9.50 on 3.10. With
-    # a tuple of floats a tensor it read 48.08-48.51 and 32.45-33.19
+    # even of a data table; here this read 28.76 bytes a cell at the peak
+    # and 8.84 retained on Python 3.11-3.13, 29.13 and 9.58 on 3.10. With
+    # each 4,800-cell formula computed whole it read 33.46 and 8.80 (33.83
+    # and 9.50), and with a tuple of floats a tensor 48.08-48.51 and
+    # 32.45-33.19
     checked = check_model(parse_model(dense_model(1, (8, 6, 10, 10))))
     gc.collect()  # empties the free lists, so the reading is the same
     tracemalloc.start()
@@ -366,8 +370,25 @@ def test_evaluate_holds_each_tensor_once():
         tracemalloc.stop()
     cells = sum(len(tensor.values) for tensor in result.tensors.values())
     assert cells == 16_828
-    assert peak / cells < 34.0
+    assert peak / cells < 29.5
     assert retained / cells < 9.6
+
+
+def test_evaluate_peak_stays_near_retained():
+    # each 48,000-cell formula runs in blocks of at most 4,096 cells, so
+    # no list of computed floats, 32 bytes a cell, spans its target: the
+    # peak read 2.14-2.16 times the retained bytes on Python 3.10-3.11,
+    # and 4.26-4.29 with each formula computed whole
+    checked = check_model(parse_model(dense_model(1, (12, 10, 20, 20))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = evaluate(checked)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result["Profit"].values) == 48_000
+    assert peak < 2.5 * retained
 
 
 def test_sum_over_trailing_dimensions_keeps_no_index_list():
@@ -696,3 +717,74 @@ def four_dimension_models(draw):
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_four_dimensions_match_reference_evaluate(source):
     assert_matches_reference(check_model(parse_model(source)))
+
+
+# the first bad cell, Y at a0,b2 (cell 2 of 6), is the last cell of the
+# first of two blocks of 3 cells at a block size of 3, and the first cell of
+# the second of three blocks of 2 at a block size of 2
+BLOCK_EDGES = ("dimension A = [a0, a1]\ndimension B = [b0, b1, b2]\n"
+               "data D over (A, B) = {a0,b0: 1, a0,b1: 2, a0,b2: 0, a1,b0: 4,"
+               " a1,b1: 0, a1,b2: 6}\ndata E over (B) = [1, 4, 9]\n"
+               "calc Y over (A, B) = E ^ 0.5 / D\n")
+# X over (A, B, C), 3 x 2 x 3 cells. V and Y sum B in runs of 3 cells over
+# C, 9 cells that blocks of at most 5 cut at cell 4, inside the second run;
+# Z sums the trailing C over more cells than terms, and W the leading A and B
+SUMS = ("dimension A = [a0, a1, a2]\ndimension B = [b0, b1]\n"
+        "dimension C = [c0, c1, c2]\n"
+        "data X over (A, B, C) = {a0,b0,c0: -1.57, a0,b0,c1: 0.27,"
+        " a0,b0,c2: -0.78, a0,b1,c0: 0.62, a0,b1,c1: 0.75, a0,b1,c2: -2.61,"
+        " a1,b0,c0: -2.92, a1,b0,c1: 2.02, a1,b0,c2: -1.44, a1,b1,c0: -1.59,"
+        " a1,b1,c1: 2.97, a1,b1,c2: -0.18, a2,b0,c0: 2.02, a2,b0,c1: -0.14,"
+        " a2,b0,c2: 0.83, a2,b1,c0: -2.1, a2,b1,c1: 0.81, a2,b1,c2: 2.21}\n"
+        "calc V over (A, C) = SUM(X)\ncalc Z over (A, B) = SUM(X) * 3\n"
+        "calc W over (C) = SUM(X) - 1\n")
+
+
+def sums_over(zeros):
+    """SUMS, and Y = SUM(X) / D with D 0 at the given cells of (A, C)."""
+    cells = [f"a{a},c{c}" for a in range(3) for c in range(3)]
+    table = ", ".join(f"{cell}: {0 if k in zeros else k + 1}"
+                      for k, cell in enumerate(cells))
+    return (SUMS + f"data D over (A, C) = {{{table}}}\n"
+            "calc Y over (A, C) = SUM(X) / D\n")
+
+
+@given(st.one_of(layered_models(), four_dimension_models()),
+       st.integers(1, 9))
+# Y's 9 cells in blocks of 4 and 5 cells: SUM runs straddle the block
+# edge, and the first bad cell is a later block's first cell, a block's
+# last cell, or the last block's last cell
+@example(sums_over(()), 5)
+@example(sums_over({4}), 5)
+@example(sums_over({3, 8}), 5)
+@example(sums_over({8}), 5)
+@example(BLOCK_EDGES, 2)
+@example(BLOCK_EDGES, 3)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_block_edges_match_reference_evaluate(source, block):
+    checked = check_model(parse_model(source))
+    with mock.patch.object(evaluator, "_BLOCK", block):
+        assert_matches_reference(checked)
+
+
+@pytest.mark.parametrize("bad", [
+    {}, {1: 0.0}, {4096: 0.0}, {8191: 0.0}, {8191: 1e-320, 8192: 0.0},
+    {8199: -1.0, 12287: 0.0}])
+def test_first_bad_cell_at_block_edges(bad):
+    # 3 x 4,096 cells, three blocks: a first bad cell in the first block,
+    # on the second block's first and last cell, and in the third block
+    assert evaluator._BLOCK == 4096
+    labels = tuple(f"b{k}" for k in range(4096))
+    values = [1.0 + k % 7 for k in range(3 * 4096)]
+    for index, value in bad.items():
+        values[index] = value
+    model = Model((Dimension("A", ("a0", "a1", "a2")), Dimension("B", labels)), (
+        Variable("D", VariableKind.DATA, DimensionSet(("A", "B")),
+                 ValueTable(tuple(values))),
+        Variable("E", VariableKind.DATA, DimensionSet(("B",)),
+                 ValueTable(tuple(0.5 + k % 5 for k in range(4096)))),
+        # D ^ 0.5 + E / D, E broadcast over A
+        Variable("Y", VariableKind.OUTPUT, DimensionSet(("A", "B")), Binary(
+            "+", Binary("^", Ref("D"), Literal(0.5)),
+            Binary("/", Ref("E"), Ref("D"))))))
+    assert_matches_reference(check_model(model))

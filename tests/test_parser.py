@@ -864,6 +864,17 @@ class TestPrinting:
         assert format_ident("Unit Price") == '"Unit Price"'
         assert format_ident('say "hi"') == '"say \\"hi\\""'
 
+    # keywords, ASCII and non-ASCII letters and digits, and what a name
+    # token never holds
+    @given(st.one_of(st.sampled_from(sorted(KEYWORDS)),
+                     st.text(st.sampled_from(list('aZ_09 "\\éǅµａ٣¹')),
+                             max_size=5),
+                     st.text(max_size=3)))
+    def test_format_ident_leaves_only_name_tokens_bare(self, name):
+        token = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)
+        bare = token is not None and name not in KEYWORDS
+        assert (format_ident(name) == name) == bare
+
     def test_pretty_print_round_trip_fixture(self):
         src = Path("fixtures/acme.dml").read_text(encoding="utf-8")
         model = parse_model(src)
