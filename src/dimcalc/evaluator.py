@@ -99,7 +99,8 @@ class _CellError(Exception):
 
 
 class _Shapes:
-    """Index arithmetic over the tensors of one model, each result made once.
+    """Index arithmetic over the tensors of one model, each result made
+    once: the strided runs a SUM reads, and the plan a broadcast follows.
 
     Results are keyed by dimension names and shared between callers, so
     none may be changed.
@@ -110,60 +111,41 @@ class _Shapes:
         self._plans: dict[tuple, list] = {}
         self._terms: dict[tuple, tuple] = {}
 
-    def _project(self, dims: DimensionSet,
-                 source: DimensionSet) -> list | range:
-        """Flat index into a `source` tensor for every cell of `dims`, a
-        range when its entries are one stride apart.
+    def _runs(self, dims: DimensionSet, source: DimensionSet) -> tuple:
+        """(starts, count, step): cell k * count + j of `dims` is flat index
+        starts[k] + j * step of a tensor over `source`, a superset.
 
-        A cell maps to its coordinates on the dimensions both sets share
-        and to the first instance of every other source dimension.
+        A cell maps to its coordinates on `dims` and to the first instance
+        of every other source dimension. The `count` cells of a run are
+        the longest suffix of `dims` whose cells sit one step apart; a
+        1-label dimension joins any run. `starts` lists one flat index a
+        run, row-major over the dimensions before it.
         """
-        counts = self._model.instance_counts
+        counts = dict(zip(source.names, self._model.instance_counts(source)))
         strides, stride = {}, 1
-        for name, count in reversed(list(zip(source.names, counts(source)))):
+        for name in reversed(source.names):
             strides[name] = stride
-            stride *= count
-        index = [0]
-        for name, count in zip(dims.names, counts(dims)):
-            steps = [k * strides.get(name, 0) for k in range(count)]
-            index = [i + step for i in index for step in steps]
-        step = index[1] - index[0] if len(index) > 1 else 1
-        span = range(index[0], index[0] + len(index) * step, step)
-        return span if list(span) == index else index
+            stride *= counts[name]
+        # a 1-label dimension only ever takes index 0, so it moves no index
+        axes = [name for name in dims.names if counts[name] > 1]
+        step = strides[axes[-1]] if axes else 1
+        count = 1
+        while axes and strides[axes[-1]] == step * count:
+            count *= counts[axes.pop()]
+        starts = [0]
+        for name in axes:
+            starts = [start + k * strides[name]
+                      for start in starts for k in range(counts[name])]
+        return starts, count, step
 
     def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
-        """(bases, offsets, run), bases and offsets lists or ranges: the
-        `run` cells of SUM(source) over `dims` from k * run on add the
-        source cells from bases[k] + offset on, for each offset in
-        declaration order.
-
-        `run` is the size of the kept dimensions that end `source` when
-        that is at least the number of offsets, and otherwise 1. Bases or
-        offsets one stride apart are a range.
-        """
+        """(cells, terms), two `_runs` results over `source`: the cells of
+        SUM(source) over `dims`, and the terms each cell adds, in
+        declaration order, from its own flat index on."""
         key = (dims.names, source.names)
         if key not in self._terms:
-            gone = difference(source, dims)
-            size = self._model.tensor_size
-            if source.names == dims.names + gone.names:
-                # the summed dimensions are the trailing ones: each cell adds
-                # one contiguous run, and no list of indexes need exist
-                count = size(gone)
-                self._terms[key] = (
-                    range(0, size(source), count), range(count), 1)
-            else:
-                # the kept dimensions that end `source` make one run
-                kept = len(dims.names)
-                while kept and dims.names[kept - 1] == source.names[
-                        kept - 1 - len(dims.names)]:
-                    kept -= 1
-                lead = DimensionSet(dims.names[:kept])
-                offsets = self._project(gone, source)
-                run = size(dims) // size(lead)
-                if run < len(offsets):
-                    # the longer loop is the inner one: a cell at a time
-                    lead, run = dims, 1
-                self._terms[key] = (self._project(lead, source), offsets, run)
+            self._terms[key] = (self._runs(dims, source),
+                                self._runs(difference(source, dims), source))
         return self._terms[key]
 
     def broadcast(self, vals, source: DimensionSet,
@@ -216,63 +198,47 @@ class _Shapes:
         return steps
 
 
-def _sum(vals, bases, offsets, run: int, lo: int, hi: int) -> list:
-    """Cells lo .. hi-1 of a SUM: cell k * run + j, for j < run, is
-    0.0 + vals[bases[k] + j + offsets[0]] + ..., left to right.
+def _sum(vals, cells: tuple, terms: tuple, lo: int, hi: int) -> list:
+    """Cells lo .. hi-1 of a SUM whose cells and terms are the `_runs`
+    results `cells` and `terms`: each cell is 0.0 + its first term + ...,
+    a left fold in declaration order, each term read from the cell's own
+    flat index on.
 
-    Every cell adds the same terms in the same order, whichever loop is
-    the inner one: a run adds one slice of the source an offset, and
-    single cells loop over the longer of the two lists inside. A range
-    of bases or offsets is read as one strided slice of the source.
+    Two loops, each adding every cell's terms in that order: a run of
+    cells adds one strided slice of the source per term, and a single
+    cell adds one strided slice per summed start.
     """
-    if run > 1:
-        out = []
-        first = lo // run
-        skip = lo - first * run  # the cells of the first run before lo
-        for base in bases[first:-(-hi // run)]:
-            # this run's cells from lo on, up to hi
-            count = run - skip if hi - lo > run - skip else hi - lo
-            base += skip
-            totals = [0.0] * count
-            for off in offsets:
-                start = base + off
-                totals = [total + term for total, term
-                          in zip(totals, vals[start:start + count])]
-            out += totals
-            lo += count
-            skip = 0
-        return out
-    if hi - lo != len(bases):
-        bases = bases[lo:hi]
-    if len(offsets) >= len(bases):
-        out = []
-        if type(offsets) is range:
-            # one stride: 1 when the summed dimensions are the last ones
-            step = offsets.step
-            span = len(offsets) * step
-            for base in bases:
-                total = 0.0
-                for term in vals[base:base + span:step]:
-                    total += term
-                out.append(total)
-        else:
-            for base in bases:
+    starts, run, step = cells
+    offsets, count, stride = terms
+    span = count * stride
+    # a single cell's float adds cost less a term than a run's list
+    # comprehension, which costs less a slice: the two loops tie where a run
+    # of cells is about 4 times a run of terms (CPython 3.10-3.13, 20,000 to
+    # 40,000 source cells, runs of 1-16 terms)
+    cellwise = run < 4 * count
+    out = []
+    first = lo // run
+    skip = lo - first * run  # the cells of the first run before lo
+    for base in starts[first:-(-hi // run)]:
+        # this run's cells from lo on, up to hi
+        size = run - skip if hi - lo > run - skip else hi - lo
+        base += skip * step
+        if cellwise:
+            for cell in range(base, base + size * step, step):
                 total = 0.0
                 for off in offsets:
-                    total += vals[base + off]
+                    for term in vals[cell + off:cell + off + span:stride]:
+                        total += term
                 out.append(total)
-        return out
-    out = [0.0] * len(bases)
-    if type(bases) is range:
-        step = bases.step
-        span = len(bases) * step
-        for off in offsets:
-            start = bases.start + off
-            out = [total + term for total, term
-                   in zip(out, vals[start:start + span:step])]
-        return out
-    for off in offsets:
-        out = [total + vals[base + off] for total, base in zip(out, bases)]
+        else:
+            totals = [0.0] * size
+            for off in offsets:
+                for start in range(base + off, base + off + span, stride):
+                    totals = [total + term for total, term in zip(
+                        totals, vals[start:start + size * step:step])]
+            out += totals
+        lo += size
+        skip = 0
     return out
 
 
@@ -289,7 +255,7 @@ _OVERFLOWS = {"+": "addition overflows", "-": "subtraction overflows",
 
 
 def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
-         shapes: _Shapes) -> list | tuple:
+         shapes: _Shapes) -> list | array:
     """`var`'s formula over its cells lo .. hi-1, a block or the whole
     target: each node once, in post-order, as one list operation over
     those cells.
@@ -336,8 +302,8 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             result = [-a for a in stack.pop()]
         else:  # an Aggregate
             source = tensors[node.source]
-            bases, offsets, run = shapes.sum_terms(dims, source.dims)
-            result = _sum(source.values, bases, offsets, run, lo, hi)
+            cells, terms = shapes.sum_terms(dims, source.dims)
+            result = _sum(source.values, cells, terms, lo, hi)
             if not _finite(result):
                 raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
         stack.append(result)

@@ -24,6 +24,20 @@ from synth import dense_model
 GOLDEN = Path(__file__).resolve().parent / "golden" / "golden_values.csv"
 
 
+def traced(call):
+    """call()'s result, and the bytes tracemalloc counts as held once it
+    returns and at its peak; the free lists are emptied first, so the
+    reading is the same from run to run."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
 def golden_cases():
     groups = {}
     with GOLDEN.open(newline="", encoding="utf-8") as handle:
@@ -151,13 +165,8 @@ class TestErrors:
             Variable("X", VariableKind.INPUT, DimensionSet(("A", "B")), None),))
         checked = check_model(model)
         overrides = [InputOverride("X", ("i0", "i1"), 2.0)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(EvalError) as info:
-                evaluate(checked, overrides)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        info, _, peak = traced(
+            lambda: pytest.raises(EvalError, evaluate, checked, overrides))
         assert (info.value.kind, info.value.labels) == (
             "MISSING-INPUT", ("i0", "i0"))
         assert peak < 1_000_000
@@ -355,66 +364,57 @@ def test_demand_decreases_as_price_increases(acme_checked):
 
 def test_evaluate_holds_each_tensor_once():
     # every finished tensor is one array of 8 bytes a cell, its own copy
-    # even of a data table; here this read 28.76 bytes a cell at the peak
-    # and 8.84 retained on Python 3.11-3.13, 29.13 and 9.58 on 3.10. With
-    # each 4,800-cell formula computed whole it read 33.46 and 8.80 (33.83
-    # and 9.50), and with a tuple of floats a tensor 48.08-48.51 and
-    # 32.45-33.19
+    # even of a data table; here the peak read 28.76 bytes a cell on Python
+    # 3.11-3.13 and 29.16 on 3.10. With each 4,800-cell formula computed
+    # whole it read 33.46 (33.83), and with a tuple of floats a tensor
+    # 48.08-48.51. The retained bytes of so small a model are mostly
+    # interpreter residue, so the next test bounds them on a larger one
     checked = check_model(parse_model(dense_model(1, (8, 6, 10, 10))))
-    gc.collect()  # empties the free lists, so the reading is the same
-    tracemalloc.start()
-    try:
-        result = evaluate(checked)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, _, peak = traced(lambda: evaluate(checked))
     cells = sum(len(tensor.values) for tensor in result.tensors.values())
     assert cells == 16_828
     assert peak / cells < 29.5
-    assert retained / cells < 9.6
 
 
 def test_evaluate_peak_stays_near_retained():
     # each 48,000-cell formula runs in blocks of at most 4,096 cells, so
     # no list of computed floats, 32 bytes a cell, spans its target: the
-    # peak read 2.14-2.16 times the retained bytes on Python 3.10-3.11,
-    # and 4.26-4.29 with each formula computed whole
+    # peak read 2.16 times the retained bytes on Python 3.10-3.13, and
+    # 4.26-4.29 with each formula computed whole. The arrays themselves
+    # hold 8 bytes a cell, and all retained bytes read 8.10-8.11 a cell on
+    # 3.10-3.13
     checked = check_model(parse_model(dense_model(1, (12, 10, 20, 20))))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = evaluate(checked)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, retained, peak = traced(lambda: evaluate(checked))
+    cells = sum(len(tensor.values) for tensor in result.tensors.values())
     assert len(result["Profit"].values) == 48_000
+    assert cells == 156_914
+    assert retained / cells < 8.2
     assert peak < 2.5 * retained
 
 
-def test_sum_over_trailing_dimensions_keeps_no_index_list():
-    # a SUM over its source's trailing dimensions adds contiguous runs of
-    # cells, so it needs no list of one index per source cell: with such a
-    # list of 48,000 ints the peak read 1.83-2.02 MB on Python 3.10-3.13,
-    # without it 0.002-0.008 MB
-    counts = {"M": 12, "S": 10, "P": 20, "R": 20}
+@pytest.mark.parametrize("counts,target", [
+    ({"M": 12, "S": 10, "P": 20, "R": 20}, ()),
+    ({"A": 24_000, "D": 2}, ("D",)),
+], ids=["trailing", "leading"])
+def test_sum_keeps_no_index_list(counts, target):
+    # a SUM reads runs of source cells one stride apart, so it needs no
+    # list of one index per source cell, whichever dimensions it sums. The
+    # peak is X's array and the slices of it that a cell adds: it read
+    # 0.77 MB on Python 3.10-3.13 for the sum of all 48,000 cells of X,
+    # and 0.58 MB for 24,000 x 2 cells summed to the trailing (D), where a
+    # list of one index per summed cell of the leading A read 2.97-3.26 MB
     dims = tuple(Dimension(n, tuple(f"{n.lower()}{i}" for i in range(c)))
                  for n, c in counts.items())
     rng = random.Random(1)
-    table = ValueTable(tuple(rng.uniform(-1e3, 1e3) for _ in range(48_000)))
+    table = ValueTable(tuple(rng.uniform(-1e3, 1e3)
+                             for _ in range(math.prod(counts.values()))))
     checked = check_model(Model(dims, (
-        Variable("X", VariableKind.DATA, DimensionSet(("M", "S", "P", "R")),
-                 table),
-        Variable("Total", VariableKind.OUTPUT, DimensionSet(()),
+        Variable("X", VariableKind.DATA, DimensionSet(tuple(counts)), table),
+        Variable("Total", VariableKind.OUTPUT, DimensionSet(target),
                  Aggregate("X")))))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = evaluate(checked)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result["Total"].values[0].hex() == (
-        reference_evaluate(checked)["Total"][0].hex())
+    result, _, peak = traced(lambda: evaluate(checked))
+    assert [v.hex() for v in result["Total"].values] == [
+        v.hex() for v in reference_evaluate(checked)["Total"]]
     assert peak < 1_000_000
 
 
@@ -657,7 +657,9 @@ def four_dimension_models(draw):
     in one operand, C and D in another, B between shared dimensions in a
     third, and A and C in a fourth. G sums F's middle dimension B in runs
     over C and D, which a zero of XCD can fail inside; H sums G's leading
-    A and keeps C and D, and Y sums F's leading A and keeps B, C and D."""
+    A and keeps C and D, and Y sums F's leading A and keeps B, C and D.
+    K and L sum F to (A, C) and to (B, D), so kept and summed dimensions
+    interleave."""
     labels = {d: [f"{d.lower()}{i}" for i in range(draw(st.integers(1, 4)))]
               for d in "ABCD"}
     lines = [f"dimension {d} = [{', '.join(ls)}]" for d, ls in labels.items()]
@@ -668,14 +670,16 @@ def four_dimension_models(draw):
             cells = [c + (label,) for c in cells for label in labels[d]]
         table = ", ".join(f"{','.join(c)}: {draw(RISKY)!r}" for c in cells)
         lines.append(f"data X{dims} over ({', '.join(dims)}) = {{{table}}}")
-    ops = iter(draw(st.lists(st.sampled_from("+-*/^"), min_size=6,
-                             max_size=6)))
+    ops = iter(draw(st.lists(st.sampled_from("+-*/^"), min_size=8,
+                             max_size=8)))
     lines += [
         f"calc F over (A, B, C, D) = (XABC {next(ops)} XAB) {next(ops)} "
         f"(XACD {next(ops)} XBD)",
         f"calc G over (A, C, D) = SUM(F) {next(ops)} XCD",
         f"calc H over (C, D) = XCD {next(ops)} SUM(G)",
         f"output Y over (B, C, D) = SUM(F) {next(ops)} Z",
+        f"calc K over (A, C) = SUM(F) {next(ops)} Z",
+        f"output L over (B, D) = XBD {next(ops)} SUM(F)",
     ]
     return "\n".join(lines) + "\n"
 
@@ -714,6 +718,26 @@ def four_dimension_models(draw):
          "calc G over (A, C, D) = SUM(F) / XCD\n"
          "calc H over (C, D) = XCD - SUM(G)\n"
          "output Y over (B, C, D) = SUM(F) + Z\n")
+# the 1-label B sits between the kept A and C of K, and between the summed
+# A and C of L, so each joins one run; 1e16 terms make the fold order show
+@example("dimension A = [a0, a1]\ndimension B = [b0]\n"
+         "dimension C = [c0, c1, c2]\ndimension D = [d0, d1]\ndata Z = 1.0\n"
+         "data XABC over (A, B, C) = {a0,b0,c0: 1e16, a0,b0,c1: 1.0,"
+         " a0,b0,c2: 1.0, a1,b0,c0: -1e16, a1,b0,c1: 1.0, a1,b0,c2: 1.0}\n"
+         "data XAB over (A, B) = {a0,b0: 1.0, a1,b0: 1.0}\n"
+         "data XACD over (A, C, D) = {a0,c0,d0: 0.5, a0,c0,d1: 0.5,"
+         " a0,c1,d0: 0.5, a0,c1,d1: -1e16, a0,c2,d0: 0.5, a0,c2,d1: 0.5,"
+         " a1,c0,d0: 0.5, a1,c0,d1: 0.5, a1,c1,d0: 0.5, a1,c1,d1: 0.5,"
+         " a1,c2,d0: 1e16, a1,c2,d1: 0.5}\n"
+         "data XBD over (B, D) = {b0,d0: 1.0, b0,d1: 1.0}\n"
+         "data XCD over (C, D) = {c0,d0: 2.0, c0,d1: 2.0, c1,d0: 2.0,"
+         " c1,d1: 2.0, c2,d0: 2.0, c2,d1: 2.0}\n"
+         "calc F over (A, B, C, D) = (XABC * XAB) + (XACD * XBD)\n"
+         "calc G over (A, C, D) = SUM(F) * XCD\n"
+         "calc H over (C, D) = XCD * SUM(G)\n"
+         "output Y over (B, C, D) = SUM(F) * Z\n"
+         "calc K over (A, C) = SUM(F) + Z\n"
+         "output L over (B, D) = XBD * SUM(F)\n")
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_four_dimensions_match_reference_evaluate(source):
     assert_matches_reference(check_model(parse_model(source)))
@@ -739,6 +763,18 @@ SUMS = ("dimension A = [a0, a1, a2]\ndimension B = [b0, b1]\n"
         "calc V over (A, C) = SUM(X)\ncalc Z over (A, B) = SUM(X) * 3\n"
         "calc W over (C) = SUM(X) - 1\n")
 
+# X over (A, B, C), 2 x 8 x 2 cells, in which Y sums A and C: runs of 2
+# terms from two summed starts, added to runs of 8 cells 2 apart. The
+# terms of every cell are 1e16, 1, 1 and -1e16, which fold to 0.0 in
+# declaration order and to 1.0 with the starts reversed
+FOLD = {(0, 0): "1e16", (0, 1): "1", (1, 0): "1", (1, 1): "-1e16"}
+SPREAD = ("dimension A = [a0, a1]\ndimension B = ["
+          + ", ".join(f"b{k}" for k in range(8))
+          + "]\ndimension C = [c0, c1]\ndata X over (A, B, C) = {"
+          + ", ".join(f"a{a},b{b},c{c}: {FOLD[a, c]}"
+                      for a in range(2) for b in range(8) for c in range(2))
+          + "}\ncalc Y over (B) = SUM(X)\n")
+
 
 def sums_over(zeros):
     """SUMS, and Y = SUM(X) / D with D 0 at the given cells of (A, C)."""
@@ -753,13 +789,16 @@ def sums_over(zeros):
        st.integers(1, 9))
 # Y's 9 cells in blocks of 4 and 5 cells: SUM runs straddle the block
 # edge, and the first bad cell is a later block's first cell, a block's
-# last cell, or the last block's last cell
+# last cell, or the last block's last cell; SPREAD's runs of cells
+# whole and cut into blocks of 2 and 3
 @example(sums_over(()), 5)
 @example(sums_over({4}), 5)
 @example(sums_over({3, 8}), 5)
 @example(sums_over({8}), 5)
 @example(BLOCK_EDGES, 2)
 @example(BLOCK_EDGES, 3)
+@example(SPREAD, 3)
+@example(SPREAD, 9)
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_block_edges_match_reference_evaluate(source, block):
     checked = check_model(parse_model(source))
