@@ -162,23 +162,26 @@ def _cmd_eval(args, checked: CheckedModel) -> None:
                 sep and sep in name for sep in (os.sep, os.altsep, "\0")):
             raise _Usage(f"cannot export {name}: a variable exported to CSV "
                          f"needs a name that is a plain file name")
+    shown = selected or [v.name for v in model.variables
+                         if v.kind is VariableKind.OUTPUT]
     try:
-        result = evaluate(checked, overrides)
+        tensors = evaluate(checked, overrides).tensors
     except ValueError as e:
         # bad override target or label: an invocation problem
         raise _Usage(str(e)) from None
+    # only the tensors written or printed stay, so the others are freed
+    # before the first file is written
+    tensors = {name: tensors[name] for name in (*exported, *shown)}
 
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in exported:
-            _write_csv(out_dir, name, result[name], model)
+            _write_csv(out_dir, name, tensors[name], model)
     except OSError as e:
         raise _cannot_write(e) from None
-    shown = selected or [v.name for v in model.variables
-                         if v.kind is VariableKind.OUTPUT]
     for name in shown:
-        tensor = result[name]
+        tensor = tensors[name]
         if not tensor.dims.names:
             print(f"{name} = {format_number(tensor.values[0])}")
 

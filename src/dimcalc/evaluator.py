@@ -5,13 +5,13 @@ tensor per variable (row-major over the declared dimension set), each an
 `array('d')` of 8 bytes a cell, made once, when its variable is computed,
 and held by no other tensor or table. A formula runs a block of cells at
 a time, the whole target when it has at most `_BLOCK` cells: every node,
-in post-order, is one list operation over the block's cells, reading its
-operands from their tensors, and the block's result is written into the
-formula's array. A reference to a smaller-dimensioned operand
-broadcasts: its values repeat along the target dimensions it lacks. SUM
-adds the source cells over the eliminated dimensions in declaration
-order, as a left fold from 0.0, which keeps results bit-identical across
-runs, blocks and Python versions.
+in post-order, is one list operation over the block's cells, reading only
+their operands from the tensors, and the block's result is written into
+the formula's array, so no working list spans more than a block. A
+reference to a smaller-dimensioned operand broadcasts: its values repeat
+along the target dimensions it lacks. SUM adds the source cells over the
+eliminated dimensions in declaration order, as a left fold from 0.0,
+which keeps results bit-identical across runs, blocks and Python versions.
 
 Numeric failures stop evaluation at the first bad cell and name it
 exactly: kind, variable, and instance tuple.
@@ -22,11 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from itertools import chain
 
 from .checker import CheckedModel
 from .model import (
-    Aggregate,
     Binary,
     Diagnostic,
     DiagnosticFailure,
@@ -108,7 +106,7 @@ class _Shapes:
 
     def __init__(self, model: Model):
         self._model = model
-        self._plans: dict[tuple, list] = {}
+        self._plans: dict[tuple, tuple] = {}
         self._terms: dict[tuple, tuple] = {}
 
     def _runs(self, dims: DimensionSet, source: DimensionSet) -> tuple:
@@ -139,51 +137,48 @@ class _Shapes:
         return starts, count, step
 
     def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
-        """(cells, terms), two `_runs` results over `source`: the cells of
-        SUM(source) over `dims`, and the terms each cell adds, in
-        declaration order, from its own flat index on."""
+        """(cells, terms) over `source`: the `_runs` result of the cells of
+        SUM(source) over `dims`, and (pieces, count, step), the terms
+        each cell adds from its own flat index on, in declaration order,
+        as runs [start, stop) of at most `count` terms, `_BLOCK` at most."""
         key = (dims.names, source.names)
         if key not in self._terms:
-            self._terms[key] = (self._runs(dims, source),
-                                self._runs(difference(source, dims), source))
+            starts, count, step = self._runs(difference(source, dims), source)
+            span, cut = count * step, min(count, _BLOCK) * step
+            self._terms[key] = (self._runs(dims, source), (
+                [(start + k, start + min(k + cut, span))
+                 for start in starts for k in range(0, span, cut)],
+                cut // step, step))
         return self._terms[key]
 
-    def broadcast(self, vals, source: DimensionSet,
-                  dims: DimensionSet) -> list | array:
-        """`vals` over `source`, repeated along the dimensions of `dims`
-        that `source` lacks, as one row-major list over `dims`.
+    def broadcast(self, vals, source: DimensionSet, dims: DimensionSet,
+                  lo: int, hi: int) -> list | array:
+        """Cells lo .. hi-1 of `vals` over `source`, repeated along the
+        dimensions of `dims` that `source` lacks, row-major over `dims`.
 
-        Each value is read once, and each step of the plan repeats every
-        block of the list built so far. `source` must be a subset of
-        `dims`; `vals` itself is returned when the two are equal.
+        The whole target takes each step of the plan over all the list
+        built so far, and a block builds only its own cells (`_cells`).
+        `source` must be a subset of `dims`; the whole of an equal one is
+        `vals` itself.
         """
         if source.names == dims.names:
-            return vals
+            return vals if hi - lo == len(vals) else vals[lo:hi]
         key = (source.names, dims.names)
         if key not in self._plans:
             self._plans[key] = self._plan(source, dims)
-        out = list(vals)
-        for size, count in self._plans[key]:
-            if size == len(out):
-                out *= count
-            elif size == 1:
-                # copy k of every value goes to every count-th place from k
-                spread = [0.0] * (len(out) * count)
-                for k in range(count):
-                    spread[k::count] = out
-                out = spread
-            else:
-                # list slices: CPython keeps thousands of freed small tuples
-                # for reuse
-                out = list(chain.from_iterable(
-                    out[i:i + size] * count for i in range(0, len(out), size)))
+        steps, cells = self._plans[key]
+        if hi - lo < cells:
+            return _cells(vals, steps, len(steps), lo, hi)
+        out = vals.tolist()
+        for size, count in steps:
+            out = _repeat(out, size, count)
         return out
 
-    def _plan(self, source: DimensionSet, dims: DimensionSet) -> list:
-        """[(block size, count), ...] from the inside out: each block of
-        the list over the dimensions inside one that `source` lacks repeats
-        `count` times. Adjacent lacking dimensions are one step, and a
-        shared dimension only makes the next block larger."""
+    def _plan(self, source: DimensionSet, dims: DimensionSet) -> tuple:
+        """([(block size, count), ...], cells of `dims`), the steps from the
+        inside out: each block of the list over the dimensions inside one
+        that `source` lacks repeats `count` times. Adjacent lacking
+        dimensions are one step; a shared one makes the next block larger."""
         steps, size, lacking = [], 1, False
         for name, count in reversed(tuple(zip(
                 dims.names, self._model.instance_counts(dims)))):
@@ -195,22 +190,69 @@ class _Shapes:
                 steps.append((size, count))
                 lacking = True
             size *= count
-        return steps
+        return steps, size
+
+
+def _repeat(out: list, size: int, count: int) -> list:
+    """`out` with each block of `size` values repeated `count` times."""
+    if size == len(out):
+        return out * count
+    if size == 1:
+        # copy k of every value goes to every count-th place from k
+        spread = [0.0] * (len(out) * count)
+        for k in range(count):
+            spread[k::count] = out
+        return spread
+    # list slices: CPython keeps thousands of freed small tuples for reuse
+    spread = []
+    for i in range(0, len(out), size):
+        spread += out[i:i + size] * count
+    return spread
+
+
+def _cells(vals, steps: list, k: int, lo: int, hi: int) -> list:
+    """Cells lo .. hi-1 of the list that the first k steps of a broadcast
+    plan make of `vals`, from only the cells below that they repeat, so no
+    list it builds is longer than the range. Step k repeats each chunk of
+    `size` cells below `count` times: whole chunks take the step, and a
+    part of one chunk is a slice of one copy or two, or else the chunk,
+    shorter than the range, cut and repeated."""
+    if not k:
+        return vals[lo:hi].tolist()
+    size, count = steps[k - 1]
+    period = size * count
+    first, last = -(-lo // period), hi // period
+    if first < last or lo < first * period < hi:  # whole chunks, or an edge
+        out = _repeat(_cells(vals, steps, k - 1, first * size, last * size),
+                      size, count) if first < last else []
+        if lo < first * period:
+            out = _cells(vals, steps, k, lo, first * period) + out
+        if last * period < hi:
+            out += _cells(vals, steps, k, last * period, hi)
+        return out
+    base, cut = lo // period * size, lo % size
+    if cut + hi - lo <= size:
+        return _cells(vals, steps, k - 1, base + cut, base + cut + hi - lo)
+    copies, rest = divmod(cut + hi - lo, size)
+    if copies == 1:
+        return (_cells(vals, steps, k - 1, base + cut, base + size)
+                + _cells(vals, steps, k - 1, base, base + rest))
+    chunk = _cells(vals, steps, k - 1, base, base + size)
+    return chunk[cut:] + chunk * (copies - 1) + chunk[:rest]
 
 
 def _sum(vals, cells: tuple, terms: tuple, lo: int, hi: int) -> list:
-    """Cells lo .. hi-1 of a SUM whose cells and terms are the `_runs`
-    results `cells` and `terms`: each cell is 0.0 + its first term + ...,
-    a left fold in declaration order, each term read from the cell's own
-    flat index on.
+    """Cells lo .. hi-1 of a SUM whose cells and terms are `sum_terms`'
+    `cells` and `terms`: each cell is 0.0 + its first term + ..., a left
+    fold in declaration order, each term read from the cell's own flat
+    index on.
 
     Two loops, each adding every cell's terms in that order: a run of
     cells adds one strided slice of the source per term, and a single
-    cell adds one strided slice per summed start.
+    cell adds one strided slice per piece of its terms.
     """
     starts, run, step = cells
-    offsets, count, stride = terms
-    span = count * stride
+    pieces, count, stride = terms
     # a single cell's float adds cost less a term than a run's list
     # comprehension, which costs less a slice: the two loops tie where a run
     # of cells is about 4 times a run of terms (CPython 3.10-3.13, 20,000 to
@@ -226,16 +268,16 @@ def _sum(vals, cells: tuple, terms: tuple, lo: int, hi: int) -> list:
         if cellwise:
             for cell in range(base, base + size * step, step):
                 total = 0.0
-                for off in offsets:
-                    for term in vals[cell + off:cell + off + span:stride]:
+                for start, stop in pieces:
+                    for term in vals[cell + start:cell + stop:stride]:
                         total += term
                 out.append(total)
         else:
             totals = [0.0] * size
-            for off in offsets:
-                for start in range(base + off, base + off + span, stride):
+            for start, stop in pieces:
+                for at in range(base + start, base + stop, stride):
                     totals = [total + term for total, term in zip(
-                        totals, vals[start:start + size * step:step])]
+                        totals, vals[at:at + size * step:step])]
             out += totals
         lo += size
         skip = 0
@@ -295,9 +337,7 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             result = [node.value] * count
         elif cls is Ref:
             source = tensors[node.name]
-            result = shapes.broadcast(source.values, source.dims, dims)
-            if len(result) != count:
-                result = result[lo:hi]
+            result = shapes.broadcast(source.values, source.dims, dims, lo, hi)
         elif cls is Unary:
             result = [-a for a in stack.pop()]
         else:  # an Aggregate
@@ -322,10 +362,11 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     Each node runs once over the whole tensor when it has at most _BLOCK
     cells, and otherwise once over each of the fewest blocks of at most
     _BLOCK cells, their sizes at most one cell apart, in order, each
-    written into the tensor's array. When a run fails, every earlier
-    cell has succeeded: the formula runs again over ever smaller ranges
-    of the failed run's cells down to the first bad cell in canonical
-    order, and the error is the first failing node at that cell.
+    reading only its own cells of every operand and written into the
+    tensor's array. When a run fails, every earlier cell has succeeded:
+    the formula runs again over ever smaller ranges of the failed run's
+    cells down to the first bad cell in canonical order, and the error
+    is the first failing node at that cell.
     """
     size = model.tensor_size(var.dims)
     if size <= _BLOCK:
@@ -337,26 +378,15 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     # one; struct is loaded only once a formula needs more than one block
     from struct import Struct
 
-    # the tensors the formula reads, each reference broadcast once, as a
-    # list over the target, for every block to slice (a SUM's source that
-    # is also referenced has the target's dimensions: the same values)
-    wide = {}
-    for node in var.nodes:
-        if type(node) is Ref:
-            source = tensors[node.name]
-            wide[node.name] = Tensor(var.dims, shapes.broadcast(
-                source.values, source.dims, var.dims))
-        elif type(node) is Aggregate:
-            wide[node.source] = tensors[node.source]
     out = array("d", [0.0]) * size
     blocks = -(-size // _BLOCK)
     for k in range(blocks):
         lo, hi = size * k // blocks, size * (k + 1) // blocks
         try:  # one statement, so no block's list outlives its packing
             Struct(f"{hi - lo}d").pack_into(
-                out, lo * 8, *_run(var, lo, hi, wide, shapes))
+                out, lo * 8, *_run(var, lo, hi, tensors, shapes))
         except _CellError:
-            _raise_first_bad_cell(var, lo, hi, model, wide, shapes)
+            _raise_first_bad_cell(var, lo, hi, model, tensors, shapes)
     return out
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,32 @@ class TestEval:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["MPR_Unit_Sales.csv", "MP_Sales_Amount.csv",
                            "MP_Unit_Sales.csv", "Monthly_Unit_Sales.csv"]
+
+    def test_exports_from_only_the_tensors_it_writes(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # the 4-D calc MSPR_Variable_Cost is neither written nor printed, so
+        # eval keeps no reference to it once evaluate returns, and it is
+        # freed before the first file is written
+        evaluate, write_csv, freed, written = (
+            dimcalc.cli.evaluate, dimcalc.cli._write_csv, [], [])
+
+        def evaluate_noting(*args):
+            result = evaluate(*args)
+            freed.append(weakref.ref(result["MSPR_Variable_Cost"].values))
+            return result
+
+        def write_csv_after(directory, name, *args):
+            assert freed[0]() is None
+            written.append(name)
+            write_csv(directory, name, *args)
+
+        monkeypatch.setattr(dimcalc.cli, "evaluate", evaluate_noting)
+        monkeypatch.setattr(dimcalc.cli, "_write_csv", write_csv_after)
+        code, out, err = run(capsys, "eval", ACME, "--out-dir", str(tmp_path))
+        assert (code, out, err) == (
+            0, "Total_Profit = -27686.567818786803\n", "")
+        assert written == ["Monthly_Unit_Sales", "MPR_Unit_Sales",
+                           "MP_Unit_Sales", "MP_Sales_Amount"]
 
     def test_csv_schema_and_order(self, capsys, tmp_path):
         run(capsys, "eval", ACME, "--out-dir", str(tmp_path))
