@@ -7,11 +7,13 @@ and held by no other tensor or table. A formula runs a block of cells at
 a time, the whole target when it has at most `_BLOCK` cells: every node,
 in post-order, is one list operation over the block's cells, reading only
 their operands from the tensors, and the block's result is written into
-the formula's array, so no working list spans more than a block. A
-reference to a smaller-dimensioned operand broadcasts: its values repeat
-along the target dimensions it lacks. SUM adds the source cells over the
-eliminated dimensions in declaration order, as a left fold from 0.0,
-which keeps results bit-identical across runs, blocks and Python versions.
+the formula's array, so no working list spans more than a block. One
+strided view of each operand drives both ways values move between
+dimension sets: a reference to a smaller-dimensioned operand broadcasts,
+its values repeated along the target dimensions it lacks (stride 0), and
+SUM adds the source cells over the eliminated dimensions in declaration
+order, as a left fold from 0.0, which keeps results bit-identical across
+runs, blocks and Python versions.
 
 Numeric failures stop evaluation at the first bad cell and name it
 exactly: kind, variable, and instance tuple.
@@ -36,7 +38,6 @@ from .model import (
     Tensor,
     Unary,
     VariableKind,
-    difference,
 )
 from .parser import format_ident
 
@@ -97,190 +98,141 @@ class _CellError(Exception):
 
 
 class _Shapes:
-    """Index arithmetic over the tensors of one model, each result made
-    once: the strided runs a SUM reads, and the plan a broadcast follows.
+    """The views of one model's tensors, each made once and keyed by
+    dimension names: shared between callers, so none may be changed.
 
-    Results are keyed by dimension names and shared between callers, so
-    none may be changed.
+    A view lists the cells of some dimensions, row-major, as flat indices
+    of a tensor over `source`: one (count, cells a step, stride) an axis,
+    outermost first, the innermost one cell a step; cell i is at the sum
+    of (i // cells) % count * stride. A dimension `source` lacks has
+    stride 0. 1-label dimensions are dropped; axes that step as one merge.
     """
 
     def __init__(self, model: Model):
-        self._model = model
-        self._plans: dict[tuple, tuple] = {}
-        self._terms: dict[tuple, tuple] = {}
+        self._counts = {d.name: len(d.instances) for d in model.dimensions}
+        self._views: dict[tuple, tuple] = {}
+        self._sums: dict[tuple, tuple] = {}
 
-    def _runs(self, dims: DimensionSet, source: DimensionSet) -> tuple:
-        """(starts, count, step): cell k * count + j of `dims` is flat index
-        starts[k] + j * step of a tensor over `source`, a superset.
+    def view(self, names: tuple[str, ...], source: DimensionSet) -> tuple:
+        """The view of the dimensions `names`, in that order, over `source`."""
+        key = (names, source.names)
+        if key not in self._views:
+            count, strides, stride = self._counts, {}, 1
+            for name in reversed(source.names):
+                strides[name], stride = stride, stride * count[name]
+            axes, cells = [], 1
+            for name in reversed(names):
+                stride = strides.get(name, 0)
+                if axes and axes[-1][0] * axes[-1][2] == stride:
+                    axes[-1] = (axes[-1][0] * count[name], *axes[-1][1:])
+                elif count[name] > 1:
+                    axes.append((count[name], cells, stride))
+                cells *= count[name]
+            self._views[key] = tuple(reversed(axes)) or ((1, 1, 1),)
+        return self._views[key]
 
-        A cell maps to its coordinates on `dims` and to the first instance
-        of every other source dimension. The `count` cells of a run are
-        the longest suffix of `dims` whose cells sit one step apart; a
-        1-label dimension joins any run. `starts` lists one flat index a
-        run, row-major over the dimensions before it.
-        """
-        counts = dict(zip(source.names, self._model.instance_counts(source)))
-        strides, stride = {}, 1
-        for name in reversed(source.names):
-            strides[name] = stride
-            stride *= counts[name]
-        # a 1-label dimension only ever takes index 0, so it moves no index
-        axes = [name for name in dims.names if counts[name] > 1]
-        step = strides[axes[-1]] if axes else 1
-        count = 1
-        while axes and strides[axes[-1]] == step * count:
-            count *= counts[axes.pop()]
-        starts = [0]
-        for name in axes:
-            starts = [start + k * strides[name]
-                      for start in starts for k in range(counts[name])]
-        return starts, count, step
-
-    def sum_terms(self, dims: DimensionSet, source: DimensionSet) -> tuple:
-        """(cells, terms) over `source`: the `_runs` result of the cells of
-        SUM(source) over `dims`, and (pieces, count, step), the terms
-        each cell adds from its own flat index on, in declaration order,
-        as runs [start, stop) of at most `count` terms, `_BLOCK` at most."""
+    def sum(self, dims: DimensionSet, source: DimensionSet) -> tuple:
+        """The views of SUM(source) over `dims`: of its cells, and of the
+        terms a cell adds from its own flat index on."""
         key = (dims.names, source.names)
-        if key not in self._terms:
-            starts, count, step = self._runs(difference(source, dims), source)
-            span, cut = count * step, min(count, _BLOCK) * step
-            self._terms[key] = (self._runs(dims, source), (
-                [(start + k, start + min(k + cut, span))
-                 for start in starts for k in range(0, span, cut)],
-                cut // step, step))
-        return self._terms[key]
+        if key not in self._sums:
+            self._sums[key] = (self.view(dims.names, source), self.view(
+                tuple(n for n in source if n not in dims.members), source))
+        return self._sums[key]
 
     def broadcast(self, vals, source: DimensionSet, dims: DimensionSet,
-                  lo: int, hi: int) -> list | array:
+                  lo: int, hi: int):
         """Cells lo .. hi-1 of `vals` over `source`, repeated along the
         dimensions of `dims` that `source` lacks, row-major over `dims`.
-
-        The whole target takes each step of the plan over all the list
-        built so far, and a block builds only its own cells (`_cells`).
         `source` must be a subset of `dims`; the whole of an equal one is
-        `vals` itself.
-        """
+        `vals` itself."""
         if source.names == dims.names:
             return vals if hi - lo == len(vals) else vals[lo:hi]
-        key = (source.names, dims.names)
-        if key not in self._plans:
-            self._plans[key] = self._plan(source, dims)
-        steps, cells = self._plans[key]
-        if hi - lo < cells:
-            return _cells(vals, steps, len(steps), lo, hi)
-        out = vals.tolist()
-        for size, count in steps:
-            out = _repeat(out, size, count)
-        return out
-
-    def _plan(self, source: DimensionSet, dims: DimensionSet) -> tuple:
-        """([(block size, count), ...], cells of `dims`), the steps from the
-        inside out: each block of the list over the dimensions inside one
-        that `source` lacks repeats `count` times. Adjacent lacking
-        dimensions are one step; a shared one makes the next block larger."""
-        steps, size, lacking = [], 1, False
-        for name, count in reversed(tuple(zip(
-                dims.names, self._model.instance_counts(dims)))):
-            if name in source.members:
-                lacking = False
-            elif lacking:
-                steps[-1] = (steps[-1][0], steps[-1][1] * count)
-            else:
-                steps.append((size, count))
-                lacking = True
-            size *= count
-        return steps, size
+        return _gather(vals, self.view(dims.names, source), 0, 0, lo, hi)
 
 
-def _repeat(out: list, size: int, count: int) -> list:
-    """`out` with each block of `size` values repeated `count` times."""
-    if size == len(out):
-        return out * count
-    if size == 1:
-        # copy k of every value goes to every count-th place from k
-        spread = [0.0] * (len(out) * count)
-        for k in range(count):
-            spread[k::count] = out
-        return spread
-    # list slices: CPython keeps thousands of freed small tuples for reuse
-    spread = []
-    for i in range(0, len(out), size):
-        spread += out[i:i + size] * count
-    return spread
-
-
-def _cells(vals, steps: list, k: int, lo: int, hi: int) -> list:
-    """Cells lo .. hi-1 of the list that the first k steps of a broadcast
-    plan make of `vals`, from only the cells below that they repeat, so no
-    list it builds is longer than the range. Step k repeats each chunk of
-    `size` cells below `count` times: whole chunks take the step, and a
-    part of one chunk is a slice of one copy or two, or else the chunk,
-    shorter than the range, cut and repeated."""
-    if not k:
-        return vals[lo:hi].tolist()
-    size, count = steps[k - 1]
-    period = size * count
-    first, last = -(-lo // period), hi // period
-    if first < last or lo < first * period < hi:  # whole chunks, or an edge
-        out = _repeat(_cells(vals, steps, k - 1, first * size, last * size),
-                      size, count) if first < last else []
-        if lo < first * period:
-            out = _cells(vals, steps, k, lo, first * period) + out
-        if last * period < hi:
-            out += _cells(vals, steps, k, last * period, hi)
-        return out
-    base, cut = lo // period * size, lo % size
-    if cut + hi - lo <= size:
-        return _cells(vals, steps, k - 1, base + cut, base + cut + hi - lo)
-    copies, rest = divmod(cut + hi - lo, size)
-    if copies == 1:
-        return (_cells(vals, steps, k - 1, base + cut, base + size)
-                + _cells(vals, steps, k - 1, base, base + rest))
-    chunk = _cells(vals, steps, k - 1, base, base + size)
-    return chunk[cut:] + chunk * (copies - 1) + chunk[:rest]
+def _gather(vals, view, k: int, base: int, lo: int, hi: int):
+    """Cells lo .. hi-1 of `view`'s axes from k on, from flat index `base`
+    of `vals` on: a slice of `vals` for one axis, else a list no longer than
+    the range. A stride-0 axis repeats its chunk, built once."""
+    _, cells, stride = view[k]
+    if cells == 1:
+        if stride:
+            return vals[base + lo * stride:base + hi * stride:stride]
+        return [vals[base]] * (hi - lo)
+    first, last = lo // cells, (hi - 1) // cells
+    head, tail = lo - first * cells, hi - last * cells
+    if first == last:
+        return _gather(vals, view, k + 1, base + first * stride, head, tail)
+    _, below, step = view[k + 1]
+    # the whole steps, then the cut first and last steps around them
+    start, stop = first + (head > 0), last + (tail == cells)
+    if not stride:
+        out = (vals[base:base + cells * step:step].tolist() if below == 1
+               else _gather(vals, view, k + 1, base, 0, cells)
+               ) * (stop - start) if stop > start else []
+    elif below > 1:
+        out = []
+        for at in range(base + start * stride, base + stop * stride, stride):
+            out += _gather(vals, view, k + 1, at, 0, cells)
+    elif step:
+        out = []
+        for at in range(base + start * stride, base + stop * stride, stride):
+            out += vals[at:at + cells * step:step]
+    else:  # each value `cells` times: copy r to every rth place from r
+        values = vals[base + start * stride:base + stop * stride:
+                      stride].tolist()
+        out = [0.0] * (len(values) * cells)
+        for r in range(cells):
+            out[r::cells] = values
+    if head:
+        out[:0] = _gather(vals, view, k + 1, base + first * stride, head, cells)
+    if tail < cells:
+        out += _gather(vals, view, k + 1, base + last * stride, 0, tail)
+    return out
 
 
 def _sum(vals, cells: tuple, terms: tuple, lo: int, hi: int) -> list:
-    """Cells lo .. hi-1 of a SUM whose cells and terms are `sum_terms`'
-    `cells` and `terms`: each cell is 0.0 + its first term + ..., a left
-    fold in declaration order, each term read from the cell's own flat
-    index on.
-
-    Two loops, each adding every cell's terms in that order: a run of
-    cells adds one strided slice of the source per term, and a single
-    cell adds one strided slice per piece of its terms.
-    """
-    starts, run, step = cells
-    pieces, count, stride = terms
+    """Cells lo .. hi-1 of a SUM of `vals` over the views `cells` and
+    `terms`: each cell 0.0 + its first term + ..., a left fold in declaration
+    order in either loop: a cell adds one slice of `vals` per run of its
+    terms (or a gather of at most `_BLOCK`), a run of cells one per term."""
+    index = range(len(vals))
+    run, _, step = cells[-1]
+    count, _, stride = terms[-1]
+    size = terms[0][0] * terms[0][1]
+    out = []
     # a single cell's float adds cost less a term than a run's list
     # comprehension, which costs less a slice: the two loops tie where a run
     # of cells is about 4 times a run of terms (CPython 3.10-3.13, 20,000 to
     # 40,000 source cells, runs of 1-16 terms)
-    cellwise = run < 4 * count
-    out = []
-    first = lo // run
-    skip = lo - first * run  # the cells of the first run before lo
-    for base in starts[first:-(-hi // run)]:
-        # this run's cells from lo on, up to hi
-        size = run - skip if hi - lo > run - skip else hi - lo
-        base += skip * step
-        if cellwise:
-            for cell in range(base, base + size * step, step):
-                total = 0.0
-                for start, stop in pieces:
-                    for term in vals[cell + start:cell + stop:stride]:
-                        total += term
-                out.append(total)
-        else:
-            totals = [0.0] * size
-            for start, stop in pieces:
-                for at in range(base + start, base + stop, stride):
-                    totals = [total + term for total, term in zip(
-                        totals, vals[at:at + size * step:step])]
+    if run >= 4 * count:
+        while lo < hi:  # the cells of one run, from lo up to hi
+            cut = run - lo % run if hi - lo > run - lo % run else hi - lo
+            start = _gather(index, cells, 0, 0, lo, lo + 1)[0]
+            totals = [0.0] * cut
+            for at in range(0, size, _BLOCK):
+                for term in _gather(index, terms, 0, start, at,
+                                    min(at + _BLOCK, size)):
+                    totals = [total + value for total, value in zip(
+                        totals, vals[term:term + cut * step:step])]
             out += totals
-        lo += size
-        skip = 0
+            lo += cut
+        return out
+    # where each run of a cell's terms starts, or each block of _BLOCK
+    starts, blocks = ((_gather(index, terms, 0, 0, 0, size)[::count], ())
+                      if size <= _BLOCK else ((), range(0, size, _BLOCK)))
+    for cell in _gather(index, cells, 0, 0, lo, hi):
+        total = 0.0
+        for first in starts:
+            first += cell
+            for term in vals[first:first + count * stride:stride]:
+                total += term
+        for at in blocks:
+            for term in _gather(vals, terms, 0, cell, at,
+                                min(at + _BLOCK, size)):
+                total += term
+        out.append(total)
     return out
 
 
@@ -342,8 +294,7 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             result = [-a for a in stack.pop()]
         else:  # an Aggregate
             source = tensors[node.source]
-            cells, terms = shapes.sum_terms(dims, source.dims)
-            result = _sum(source.values, cells, terms, lo, hi)
+            result = _sum(source.values, *shapes.sum(dims, source.dims), lo, hi)
             if not _finite(result):
                 raise _CellError("NON-FINITE", f"SUM({node.source}) overflows")
         stack.append(result)
@@ -459,9 +410,10 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
 
     shapes = _Shapes(model)
     tensors: dict[str, Tensor] = {}
+    formulas = tuple(k for k in VariableKind if k.carries_formula)  # fast test
     for name in checked.order:
         var = model.variable(name)
-        if var.kind.carries_formula:
+        if var.kind in formulas:
             values = _evaluate_formula(var, model, tensors, shapes)
         else:
             values = _value_tensor(var, model, patches.get(name, {}))

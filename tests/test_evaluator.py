@@ -435,6 +435,66 @@ def test_evaluate_working_memory_does_not_grow(counts, size):
     assert peak - retained < 600_000
 
 
+@pytest.mark.parametrize("n", [25_000, 100_000])
+@pytest.mark.parametrize("target", [("A", "C"), ("B",)],
+                         ids=["summed_between", "kept_between"])
+def test_sum_working_memory_does_not_grow(target, n):
+    # X over (A, B, C) of n x 2 x 2 cells: SUM(X) over (A, C) reads runs of
+    # 2 cells, and over (B) runs of 2 terms, one run for every label of A.
+    # A block computes its own starts, so the peak beyond the finished
+    # arrays stays put as n grows: 0.27-0.28 and 0.12 MiB on Python 3.11.
+    # One start kept for every run of cells read 1.12 and 3.97 MiB over
+    # (A, C), and one for every run of terms 3.93 and 15.91 MiB over (B),
+    # at n = 25,000 and 100,000
+    dims = tuple(Dimension(d, tuple(f"{d.lower()}{i}" for i in range(c)))
+                 for d, c in (("A", n), ("B", 2), ("C", 2)))
+    rng = random.Random(n)
+    table = ValueTable(tuple(rng.uniform(-1e3, 1e3) for _ in range(4 * n)))
+    checked = check_model(Model(dims, (
+        Variable("X", VariableKind.DATA, DimensionSet(("A", "B", "C")), table),
+        Variable("Y", VariableKind.OUTPUT, DimensionSet(target),
+                 Aggregate("X")))))
+    result, retained, peak = traced(lambda: evaluate(checked))
+    # reference_evaluate's fold, source cell by source cell: it scans the
+    # whole source for every cell, too long at this size
+    kept = target == ("A", "C")
+    want = [0.0] * (2 * n if kept else 2)
+    for i, value in enumerate(table.values):
+        want[i // 4 * 2 + i % 2 if kept else i // 2 % 2] += value
+    assert [v.hex() for v in result["Y"].values] == [v.hex() for v in want]
+    assert peak - retained < 500_000
+
+
+def test_block_sums_match_reference_evaluate():
+    # every SUM of a source over dimensions of 3, 2, 1 and 4 labels to
+    # each smaller set, at every block size from 1 to the target's cells:
+    # a block sums only its own cells, and a cell reads its terms at most
+    # a block at a time. The values mix 1e16 with small ones, so a term
+    # added out of order or a block edge shifted by one changes the bits
+    model = Model(tuple(
+        Dimension(n, tuple(f"{n.lower()}{i}" for i in range(c)))
+        for n, c in zip("ABCD", (3, 2, 1, 4))), ())
+    rng = random.Random(7)
+    sets = enumerate_dimension_sets(model)
+    cases = 0
+    for source in sets:
+        table = ValueTable(tuple(
+            rng.choice((1e16, -1e16, 1.0, 0.5, -3.0, 0.1))
+            for _ in range(model.tensor_size(source))))
+        for target in (t for t in sets
+                       if set(t.names) < set(source.names)):
+            checked = check_model(Model(model.dimensions, (
+                Variable("X", VariableKind.DATA, source, table),
+                Variable("Y", VariableKind.OUTPUT, target, Aggregate("X")))))
+            want = [v.hex() for v in reference_evaluate(checked)["Y"]]
+            for block in range(1, model.tensor_size(target) + 1):
+                with mock.patch.object(evaluator, "_BLOCK", block):
+                    assert [v.hex() for v in evaluate(checked)["Y"].values
+                            ] == want, (source, target, block)
+                cases += 1
+    assert cases == 240
+
+
 @pytest.mark.parametrize("counts,target", [
     ({"M": 12, "S": 10, "P": 20, "R": 20}, ()),
     ({"A": 24_000, "D": 2}, ("D",)),
