@@ -131,6 +131,13 @@ class _Shapes:
             self._views[key] = tuple(reversed(axes)) or ((1, 1, 1),)
         return self._views[key]
 
+    def size(self, dims: DimensionSet) -> int:
+        """The cell count of a tensor over `dims`."""
+        size = 1
+        for name in dims.names:
+            size *= self._counts[name]
+        return size
+
     def sum(self, dims: DimensionSet, source: DimensionSet) -> tuple:
         """The views of SUM(source) over `dims`: of its cells, and of the
         terms a cell adds from its own flat index on."""
@@ -319,7 +326,7 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     cells down to the first bad cell in canonical order, and the error
     is the first failing node at that cell.
     """
-    size = model.tensor_size(var.dims)
+    size = shapes.size(var.dims)
     if size <= _BLOCK:
         try:
             return array("d", _run(var, 0, size, tensors, shapes))
@@ -410,10 +417,9 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
 
     shapes = _Shapes(model)
     tensors: dict[str, Tensor] = {}
-    formulas = tuple(k for k in VariableKind if k.carries_formula)  # fast test
     for name in checked.order:
         var = model.variable(name)
-        if var.kind in formulas:
+        if var.kind.carries_formula:
             values = _evaluate_formula(var, model, tensors, shapes)
         else:
             values = _value_tensor(var, model, patches.get(name, {}))

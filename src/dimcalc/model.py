@@ -250,9 +250,9 @@ class VariableKind(Enum):
     CALCULATED = "calc"
     OUTPUT = "output"
 
-    @property
-    def carries_formula(self) -> bool:
-        return self in (VariableKind.CALCULATED, VariableKind.OUTPUT)
+    def __init__(self, value: str):
+        # a plain attribute of each member, read as fast as a tuple test
+        self.carries_formula = value in ("calc", "output")
 
 
 # the node classes the walkers know, filled in once they exist; the bare

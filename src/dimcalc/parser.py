@@ -5,15 +5,14 @@ that runs to end of line. Newlines inside (), [], {} groups do not end the
 statement, so large value tables can be written one entry per line. The
 full grammar is documented in README.md.
 
-A token is a plain tuple `(kind, text, value, start, end)`, made as the
-parser reads it, one ahead, from one regex match that ends with it. Each
-class the parser branches on (a name, an open or close bracket, another
-mark, a number glued to nothing) has a group, whose text is the token's.
-The kind is name, qname, number, newline or eof, or a keyword's or mark's
-own text ("over" or "+"), so the parser decides on the kind alone; `value`
-is a number's float, and `start` and `end` are character offsets into the
-text. The spans a parse keeps (a Ref, an Aggregate, a statement, or a
-diagnostic) hold offsets too, and work out lines and columns when read.
+A token is the `re.Match` that ends with it, read by the parser one
+ahead; its class is `lastindex`, the group that holds its text, and a
+group of another class reads None, so `tok[_MARK] == ","` tests for one
+mark. Text and offsets are read only where used, and no match outlives
+its statement: a statement keeps each name as (text, start, end), with
+character offsets into the text. The spans a parse keeps (a Ref, an
+Aggregate, a statement, or a diagnostic) hold offsets too, and work out
+lines and columns when read.
 
 Parsing is total: any input text yields either a Model or a list of
 ParseDiagnostic values carried by ParseFailure, never an exception from
@@ -72,6 +71,9 @@ _TOKEN_RE = re.compile(r"[ \t\r]*(?:#[^\n]*)?(?:" + "|".join([
     r'((?:[^ \t\r\n#"=,:()\[\]{}+\-*/^A-Za-z_0-9.]|\.(?![0-9]))+)',
     r"(\Z)",  # 13: end of text
 ]) + ")")
+# the classes the parser reads; a number glued to '%' keeps its digits in 5
+_NAME, _OPEN, _CLOSE, _MARK, _DIGITS, _PERCENT, _NEWLINE, _QNAME, _EOF = (
+    1, 2, 3, 4, 5, 6, 8, 9, 13)
 _ESCAPE_RE = re.compile(r"\\(.?)")
 _NEWLINE_RE = re.compile(r"\n")
 
@@ -100,7 +102,7 @@ def _spans_of(text: str, file: str):
 
 
 def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
-    """Yield the tokens of `text` through eof, reporting bad ones as made."""
+    """Yield the token matches of `text` through eof, reporting bad ones as read."""
     depth = 0  # bracket depth; newlines inside groups are plain whitespace
 
     def err(code, msg, start, end):
@@ -108,56 +110,52 @@ def _tokenize(text: str, span, diags: list[ParseDiagnostic]):
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
-        end = m.end()  # every token ends its match
-        if kind == 1:  # name or keyword
-            word = m[1]
-            yield (word if word in KEYWORDS else "name", word, None,
-                   end - len(word), end)
-        elif kind <= 4:  # a punctuation mark: 2 opens a group, 3 closes one
-            mark = m[kind]
+        if kind <= 5:  # a name, a mark (2 opens a group, 3 closes one) or a number
             if kind == 2:
                 depth += 1
             elif kind == 3 and depth:
                 depth -= 1
-            yield (mark, mark, None, end - 1, end)
-        elif kind == 5:  # a number with nothing glued to it
-            word = m[5]
-            start, value = end - len(word), float(word)
-            if not math.isfinite(value):
-                err("P-NUMBER", f"number {word} is out of range", start, end)
-            yield ("number", word, value, start, end)
+            elif kind == 5 and not math.isfinite(float(m[5])):
+                err("P-NUMBER", f"number {m[5]} is out of range", m.start(5), m.end())
+            yield m
         elif kind == 8:  # newline
             if depth == 0:
-                yield ("newline", "\n", None, end - 1, end)
+                yield m
         elif kind <= 7:  # a number glued to '%' (6) or to word characters (7)
-            start, digits = m.start(5), m[5]
+            start, end, digits = m.start(5), m.end(), m[5]
             if kind == 7:
                 err("P-NUMBER", f"malformed number {text[start:end]!r}", start, end)
                 continue
-            value = float(digits)
             err("P-NUMBER", f"percent literals are not supported; write the "
-                f"fraction instead ({digits}% is {value / 100})", start, end)
-            yield ("number", digits, value, start, end)
+                f"fraction instead ({digits}% is {float(digits) / 100})", start, end)
+            yield m
         elif kind == 9:  # quoted name
-            start, body = m.start(9), m[10]
-            for esc in _ESCAPE_RE.finditer(body):
+            start, end, name = m.start(9), m.end(), _text(m)
+            for esc in _ESCAPE_RE.finditer(m[10]):
                 if esc[1] not in ('"', "\\"):
                     err("P-TOKEN", "unsupported escape in quoted identifier "
                         "(only \\\" and \\\\ are recognized)",
                         start, start + 1 + esc.start())
-            name = _ESCAPE_RE.sub(r"\1", body)
             if not m[11]:
                 err("P-TOKEN", "unterminated quoted identifier", start, end)
             elif not name:
                 err("P-TOKEN", "empty quoted identifier", start, end)
-            yield ("qname", name, None, start, end)
+            yield m
         elif kind == 12:  # characters that start no token
             word = m[12]
             err("P-TOKEN", f"unexpected character{'s' if len(word) > 1 else ''} "
-                f"{word!r}", end - len(word), end)
+                f"{word!r}", m.start(12), m.end())
         else:  # end of text
-            yield ("eof", "", None, end, end)
+            yield m
             return
+
+
+def _text(tok: re.Match) -> str:
+    """A token's text: a quoted name's unescaped, a number's digits."""
+    kind = tok.lastindex
+    if kind == _QNAME:
+        return _ESCAPE_RE.sub(r"\1", tok[10])
+    return tok[_DIGITS] if kind == _PERCENT else tok[kind]
 
 
 class _StatementError(Exception):
@@ -167,134 +165,136 @@ class _StatementError(Exception):
 class _Parser:
     def __init__(self, tokens, span, diags: list[ParseDiagnostic]):
         # the token stream, read one ahead: `tok` is the next token to use
-        self.next = tokens.__next__
-        self.tok = self.next()
+        self.tokens = tokens
+        self.tok = next(tokens)
         self.span, self.diags = span, diags
         # names of variables whose declarations failed after the name was
         # read; kept so references to them do not cascade into P-UNDECLARED
         self.failed_names: set[str] = set()
         # the dimensions read, by name in declaration order, and the variable
-        # statements: (kind, name token, over clause tokens or None, rhs_kind,
-        # rhs, span), where rhs is a formula, table entries, list values or
-        # None, as rhs_kind is "expr", "table", "list", "none"
+        # statements: (kind, name, over clause names or None, rhs_kind, rhs,
+        # span), where rhs is a formula, table entries, list values or None,
+        # as rhs_kind is "expr", "table", "list", "none"
         self.dimensions: dict[str, Dimension] = {}
         self.variables: list[tuple] = []
 
     def _accept(self, mark: str) -> bool:
-        """Step over the next token if its kind is `mark`."""
-        if self.tok[0] == mark:
-            self.tok = self.next()
+        """Step over the next token if it is the mark `mark`."""
+        tok = self.tok
+        if tok[tok.lastindex] == mark:
+            self.tok = next(self.tokens)
             return True
         return False
 
-    def _fail(self, code: str, message: str, tok: tuple):
-        _report(self.diags, code, message, self.span(tok[3], tok[4]))
+    def _fail(self, code: str, message: str, tok: re.Match):
+        start = tok.start(_DIGITS if tok.lastindex == _PERCENT else tok.lastindex)
+        _report(self.diags, code, message, self.span(start, tok.end()))
         raise _StatementError
 
-    def _expect(self, mark: str) -> tuple:
+    def _expect(self, mark: str) -> re.Match:
         tok = self.tok
-        if tok[0] == mark:
-            self.tok = self.next()
+        if tok[tok.lastindex] == mark:
+            self.tok = next(self.tokens)
             return tok
         self._fail("P-SYNTAX", f"expected {mark!r}, got {_describe(tok)}", tok)
 
     def _expect_name(self, what: str) -> tuple:
+        """The next token's name as (text, start, end), stepping over it."""
         tok = self.tok
-        if tok[0] in KEYWORDS:
-            self._fail("P-SYNTAX", f"{tok[1]!r} is a reserved keyword and "
-                       f"cannot be used as {what}", tok)
-        if tok[0] != "name" and tok[0] != "qname":
-            self._fail("P-SYNTAX", f"expected {what}, got {_describe(tok)}", tok)
-        self.tok = self.next()
-        return tok
+        word = tok[_NAME]
+        if word is None and tok.lastindex == _QNAME:
+            word = _text(tok)
+        elif word is None or word in KEYWORDS:
+            self._fail("P-SYNTAX", f"expected {what}, got {_describe(tok)}"
+                       if word is None else f"{word!r} is a reserved keyword "
+                       f"and cannot be used as {what}", tok)
+        self.tok = next(self.tokens)
+        return word, tok.start(tok.lastindex), tok.end()
 
     def _end_statement(self):
         tok = self.tok
-        if tok[0] not in ("newline", "eof"):
+        if tok.lastindex != _NEWLINE and tok.lastindex != _EOF:
             self._fail("P-SYNTAX",
                        f"unexpected {_describe(tok)} after declaration", tok)
 
     def parse_statements(self) -> None:
         while True:
-            while (tok := self.tok)[0] == "newline":
-                self.tok = self.next()
+            while (tok := self.tok).lastindex == _NEWLINE:
+                self.tok = next(self.tokens)
             try:
-                if tok[0] in _KINDS:
-                    self._parse_variable(tok)
-                elif tok[0] == "dimension":
+                word = tok[_NAME]
+                if word in _KINDS:
+                    self._parse_variable(tok, _KINDS[word])
+                elif word == "dimension":
                     self._parse_dimension()
-                elif tok[0] == "eof":
+                elif tok.lastindex == _EOF:
                     return
                 else:
                     self._fail("P-SYNTAX", "expected a declaration (dimension, input, "
                                f"data, calc, output), got {_describe(tok)}", tok)
             except _StatementError:
-                while self.tok[0] not in ("newline", "eof"):
-                    self.tok = self.next()
+                while (kind := self.tok.lastindex) != _NEWLINE and kind != _EOF:
+                    self.tok = next(self.tokens)
 
     def _parse_dimension(self) -> None:
-        self.tok = self.next()
+        self.tok = next(self.tokens)
         name = self._expect_name("a dimension name")
         self._expect("=")
         self._expect("[")
         labels = [self._expect_name("an instance label")]
-        while self._accept(",") and self.tok[0] != "]":
+        while self._accept(",") and self.tok[_CLOSE] != "]":
             labels.append(self._expect_name("an instance label"))
         self._expect("]")
         self._end_statement()
-        if name[1] in self.dimensions:
-            self._fail("P-DUPLICATE", f"dimension {name[1]} is already "
-                       f"declared", name)
+        if name[0] in self.dimensions:
+            _report(self.diags, "P-DUPLICATE", f"dimension {name[0]} is "
+                    f"already declared", self.span(name[1], name[2]))
+            raise _StatementError
         unique: dict[str, None] = {}
-        for _, label, _, start, end in labels:
+        for label, start, end in labels:
             if label in unique:
-                _report(self.diags, "P-DUPLICATE", f"dimension {name[1]} "
+                _report(self.diags, "P-DUPLICATE", f"dimension {name[0]} "
                         f"repeats instance label {label}", self.span(start, end))
             unique[label] = None
-        self.dimensions[name[1]] = Dimension(name[1], tuple(unique))
+        self.dimensions[name[0]] = Dimension(name[0], tuple(unique))
 
-    def _parse_variable(self, first: tuple) -> None:
-        # the cursor is read here; _expect and _expect_name only report a failure
-        kind, next_tok = _KINDS[first[0]], self.next
-        self.tok = name = next_tok()
-        if name[0] != "name" and name[0] != "qname":
-            self._expect_name("a variable name")
+    def _parse_variable(self, first: re.Match, kind: VariableKind) -> None:
+        # the cursor is read here; _expect only reports a failure
+        tokens = self.tokens
+        self.tok = next(tokens)
+        name = self._expect_name("a variable name")
         try:
-            over, rhs_kind, rhs, last = None, "none", None, name
-            self.tok = tok = next_tok()
-            if tok[0] == "over":
-                self.tok = tok = next_tok()
-                if tok[0] != "(":
+            over, rhs_kind, rhs, last = None, "none", None, name[2]
+            tok = self.tok
+            if tok[_NAME] == "over":
+                self.tok = tok = next(tokens)
+                if tok[_OPEN] != "(":
                     self._expect("(")
                 over = []
-                while not over or tok[0] == ",":
-                    self.tok = tok = next_tok()
-                    if tok[0] != "name" and tok[0] != "qname":
-                        self._expect_name("a dimension name")
-                    over.append(tok)
-                    self.tok = tok = next_tok()
-                if tok[0] != ")":
+                while not over or tok[_MARK] == ",":
+                    self.tok = next(tokens)
+                    over.append(self._expect_name("a dimension name"))
+                    tok = self.tok
+                if tok[_CLOSE] != ")":
                     self._expect(")")
-                self.tok = tok = next_tok()
-            if tok[0] == "=":
-                self.tok = tok = next_tok()
-                # each right-hand side returns its value and last token
-                if tok[0] == "{":
+                self.tok = tok = next(tokens)
+            if tok[_MARK] == "=":
+                self.tok = tok = next(tokens)
+                # each right-hand side returns its value and where it ends
+                if (opening := tok[_OPEN]) == "{":
                     rhs_kind, (rhs, last) = "table", self._parse_keyed_table()
-                elif tok[0] == "[":
+                elif opening == "[":
                     rhs_kind, (rhs, last) = "list", self._parse_positional_list()
                 else:
                     rhs_kind, (rhs, last) = "expr", self._parse_expr()
-                tok = self.tok
             elif kind is not VariableKind.INPUT:
-                self._fail("P-SYNTAX", f"{kind.value} {name[1]} needs '=' and a "
+                self._fail("P-SYNTAX", f"{kind.value} {name[0]} needs '=' and a "
                            f"{'formula' if kind.carries_formula else 'value'}", tok)
-            if tok[0] != "newline" and tok[0] != "eof":
-                self._end_statement()
+            self._end_statement()
             self.variables.append((kind, name, over, rhs_kind, rhs,
-                                   self.span(first[3], last[4])))
+                                   self.span(first.start(_NAME), last)))
         except _StatementError:
-            self.failed_names.add(name[1])
+            self.failed_names.add(name[0])
             raise
 
     def _parse_signed_number(self) -> float:
@@ -302,14 +302,14 @@ class _Parser:
         while self._accept("-"):
             negate = not negate
         tok = self.tok
-        if tok[0] != "number":
+        if tok[_DIGITS] is None:
             self._fail("P-SYNTAX", f"expected a number, got {_describe(tok)}", tok)
-        self.tok = self.next()
-        return -tok[2] if negate else tok[2]
+        self.tok = next(self.tokens)
+        return -float(tok[_DIGITS]) if negate else float(tok[_DIGITS])
 
     def _parse_keyed_table(self):
         self._expect("{")
-        if self.tok[0] == "}":
+        if self.tok[_CLOSE] == "}":
             self._fail("P-TABLE", "value table has no entries", self.tok)
         entries = []
         while True:
@@ -318,26 +318,26 @@ class _Parser:
                 key.append(self._expect_name("an instance label"))
             self._expect(":")
             entries.append((key, self._parse_signed_number()))
-            if not self._accept(",") or self.tok[0] == "}":
-                return entries, self._expect("}")
+            if not self._accept(",") or self.tok[_CLOSE] == "}":
+                return entries, self._expect("}").end()
 
     def _parse_positional_list(self):
         self._expect("[")
         values = [self._parse_signed_number()]
-        while self._accept(",") and self.tok[0] != "]":
+        while self._accept(",") and self.tok[_CLOSE] != "]":
             values.append(self._parse_signed_number())
-        return values, self._expect("]")
+        return values, self._expect("]").end()
 
     def _parse_expr(self):
         """One formula, by operator precedence over explicit stacks, and the
-        last token it takes.
+        offset where it ends.
 
         Loosest to tightest: `+ -`, `* /`, prefix `-`, `^` (left-associative),
         and a `-` right after `^`, which negates the exponent's atom alone:
         `-a ^ b` is -(a ^ b) and `a ^ -b ^ c` is (a ^ (-b)) ^ c. Operands are
         numbers, names, `SUM(name)` and parenthesized formulas.
         """
-        next_tok, span = self.next, self.span
+        tokens, span = self.tokens, self.span
         operands: list[Expr] = []
         # (precedence, operator) entries, "neg" a prefix minus; an open group
         # is (0, its opening token), which no operator reduces past, so after
@@ -346,30 +346,35 @@ class _Parser:
         neg = _NEG
         tok = self.tok  # the cursor, written back to self.tok around calls
         while True:
-            # operand position: prefix minuses and open groups, then an atom;
+            # operand position: an atom, or a prefix minus or open group and again;
             # only a group resets neg, so each minus of a run after ^ takes one atom
-            while (kind := tok[0]) == "-" or kind == "(":
-                if kind == "-":
-                    ops.append(neg)
-                else:
-                    ops.append((0, tok))
-                    neg = _NEG
-                tok = next_tok()
-            if kind == "number":
-                operands.append(Literal(tok[2]))
-            elif kind == "name" or kind == "qname":
-                operands.append(Ref(tok[1], span(tok[3], tok[4])))
+            kind = tok.lastindex
+            if kind == _NAME and (word := tok[_NAME]) not in KEYWORDS:
+                operands.append(Ref(word, span(tok.start(_NAME), tok.end())))
+            elif kind == _DIGITS or kind == _PERCENT:
+                operands.append(Literal(float(tok[_DIGITS])))
+            elif kind == _OPEN and tok[_OPEN] == "(":
+                ops.append((0, tok))
+                neg = _NEG
+                tok = next(tokens)
+                continue
+            elif kind == _MARK and tok[_MARK] == "-":
+                ops.append(neg)
+                tok = next(tokens)
+                continue
+            elif kind == _QNAME:
+                operands.append(Ref(_text(tok), span(tok.start(_QNAME), tok.end())))
             else:
                 self.tok = tok
                 operands.append(self._parse_atom())
                 tok = self.tok
             last = tok
-            tok = next_tok()
+            tok = next(tokens)
             # operator position, the one reduction site: apply what binds at
             # least as tightly as the next operator (all, down to the innermost
             # group, at a ')' or the end), then push it, close the group or return
             while True:
-                entry = _BINARY.get(tok[0])
+                entry = _BINARY.get(tok[_MARK])
                 prec = 1 if entry is None else entry[0]
                 while ops and ops[-1][0] >= prec:
                     op = ops.pop()[1]
@@ -384,40 +389,40 @@ class _Parser:
                     break
                 self.tok = tok
                 if not ops:
-                    return operands[0], last
-                last = self._expect(")")
-                tok = self.tok
-                opening = ops.pop()[1]
+                    return operands[0], last.end()
+                if tok[_CLOSE] != ")":
+                    self._expect(")")  # fails
+                last, tok = tok, next(tokens)
+                opening = ops.pop()[1].start(_OPEN)
                 # a diagnostic on a grouped reference covers the parentheses
                 node = operands[-1]
                 if type(node) is Ref:
-                    operands[-1] = Ref(node.name, span(opening[3], last[4]))
+                    operands[-1] = Ref(node.name, span(opening, last.end()))
                 elif type(node) is Aggregate:
                     operands[-1] = Aggregate(
-                        node.source, span=span(opening[3], last[4]))
+                        node.source, span=span(opening, last.end()))
             ops.append(entry)
             neg = _EXPONENT_NEG if entry[1] == "^" else _NEG
-            tok = next_tok()
+            tok = next(tokens)
 
     def _parse_atom(self):
         """`SUM(name)`, leaving self.tok on its ')'; any other token fails."""
         tok = self.tok
-        if tok[0] != "SUM":
-            if tok[0] in KEYWORDS:
+        if tok[_NAME] != "SUM":
+            if tok[_NAME] in KEYWORDS:
                 self._expect_name("a variable name")  # a reserved keyword
             self._fail("P-SYNTAX", "expected a number, variable, or '(', "
                        f"got {_describe(tok)}", tok)
-        self.tok = self.next()
+        self.tok = next(self.tokens)
         self._expect("(")
-        arg = self.tok
-        if arg[0] == "SUM":
+        if self.tok[_NAME] == "SUM":
             self._fail("P-SYNTAX", "SUM cannot be nested; aggregate the "
-                       "inner variable in its own declaration", arg)
+                       "inner variable in its own declaration", self.tok)
         source = self._expect_name("a variable name inside SUM(...)")
         last = self.tok
-        if last[0] != ")":
+        if last[_CLOSE] != ")":
             self._fail("P-SYNTAX", "SUM takes a single variable name", last)
-        return Aggregate(source[1], span=self.span(tok[3], last[4]))
+        return Aggregate(source[0], span=self.span(tok.start(_NAME), last.end()))
 
 
 # the (precedence, operator) entries _parse_expr stacks, made once
@@ -425,11 +430,11 @@ _BINARY = {op: (prec, op) for op, prec in zip("+-*/^", (1, 1, 2, 2, 4))}
 _NEG_PREC = 3  # prefix minus: tighter than * and /, looser than ^
 _NEG = (_NEG_PREC, "neg")
 _EXPONENT_NEG = (5, "neg")  # a minus right after ^ takes only the next atom
-_ENDS = {"eof": "end of file", "newline": "end of line"}  # for _describe
+_ENDS = {_EOF: "end of file", _NEWLINE: "end of line"}  # for _describe
 
 
-def _describe(tok: tuple) -> str:
-    return _ENDS.get(tok[0]) or repr(tok[1])
+def _describe(tok: re.Match) -> str:
+    return _ENDS.get(tok.lastindex) or repr(_text(tok))
 
 
 def parse_model(text: str, file: str = "<input>") -> Model:
@@ -448,12 +453,12 @@ def parse_model(text: str, file: str = "<input>") -> Model:
     # one DimensionSet per distinct set of names
     dim_sets: dict[frozenset[str], DimensionSet] = {}
 
-    known_names = {stmt[1][1] for stmt in parser.variables
-                   if stmt[1][1] not in dimensions} | parser.failed_names
+    known_names = {stmt[1][0] for stmt in parser.variables
+                   if stmt[1][0] not in dimensions} | parser.failed_names
     var_names: set[str] = set()
     variables = []
     for stmt in parser.variables:
-        kind, (_, name, _, start, end), over, rhs_kind, _, where = stmt
+        kind, (name, start, end), over, rhs_kind, _, where = stmt
         if name in var_names:
             _report(diags, "P-DUPLICATE", f"variable {name} is already declared",
                     span(start, end))
@@ -466,7 +471,7 @@ def parse_model(text: str, file: str = "<input>") -> Model:
         dims = _resolve_dims(over, dimensions, dim_sets, span, diags)
         if dims is None and rhs_kind != "expr":
             continue  # the over clause failed; values would only add noise
-        dims = dims or EMPTY_DIMS
+        dims = EMPTY_DIMS if dims is None else dims
         payload = _resolve_payload(stmt, dims, dimensions, span, diags)
         variable = Variable(name, kind, dims, payload, span=where)
         for ref, node in variable.uses:
@@ -488,7 +493,7 @@ def _resolve_dims(over, dimensions, dim_sets, span, diags) -> DimensionSet | Non
     if over is None:
         return EMPTY_DIMS
     names, failed = [], False
-    for _, name, _, start, end in over:
+    for name, start, end in over:
         if name not in dimensions:
             _report(diags, "P-UNDECLARED", f"no dimension named {name}",
                     span(start, end))
@@ -505,10 +510,9 @@ def _resolve_dims(over, dimensions, dim_sets, span, diags) -> DimensionSet | Non
 
 
 def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
-    kind, name_token, _, rhs_kind, rhs, where = stmt
+    kind, (name, _, _), _, rhs_kind, rhs, where = stmt
     if rhs_kind == "none":
         return None
-    name = name_token[1]
     if rhs_kind == "expr":
         # a bare number is a scalar value, not a formula
         if isinstance(rhs, Literal) and not kind.carries_formula:
@@ -539,16 +543,16 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
     size = math.prod(map(len, axes))
     cells: dict[int, float] = {}
     reported = len(diags)
-    for key_toks, value in rhs:
-        if len(key_toks) != len(axes):
-            count = len(key_toks)
+    for key, value in rhs:
+        if len(key) != len(axes):
+            count = len(key)
             _report(diags, "P-TABLE",
-                    f"table key {','.join(t[1] for t in key_toks)} has {count} "
+                    f"table key {','.join(t[0] for t in key)} has {count} "
                     f"label{'s' if count != 1 else ''}; {name} is over {dims}",
-                    span(key_toks[0][3], key_toks[-1][4]))
+                    span(key[0][1], key[-1][2]))
             continue
         index = 0
-        for (_, label, _, start, end), dim, axis in zip(key_toks, dims, axes):
+        for (label, start, end), dim, axis in zip(key, dims, axes):
             try:
                 index = index * len(axis) + dimensions[dim].index_of(label)
             except ModelError:
@@ -559,8 +563,8 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
         else:
             if index in cells:
                 _report(diags, "P-DUPLICATE", f"table entry "
-                        f"{','.join(t[1] for t in key_toks)} is already defined",
-                        span(key_toks[0][3], key_toks[-1][4]))
+                        f"{','.join(t[0] for t in key)} is already defined",
+                        span(key[0][1], key[-1][2]))
             else:
                 cells[index] = value
     if len(diags) > reported:  # an entry failed
@@ -573,10 +577,6 @@ def _resolve_payload(stmt: tuple, dims: DimensionSet, dimensions, span, diags):
                 f"of {size} entries (first missing: {','.join(labels)})", where)
         return None
     return ValueTable(tuple([cells[i] for i in range(size)]))
-
-
-# the kinds of token that a cell address takes as a name or label
-_NAME_KINDS = frozenset({"name", "qname", *KEYWORDS})
 
 
 def parse_cell(text: str) -> tuple[str, tuple[str, ...] | None] | None:
@@ -592,12 +592,12 @@ def parse_cell(text: str) -> tuple[str, tuple[str, ...] | None] | None:
     name, address = tokens[0], tokens[1:-1]  # the last token is eof
     inner = address[1:-1]
     labels, commas = inner[::2], inner[1::2]
-    if (diags or name[0] not in _NAME_KINDS or address and (
-            (address[0][0], address[-1][0]) != ("[", "]") or len(inner) % 2 == 0
-            or any(t[0] not in _NAME_KINDS and t[0] != "number" for t in labels)
-            or any(t[0] != "," for t in commas))):
+    if (diags or name.lastindex not in (_NAME, _QNAME) or address and (
+            address[0][_OPEN] != "[" or address[-1][_CLOSE] != "]"
+            or len(inner) % 2 == 0 or any(t[_MARK] != "," for t in commas)
+            or any(t.lastindex not in (_NAME, _DIGITS, _QNAME) for t in labels))):
         return None
-    return name[1], tuple(t[1] for t in labels) if address else None
+    return _text(name), tuple(map(_text, labels)) if address else None
 
 
 def format_number(value: float) -> str:
