@@ -39,7 +39,7 @@ from .model import (
     Unary,
     VariableKind,
 )
-from .parser import format_ident
+from .parser import format_cell
 
 
 class InputOverride(Record):
@@ -67,10 +67,8 @@ class EvalError(DiagnosticFailure):
                  detail: str):
         Exception.__init__(self, kind, variable, labels, detail)
         self.kind, self.variable, self.labels, self.detail = self.args
-        # written as --set reads a cell address back
-        cell = format_ident(variable) + (
-            f"[{','.join(map(format_ident, labels))}]" if labels else "")
-        self.diagnostics = [Diagnostic("error", kind, f"{cell}: {detail}", None)]
+        self.diagnostics = [Diagnostic(
+            "error", kind, f"{format_cell(variable, labels)}: {detail}", None)]
 
 
 class EvaluationResult(Record):
@@ -130,13 +128,6 @@ class _Shapes:
                 cells *= count[name]
             self._views[key] = tuple(reversed(axes)) or ((1, 1, 1),)
         return self._views[key]
-
-    def size(self, dims: DimensionSet) -> int:
-        """The cell count of a tensor over `dims`."""
-        size = 1
-        for name in dims.names:
-            size *= self._counts[name]
-        return size
 
     def sum(self, dims: DimensionSet, source: DimensionSet) -> tuple:
         """The views of SUM(source) over `dims`: of its cells, and of the
@@ -284,10 +275,8 @@ def _run(var, lo: int, hi: int, tensors: dict[str, Tensor],
             except OverflowError:
                 raise _CellError(
                     "NON-FINITE", f"{left[0]} ^ {right[0]} overflows") from None
-            # math.pow of finite operands is finite or raises; the test is
-            # _finite's, inline for the many small tensors
-            if node.op != "^" and not (math.isfinite(sum(result))
-                                       or all(map(math.isfinite, result))):
+            # math.pow of finite operands is finite or raises
+            if node.op != "^" and not _finite(result):
                 raise _CellError("NON-FINITE", _OVERFLOWS[node.op])
         elif cls is Literal:
             if not math.isfinite(node.value):
@@ -326,7 +315,7 @@ def _evaluate_formula(var, model: Model, tensors: dict[str, Tensor],
     cells down to the first bad cell in canonical order, and the error
     is the first failing node at that cell.
     """
-    size = shapes.size(var.dims)
+    size = model.tensor_size(var.dims)
     if size <= _BLOCK:
         try:
             return array("d", _run(var, 0, size, tensors, shapes))
@@ -411,7 +400,7 @@ def evaluate(checked: CheckedModel, overrides=()) -> EvaluationResult:
         if ov.labels is None and len(var.dims) != 0:
             raise ValueError(
                 f"{ov.name} is over {var.dims}; an override must name one "
-                f"cell, like {ov.name}[{','.join(n for n in var.dims)}]")
+                f"cell, like {format_cell(ov.name, var.dims.names)}")
         index = model.tensor_index(var.dims, tuple(ov.labels or ()))
         patches.setdefault(ov.name, {})[index] = float(ov.value)
 

@@ -594,13 +594,14 @@ class Model(Record):
             raise ModelError(f"no dimension named {e.args[0]}") from None
         return DimensionSet(tuple(ordered))
 
-    def instance_counts(self, dims: DimensionSet) -> tuple[int, ...]:
-        return tuple(len(self.dimension(n).instances) for n in dims)
-
     def tensor_size(self, dims: DimensionSet) -> int:
-        size = 1
-        for name in dims.names:
-            size *= len(self.dimension(name).instances)
+        """The cell count of a tensor over `dims`."""
+        size, by_name = 1, self._dim_by_name
+        try:
+            for name in dims.names:
+                size *= len(by_name[name].instances)
+        except KeyError:
+            raise ModelError(f"no dimension named {name}") from None
         return size
 
     def instance_tuples(self, dims: DimensionSet) -> Iterator[tuple[str, ...]]:
@@ -612,7 +613,9 @@ class Model(Record):
         """Row-major flat index of one instance tuple."""
         if len(labels) != len(dims):
             raise ModelError(
-                f"expected {len(dims)} instance labels for {dims}, got {len(labels)}")
+                f"expected {len(dims)} instance "
+                f"label{'s' if len(dims) != 1 else ''} for {dims}, "
+                f"got {len(labels)}")
         index = 0
         for name, label in zip(dims, labels):
             dim = self.dimension(name)

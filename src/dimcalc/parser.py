@@ -600,6 +600,13 @@ def parse_cell(text: str) -> tuple[str, tuple[str, ...] | None] | None:
     return _text(name), tuple(map(_text, labels)) if address else None
 
 
+def format_cell(name: str, labels: tuple[str, ...]) -> str:
+    """A cell address as parse_cell reads it back: the name, then any
+    labels in brackets."""
+    return format_ident(name) + (
+        f"[{','.join(map(format_ident, labels))}]" if labels else "")
+
+
 def format_number(value: float) -> str:
     """Shortest lossless rendering; integral floats print without a point.
     `repr` writes those from 1e16 up with an exponent, and keeps -0's sign."""

@@ -13,13 +13,15 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import dimcalc
 from conftest import FIXTURES
+from dimcalc.checker import check_model
 from dimcalc.cli import _json_text, _write_csv, main
-from dimcalc.evaluator import EvalError
-from dimcalc.model import Dimension, Model, Tensor
+from dimcalc.evaluator import EvalError, InputOverride, evaluate
+from dimcalc.model import (Dimension, DimensionSet, Model, Tensor, Variable,
+                           VariableKind)
 from dimcalc.parser import format_number, parse_cell
 from synth import dense_model
 
@@ -385,6 +387,19 @@ class TestEval:
         assert (code, err) == (0, "")
         assert (tmp_path / "Y.csv").read_text(encoding="utf-8") == (
             "D,value\np,30\nq r,40\n")
+
+    # a dimensioned input set without a cell is refused with an address
+    # --set reads back, and a cell of the wrong arity with the label count
+    def test_set_of_no_cell_hints_a_quoted_address(self, capsys, tmp_path):
+        model = tmp_path / "names.dml"
+        model.write_text('dimension D = [a, b]\ninput "x y" over (D) = [1, 2]\n')
+        assert run(capsys, "eval", str(model), "--set", '"x y"=1',
+                   "--out-dir", str(tmp_path)) == (
+            3, "", "error: x y is over (D); an override must name one cell, "
+                   'like "x y"[D]\n')
+        assert run(capsys, "eval", str(model), "--set", '"x y"[a,b]=1',
+                   "--out-dir", str(tmp_path)) == (
+            3, "", "error: expected 1 instance label for (D), got 2\n")
 
     @pytest.mark.parametrize("head", ['"a b', "a b", "X[a]]", "[a]", "X[a]b"])
     def test_malformed_set_target_exits_3(self, capsys, tmp_path, head):
@@ -1007,6 +1022,23 @@ def test_error_address_reads_back_through_set(name, labels):
     assert text.startswith(head) and text.endswith(tail)
     address = text[len(head):-len(tail)]
     assert parse_cell(address) == (name, tuple(labels) or None)
+
+
+@given(_awkward, st.lists(_awkward, min_size=1, max_size=3, unique=True))
+@example("x y", ["D"])
+@example("SUM", ["over", "1", 'a"b,'])
+def test_hint_address_reads_back_through_set(name, dims):
+    # an override of a dimensioned input without a cell names one it could be
+    assume(name not in dims)
+    over = DimensionSet(tuple(dims))
+    model = Model(tuple(Dimension(d, ("a",)) for d in dims),
+                  (Variable(name, VariableKind.INPUT, over, None),))
+    with pytest.raises(ValueError) as raised:
+        evaluate(check_model(model), [InputOverride(name, None, 1.0)])
+    head = f"{name} is over {over}; an override must name one cell, like "
+    text = str(raised.value)
+    assert text.startswith(head)
+    assert parse_cell(text[len(head):]) == (name, over.names)
 
 
 @pytest.fixture(params=[True, False], ids=["caller-collecting", "caller-paused"])

@@ -85,8 +85,9 @@ class TestModel:
     def test_tensor_shape_and_indexing(self):
         model = make_model()
         dims = model.dim_set(("Month", "Region"))
-        assert model.instance_counts(dims) == (3, 2)
-        assert model.tensor_size(dims) == 6
+        counts = [len(model.dimension(n).instances) for n in dims]
+        assert counts == [3, 2]
+        assert model.tensor_size(dims) == math.prod(counts) == 6
         assert model.tensor_index(dims, ("Feb", "N")) == 2
         assert model.tensor_coords(dims, 2) == ("Feb", "N")
         tuples = list(model.instance_tuples(dims))
@@ -164,6 +165,8 @@ class TestModel:
             model.dimension("Sector")
         with pytest.raises(ModelError, match="^no variable named Y$"):
             model.variable("Y")
+        with pytest.raises(ModelError, match="^no dimension named Sector$"):
+            model.tensor_size(DimensionSet(("Month", "Sector")))
 
     def test_index_errors(self):
         model = make_model()
@@ -171,6 +174,9 @@ class TestModel:
         with pytest.raises(ModelError, match=r"^expected 2 instance labels "
                                              r"for \(Month, Region\), got 1$"):
             model.tensor_index(dims, ("Jan",))
+        with pytest.raises(ModelError, match=r"^expected 1 instance label "
+                                             r"for \(Region\), got 2$"):
+            model.tensor_index(model.dim_set(("Region",)), ("N", "S"))
         for index in (-1, 6):
             with pytest.raises(ModelError, match=rf"^index {index} out of "
                                r"range for \(Month, Region\) \(size 6\)$"):
@@ -314,7 +320,7 @@ def test_acme_shapes(acme_model):
 @given(subsets)
 def test_tensor_size_is_the_product_of_instance_counts(acme_model, dims):
     assert acme_model.tensor_size(dims) == math.prod(
-        acme_model.instance_counts(dims))
+        len(acme_model.dimension(n).instances) for n in dims)
     assert acme_model.tensor_size(EMPTY_DIMS) == 1
 
 
